@@ -4,141 +4,33 @@ The package generates synthetic workloads from calibrated statistical
 models, schedules them on a shared GPU pool with inference priority,
 synthesizes minute-level power, and computes grid-facing variability
 metrics across workload-composition sweeps.
+
+The top level exports the library surface only; every other name is
+imported from its own submodule.
 """
 
-from .batch_arrivals import (
-    DailyCountModel,
-    IntradayProfile,
-    SimCalendar,
-    TimezonePlan,
-    daily_mean,
-    place_arrivals,
-    sample_daily_count,
-    sample_hourly_profile,
-    superpose_timezones,
-)
-from .batch_power import (
-    JobClassModel,
-    PowerSynthesisConfig,
-    PowerTemplate,
-    TemplateStore,
-    sample_job,
-    select_template,
-    synthesize_job_power,
-)
 from .config import ModelBundle, load_bundle
-from .cosim import (
-    HybridResult,
-    Scenario,
-    generate_jobs,
-    generate_requests,
-    inference_share,
-    job_power_trace,
-    run_hybrid,
-    scenario_from_dict,
-    utilization,
-)
+from .cosim import HybridResult, Scenario, run_hybrid, scenario_from_dict
 from .defaults import default_bundle, default_bundle_doc
 from .errors import ConfigurationError
-from .inference_arrivals import (
-    MinuteRateModel,
-    TokenDistribution,
-    apply_verbosity,
-    fit_group_pmf,
-    minute_rate,
-    sample_minute_arrivals,
-    sample_tokens,
-    smooth_histogram,
-    split_across_templates,
-)
-from .metrics import (
-    cov,
-    daily_profile,
-    ramp_rate,
-    transmission_diagnostic,
-)
-from .scheduler import (
-    CapacityTimeline,
-    Job,
-    ScheduleTrace,
-    revealed_capacity,
-    schedule,
-    segment_job,
-)
-from .seeds import derive_seed, substream
-from .serving import (
-    LLMTemplate,
-    ServingBudget,
-    allocate_budgets,
-    cap_concurrency,
-    concurrency,
-    gpu_use,
-    inference_power,
-    service_window,
-)
+from .metrics import cov, daily_profile, ramp_rate, transmission_diagnostic
 from .sweep import run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityTimeline",
     "ConfigurationError",
-    "DailyCountModel",
     "HybridResult",
-    "IntradayProfile",
-    "Job",
-    "JobClassModel",
-    "LLMTemplate",
-    "MinuteRateModel",
     "ModelBundle",
-    "PowerSynthesisConfig",
-    "PowerTemplate",
     "Scenario",
-    "ScheduleTrace",
-    "ServingBudget",
-    "SimCalendar",
-    "TemplateStore",
-    "TimezonePlan",
-    "TokenDistribution",
-    "allocate_budgets",
-    "apply_verbosity",
-    "cap_concurrency",
-    "concurrency",
     "cov",
-    "daily_mean",
     "daily_profile",
     "default_bundle",
     "default_bundle_doc",
-    "derive_seed",
-    "fit_group_pmf",
-    "generate_jobs",
-    "generate_requests",
-    "gpu_use",
-    "inference_power",
-    "inference_share",
-    "job_power_trace",
     "load_bundle",
-    "minute_rate",
-    "place_arrivals",
     "ramp_rate",
-    "revealed_capacity",
     "run_hybrid",
     "run_sweep",
-    "sample_daily_count",
-    "sample_hourly_profile",
-    "sample_job",
-    "sample_minute_arrivals",
-    "sample_tokens",
     "scenario_from_dict",
-    "schedule",
-    "segment_job",
-    "select_template",
-    "service_window",
-    "smooth_histogram",
-    "split_across_templates",
-    "substream",
-    "superpose_timezones",
-    "synthesize_job_power",
     "transmission_diagnostic",
-    "utilization",
 ]

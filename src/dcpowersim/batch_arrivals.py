@@ -134,10 +134,6 @@ class TimezonePlan:
             if abs(sum(shares) - 1.0) > 1e-9:
                 raise ConfigurationError("zone shares must sum to 1")
 
-    @property
-    def n_zones(self) -> int:
-        return len(self.offsets_hours)
-
 
 def daily_mean(model: DailyCountModel, day: int, calendar: SimCalendar) -> float:
     """Expected arrivals for one simulation day: exp(daytype + week-of-month)."""
@@ -154,11 +150,6 @@ def daily_mean(model: DailyCountModel, day: int, calendar: SimCalendar) -> float
     return float(
         np.exp(model.daytype_effects[daytype] + model.week_of_month_effects[wom])
     )
-
-
-def sample_daily_count(mu: float, alpha: float, rng: np.random.Generator) -> int:
-    """One NB2 daily count; alpha == 0 falls back to Poisson."""
-    return int(sample_nb2(mu, alpha, rng))
 
 
 def sample_hourly_profile(
@@ -234,7 +225,7 @@ def generate_zone_arrivals(
     chunks = []
     for day in range(horizon_days):
         mu = daily_mean(model, day, calendar) * mean_scale
-        n = sample_daily_count(mu, model.dispersion, rng)
+        n = sample_nb2(mu, model.dispersion, rng)
         if n == 0:
             continue
         hourly = sample_hourly_profile(profile, rng)

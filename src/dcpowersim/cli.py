@@ -31,7 +31,6 @@ from .defaults import default_bundle_doc
 from .errors import ConfigurationError
 from .metrics import cov, ramp_rate, transmission_diagnostic
 from .outputs import (
-    REQUESTS_COLUMNS,
     fmt,
     read_series_csv,
     scenario_doc,
@@ -42,14 +41,13 @@ from .outputs import (
     write_jobs_csv,
     write_manifest,
     write_requests_csv,
-    write_rows,
     write_series_csv,
     write_sweep_csv,
     write_trace_csv,
 )
 from .seeds import derive_seed
 from .serving import SPEED_CLASSES
-from .sweep import EXTRA_COLUMNS, format_row, run_sweep, summarize
+from .sweep import EXTRA_COLUMNS, run_sweep, summarize
 
 OUT_ENV_VAR = "DCPOWERSIM_OUT"
 
@@ -188,9 +186,7 @@ def cmd_generate(args) -> int:
         files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
     else:
         parts = generate_requests(bundle, scenario, root_seed, 1.0)
-        flat_times, groups, template_ids, tokens = flatten_requests(bundle, parts)
-        rows = zip(flat_times, groups, template_ids, tokens)
-        write_rows(out / "requests.csv", REQUESTS_COLUMNS, rows)
+        write_requests_csv(out / "requests.csv", *flatten_requests(bundle, parts))
         files = ["requests.csv"]
     write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
     return 0
@@ -206,7 +202,13 @@ def cmd_simulate(args) -> int:
     write_busy_csv(out / "busy.csv", result.busy_batch)
     write_trace_csv(out / "trace.csv", result.trace)
     write_jobs_csv(out / "jobs.csv", result.jobs)
-    write_requests_csv(out / "requests.csv", result)
+    write_requests_csv(
+        out / "requests.csv",
+        result.request_times,
+        result.request_groups,
+        result.request_templates,
+        result.request_tokens,
+    )
     write_detail_csv(
         out / "detail.csv", result, [t.template_id for t in bundle.llm_templates]
     )
@@ -238,7 +240,7 @@ def cmd_sweep(args) -> int:
     rows, series_files, failures = run_sweep(
         raw, sweep_doc, out, parallel=max(1, args.parallel)
     )
-    write_sweep_csv(out / "sweep.csv", [format_row(r) for r in rows], EXTRA_COLUMNS)
+    write_sweep_csv(out / "sweep.csv", rows, EXTRA_COLUMNS)
     write_manifest(
         out,
         bundle.config_hash,

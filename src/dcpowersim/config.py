@@ -108,15 +108,6 @@ class _Collector:
             )
 
 
-def _require(doc: dict, key: str, where: str, errs: _Collector, default=None):
-    if key not in doc:
-        if default is not None:
-            return default
-        errs.error(where, f"missing required key {key!r}")
-        return None
-    return doc[key]
-
-
 def _load_calendar(doc: dict, errs: _Collector) -> SimCalendar:
     section = doc.get("calendar", {})
     epoch_raw = section.get("epoch", "2024-01-01")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_arrivals import SECONDS_PER_DAY, daily_mean, superpose_timezones
+from .batch_arrivals import daily_mean, superpose_timezones
 from .batch_power import (
     expected_gpu_runtime_hours,
     sample_job,
@@ -25,12 +25,12 @@ from .batch_power import (
     synthesize_job_power,
 )
 from .config import ModelBundle
+from .distributions import sample_nb2
 from .errors import ConfigurationError
 from .inference_arrivals import (
     apply_verbosity,
     minute_mean_series,
     place_in_minutes,
-    sample_minute_arrivals,
     sample_tokens,
     split_across_templates,
 )
@@ -116,10 +116,6 @@ class Scenario:
     @property
     def horizon_minutes(self) -> int:
         return self.horizon_days * MINUTES_PER_DAY
-
-    @property
-    def horizon_seconds(self) -> int:
-        return self.horizon_days * SECONDS_PER_DAY
 
 
 def scenario_from_dict(doc: dict, defaults: dict | None = None) -> Scenario:
@@ -217,9 +213,7 @@ def expected_inference_work_gpu_hours(
             mean_dur = expected_window_seconds(
                 dist.pmf, template.tpot(speed_class), bundle.grid_tick_s
             )
-            work += share * mean_dur * template.gpus_per_instance / (
-                template.max_batch * 3600.0
-            )
+            work += template.gpu_hours(share * mean_dur)
         per_request[group] = work
     total = 0.0
     for group in bundle.request_groups:
@@ -295,7 +289,7 @@ def generate_requests(
                 )
                 continue
             rng = substream(root_seed, "inference-arrivals", group, template_id)
-            counts = sample_minute_arrivals(mu_m, alpha_m, rng)
+            counts = sample_nb2(mu_m, alpha_m, rng)
             times = place_in_minutes(counts, rng)
             tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
             tokens = sample_tokens(dists[group], tokens_rng, size=times.size)
@@ -446,33 +440,18 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
 
     # inference side
     request_parts = generate_requests(bundle, scenario, root_seed, fi)
-    starts_by_t: list[list[np.ndarray]] = [[] for _ in range(n_templates)]
-    tokens_by_t: list[list[np.ndarray]] = [[] for _ in range(n_templates)]
-    for times, tokens, _group, t_index in request_parts:
-        starts_by_t[t_index].append(times)
-        tokens_by_t[t_index].append(tokens)
+    empty = [(np.empty(0), np.empty(0, dtype=np.int64))]
     conc = np.zeros((n_templates, n_minutes))
-    durations_by_t: list[np.ndarray] = []
     offered = np.zeros(n_templates)
     for t_index, template in enumerate(bundle.llm_templates):
-        arrivals = (
-            np.concatenate(starts_by_t[t_index])
-            if starts_by_t[t_index]
-            else np.empty(0)
-        )
-        tokens = (
-            np.concatenate(tokens_by_t[t_index])
-            if tokens_by_t[t_index]
-            else np.empty(0, dtype=np.int64)
-        )
-        tpot = template.tpot(scenario.speed_class)
+        parts = [p for p in request_parts if p[3] == t_index] or empty
         win_starts, win_durs = service_windows(
-            arrivals, tokens, tpot, bundle.grid_tick_s
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+            template.tpot(scenario.speed_class),
+            bundle.grid_tick_s,
         )
-        durations_by_t.append(win_durs)
-        offered[t_index] = (
-            win_durs.sum() * template.gpus_per_instance / (template.max_batch * 3600.0)
-        )
+        offered[t_index] = template.gpu_hours(win_durs.sum())
         conc[t_index] = concurrency(
             win_starts, win_durs, n_minutes, bundle.grid_tick_s
         )
@@ -486,8 +465,10 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
             [t.gpus_per_instance for t in bundle.llm_templates],
         )
     conc_cap = np.zeros_like(conc)
+    unmet = np.zeros_like(conc)
     template_gpus = np.zeros((n_templates, n_minutes), dtype=np.int64)
     template_power = np.zeros((n_templates, n_minutes))
+    unmet_work_h = 0.0
     for t_index, template in enumerate(bundle.llm_templates):
         conc_cap[t_index] = cap_concurrency(
             conc[t_index],
@@ -499,20 +480,22 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
             conc_cap[t_index], template.max_batch, template.gpus_per_instance
         )
         template_power[t_index] = inference_power(conc_cap[t_index], template.rho_kw)
-    unmet = conc - conc_cap
-    unmet_work_h = 0.0
-    for t_index, template in enumerate(bundle.llm_templates):
-        unmet_work_h += (
-            float(unmet[t_index].sum())
-            * 60.0
-            * template.gpus_per_instance
-            / (template.max_batch * 3600.0)
-        )
+        unmet[t_index] = conc[t_index] - conc_cap[t_index]
+        unmet_work_h += template.gpu_hours(float(unmet[t_index].sum()) * 60.0)
     g_inf = template_gpus.sum(axis=0)
     p_inf = template_power.sum(axis=0)
+    # only uncapped serving can outgrow the cluster: budgets fit the pool
+    excess = g_inf - scenario.total_gpus
+    if np.max(excess, initial=0) > 0:
+        minute = int(excess.argmax())
+        raise ConfigurationError(
+            f"cap_mode 'uncapped': inference alone needs {g_inf[minute]} GPUs in "
+            f"minute {minute}: {excess[minute]} over total_gpus "
+            f"{scenario.total_gpus}"
+        )
 
     # batch side runs on whatever the serving plane left over
-    residual = np.maximum(scenario.total_gpus - g_inf, 0).astype(np.int64)
+    residual = scenario.total_gpus - g_inf
     capacity = CapacityTimeline.from_minute_series(
         np.concatenate([residual, [scenario.total_gpus]])
     )
@@ -535,10 +518,18 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         flatten_requests(bundle, request_parts)
     )
 
-    # the residual-capacity construction makes this hold by arithmetic;
-    # fail loudly if scheduling ever breaks it
-    overrun = float(np.max(g_inf + busy_batch - scenario.total_gpus, initial=0.0))
+    # the residual-capacity construction makes this hold by arithmetic,
+    # unless running jobs are allowed to keep their GPUs through a drop;
+    # fail loudly if scheduling ever breaks it otherwise
+    excess = g_inf + busy_batch - scenario.total_gpus
+    overrun = float(np.max(excess, initial=0.0))
     if overrun > 1e-9:
+        if not scenario.preempt_on_drop:
+            raise ConfigurationError(
+                "preempt_on_drop false: running batch jobs keep their GPUs through "
+                f"a capacity drop: {overrun:g} GPUs over total_gpus "
+                f"{scenario.total_gpus} in minute {int(excess.argmax())}"
+            )
         raise RuntimeError(
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )

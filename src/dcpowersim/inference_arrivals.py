@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_arrivals import SimCalendar
-from .distributions import sample_categorical, sample_nb2
+from .distributions import sample_categorical
 from .errors import ConfigurationError
 
 MINUTES_PER_DAY = 1_440
@@ -84,11 +84,6 @@ def minute_mean_series(
     if not days:
         return np.empty(0, dtype=float)
     return np.concatenate(days) * mean_scale
-
-
-def sample_minute_arrivals(mu, alpha_eff: float, rng: np.random.Generator):
-    """NB2 request counts per minute; accepts scalars or arrays."""
-    return sample_nb2(mu, alpha_eff, rng)
 
 
 def place_in_minutes(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

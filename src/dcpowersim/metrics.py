@@ -9,9 +9,6 @@ import numpy as np
 MINUTES_PER_DAY = 1_440
 MINUTES_PER_HOUR = 60
 
-# reference busy power per accelerator for per-GPU normalization
-REF_GPU_KW = 0.7
-
 PROFILE_QUANTILES = (5, 25, 50, 75, 95)
 
 
@@ -158,9 +155,3 @@ def transmission_diagnostic(
     slope, intercept = ols_fit(dx, dy)
     return TransmissionResult(slope, intercept, dx, dy)
 
-
-def per_gpu_normalized(series: np.ndarray, n_gpus: int) -> np.ndarray:
-    """Power series rescaled to the reference busy power of its GPU pool."""
-    if n_gpus <= 0:
-        raise ValueError("n_gpus must be positive")
-    return np.asarray(series, dtype=float) / (REF_GPU_KW * n_gpus)

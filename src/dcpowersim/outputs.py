@@ -91,14 +91,14 @@ def write_arrivals_csv(path: Path | str, times: np.ndarray, groups: Sequence[str
     write_rows(path, ARRIVALS_COLUMNS, zip(times, groups))
 
 
-def write_requests_csv(path: Path | str, result: HybridResult) -> None:
-    rows = zip(
-        result.request_times,
-        result.request_groups,
-        result.request_templates,
-        result.request_tokens,
-    )
-    write_rows(path, REQUESTS_COLUMNS, rows)
+def write_requests_csv(
+    path: Path | str,
+    times: np.ndarray,
+    groups: Sequence[str],
+    templates: Sequence[str],
+    tokens: np.ndarray,
+) -> None:
+    write_rows(path, REQUESTS_COLUMNS, zip(times, groups, templates, tokens))
 
 
 def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:

@@ -5,7 +5,9 @@ order; each segment occupies its job's full GPU request. The scheduler is
 event-driven over integer seconds: queue-head segments start as soon as
 they fit, a blocked head gets the single committed reservation, and later
 segments may start early only when they fit now and complete before that
-reservation (conservative backfilling, so the head is never delayed).
+reservation. Only the head holds a reservation, so this is EASY-style
+backfilling (Mu'alem & Feitelson, IEEE TPDS 2001): the head is never
+delayed, but other queued segments may be.
 Capacity is observed causally from a step timeline; on a capacity drop the
 most recently started segments are preempted first and re-enter the queue
 with their full duration.

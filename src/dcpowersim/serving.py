@@ -68,6 +68,11 @@ class LLMTemplate:
             )
         return self.tpot_s[cls]
 
+    def gpu_hours(self, slot_seconds):
+        """GPU-hours of ``slot_seconds`` concurrency-slot seconds: each of an
+        instance's ``max_batch`` slots holds 1 / max_batch of its GPUs."""
+        return slot_seconds * self.gpus_per_instance / (self.max_batch * 3600.0)
+
 
 def service_window(
     arrival_s: float, tokens: int, tpot_s: float, grid_tick_s: int
@@ -137,19 +142,6 @@ def concurrency(
         np.add.at(delta, e, -1.0)
     active = np.cumsum(delta[:-1])
     return active.reshape(horizon_minutes, per_minute).sum(axis=1) / per_minute
-
-
-@dataclass(frozen=True)
-class ServingBudget:
-    """Per-template GPU budgets; ``per_template`` is None when unbounded."""
-
-    total_gpus: int | None
-    per_template: tuple[int, ...] | None
-
-    def budget_for(self, idx: int) -> int | None:
-        if self.per_template is None:
-            return None
-        return self.per_template[idx]
 
 
 def allocate_budgets(

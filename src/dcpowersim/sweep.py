@@ -11,13 +11,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .config import load_bundle
 from .cosim import HybridResult, Scenario, run_hybrid, scenario_from_dict
 from .errors import ConfigurationError
 from .metrics import cov, ramp_rate
-from .outputs import fmt, write_series_csv
+from .outputs import sweep_header, write_series_csv
 
 EXTRA_COLUMNS = ("cov_batch", "cov_inf", "mean_p_total_kw", "w_batch_h", "w_inf_h")
 
@@ -92,8 +90,11 @@ def summarize(result: HybridResult) -> dict[str, object]:
     return row
 
 
-def _run_one(args: tuple) -> tuple[str, dict | None, str, str]:
-    """Worker body: returns (scenario_id, row, series_filename, error)."""
+def _run_one(args: tuple) -> tuple[dict, str]:
+    """Worker body: returns (results-table row, series filename or "").
+
+    A failed run gives a row with its scenario's targets and an error cell.
+    """
     raw_doc, scenario, out_dir, write_series = args
     try:
         bundle = load_bundle(raw_doc)
@@ -103,9 +104,17 @@ def _run_one(args: tuple) -> tuple[str, dict | None, str, str]:
         if write_series:
             series_name = f"series_{scenario.scenario_id}.csv"
             write_series_csv(Path(out_dir) / series_name, result)
-        return scenario.scenario_id, row, series_name, ""
+        return row, series_name
     except Exception as exc:  # per-row failure must not kill the sweep
-        return scenario.scenario_id, None, "", f"{type(exc).__name__}: {exc}"
+        row = {
+            "scenario_id": scenario.scenario_id,
+            "share_target": scenario.share_target,
+            "utilization_target": scenario.utilization_target,
+            "policy": scenario.policy,
+            "ckpt_s": scenario.ckpt_seconds,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+        return row, ""
 
 
 def run_sweep(
@@ -117,75 +126,19 @@ def run_sweep(
 ) -> tuple[list[list], list[str], int]:
     """Run every grid point; returns (rows, series files, failure count).
 
-    Rows come back in scenario_id order with the fixed results-table
-    columns, the extra per-component columns, and a final error cell.
+    Rows come back in scenario_id order, one cell per column of
+    ``sweep_header(EXTRA_COLUMNS)``; cells a row lacks stay empty.
     """
     defaults = dict(load_bundle(raw_doc).scenario_defaults)
     scenarios = expand_grid(sweep_doc, defaults)
-    out_dir = Path(out_dir)
     tasks = [(raw_doc, s, str(out_dir), write_series) for s in scenarios]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]
-    outcomes.sort(key=lambda o: o[0])
-    rows: list[list] = []
-    series_files: list[str] = []
-    failures = 0
-    for scenario_id, row, series_name, error in outcomes:
-        if row is None:
-            failures += 1
-            scenario = next(s for s in scenarios if s.scenario_id == scenario_id)
-            cells = [
-                scenario_id,
-                scenario.share_target,
-                "",
-                scenario.utilization_target,
-                "",
-                scenario.policy,
-                scenario.ckpt_seconds,
-                "",
-                "",
-                "",
-                "",
-                "",
-            ] + [""] * len(EXTRA_COLUMNS) + [error]
-        else:
-            cells = [
-                row["scenario_id"],
-                row["share_target"],
-                row["share_realized"],
-                row["utilization_target"],
-                row["utilization_realized"],
-                row["policy"],
-                row["ckpt_s"],
-                row["cov"],
-                row["ramp1_med"],
-                row["ramp5_med"],
-                row["ramp15_med"],
-                row["unmet_frac"],
-            ] + [row[name] for name in EXTRA_COLUMNS] + [""]
-            if series_name:
-                series_files.append(series_name)
-        rows.append(cells)
+    header = sweep_header(EXTRA_COLUMNS)
+    rows = [[row.get(c, "") for c in header] for row, _ in outcomes]
+    series_files = [name for _, name in outcomes if name]
+    failures = sum(1 for row, _ in outcomes if "error" in row)
     return rows, series_files, failures
-
-
-def seed_median_curves(
-    rows: list[list], metric_index: int
-) -> dict[float, float]:
-    """Median of one metric across seeds, keyed by share target."""
-    by_share: dict[float, list[float]] = {}
-    for row in rows:
-        if row[-1]:
-            continue
-        share = float(row[1])
-        by_share.setdefault(share, []).append(float(row[metric_index]))
-    return {
-        share: float(np.median(values)) for share, values in sorted(by_share.items())
-    }
-
-
-def format_row(cells: list) -> list[str]:
-    return [fmt(c) for c in cells]

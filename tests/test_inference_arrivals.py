@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcpowersim.distributions import sample_categorical
+from dcpowersim.distributions import sample_categorical, sample_nb2
 from dcpowersim.inference_arrivals import (
     MinuteRateModel,
     TokenDistribution,
@@ -12,7 +12,6 @@ from dcpowersim.inference_arrivals import (
     equal_shares,
     fit_group_pmf,
     minute_rate,
-    sample_minute_arrivals,
     sample_tokens,
     smooth_histogram,
     split_across_templates,
@@ -49,17 +48,17 @@ class TestMinuteRate:
 class TestMinuteCounts:
     def test_poisson_limit_mean(self):
         rng = substream(2, "minute-poisson")
-        draws = sample_minute_arrivals(np.full(10**6, 5.0), 0.0, rng)
+        draws = sample_nb2(np.full(10**6, 5.0), 0.0, rng)
         assert draws.mean() == pytest.approx(5.0, rel=0.01)
 
     def test_dispersed_variance(self):
         rng = substream(3, "minute-nb2")
-        draws = sample_minute_arrivals(np.full(10**6, 100.0), 0.05, rng)
+        draws = sample_nb2(np.full(10**6, 100.0), 0.05, rng)
         assert draws.var() == pytest.approx(600.0, rel=0.05)
 
     def test_unit_mean_unit_alpha(self):
         rng = substream(4, "minute-unit")
-        draws = sample_minute_arrivals(np.full(10**6, 1.0), 1.0, rng)
+        draws = sample_nb2(np.full(10**6, 1.0), 1.0, rng)
         assert draws.var() == pytest.approx(2.0, rel=0.05)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 from types import SimpleNamespace
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from dcpowersim.cli import main
-from dcpowersim.config import canonical_hash
+from dcpowersim.config import canonical_hash, load_bundle
+from dcpowersim.cosim import run_hybrid
 from dcpowersim.outputs import (
     JOB_POWER_COLUMNS,
     SERIES_COLUMNS,
@@ -17,7 +19,7 @@ from dcpowersim.outputs import (
     write_job_power_csv,
     write_series_csv,
 )
-from dcpowersim.sweep import EXTRA_COLUMNS
+from dcpowersim.sweep import EXTRA_COLUMNS, expand_grid, summarize
 
 from test_cosim import tiny_doc
 
@@ -187,6 +189,36 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def infeasible(self, tmp_path, cfg_path, capsys, seed, **fields):
+        """Exit code and stderr lines of a scenario the cluster cannot hold."""
+        scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, **fields)
+        rc = main(["simulate", "--config", cfg_path, "--scenario", scen,
+                   "--out", str(tmp_path / "inf"), "--seed", str(seed)])
+        return rc, capsys.readouterr().err.splitlines()
+
+    def test_uncapped_overflow_is_configuration_error(
+        self, tmp_path, cfg_path, capsys
+    ):
+        rc, err = self.infeasible(tmp_path, cfg_path, capsys, 5, cap_mode="uncapped",
+                                  share_target=1.0, utilization_target=2.0)
+        assert rc == 1
+        assert err[0] == "configuration error:"
+        assert len(err) == 2
+        assert err[1].startswith("cap_mode 'uncapped': inference alone needs ")
+        assert " GPUs in minute " in err[1]
+        assert " over total_gpus 4" in err[1]
+
+    def test_no_preempt_on_drop_overrun_is_configuration_error(
+        self, tmp_path, cfg_path, capsys
+    ):
+        rc, err = self.infeasible(tmp_path, cfg_path, capsys, 1, preempt_on_drop=False,
+                                  share_target=0.5, utilization_target=0.5)
+        assert rc == 1
+        assert err[0] == "configuration error:"
+        assert len(err) == 2
+        assert err[1].startswith("preempt_on_drop false: ")
+        assert " GPUs over total_gpus 4 in minute " in err[1]
+
 
 class TestSweepCommand:
     def sweep_doc(self, tmp_path, **extra):
@@ -242,6 +274,49 @@ class TestSweepCommand:
         assert by_share["0"]["error"] == ""
         assert by_share["0.5"]["error"] != ""
         assert by_share["0.5"]["cov"] == ""
+
+
+    def test_row_cells_follow_header(self, tmp_path, cfg_path):
+        doc_path = self.sweep_doc(
+            tmp_path,
+            shares=[0.0, 0.5],
+            scenario={"total_gpus": 4, "horizon_days": 1,
+                      "utilization_target": 10.0, "cap_mode": "uncapped"},
+        )
+        out = tmp_path / "layout"
+        assert main(["sweep", "--config", cfg_path, "--scenario", doc_path,
+                     "--out", str(out)]) == 2
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert tuple(header) == sweep_header(EXTRA_COLUMNS)
+        assert [len(row) for row in body] == [len(header)] * 2
+        rows = {row[0]: dict(zip(header, row)) for row in body}
+
+        bundle = load_bundle(tiny_doc())
+        with open(doc_path, encoding="utf-8") as fh:
+            scenarios = expand_grid(json.load(fh), dict(bundle.scenario_defaults))
+        by_share = {s.share_target: s for s in scenarios}
+
+        ok = by_share[0.0]
+        expected = summarize(run_hybrid(bundle, ok))
+        assert rows[ok.scenario_id] == {
+            **{column: fmt(value) for column, value in expected.items()},
+            "error": "",
+        }
+
+        failed = by_share[0.5]
+        cells = rows[failed.scenario_id]
+        filled = {
+            "scenario_id": failed.scenario_id,
+            "share_target": "0.5",
+            "utilization_target": "10",
+            "policy": failed.policy,
+            "ckpt_s": fmt(failed.ckpt_seconds),
+        }
+        assert {c: cells[c] for c in filled} == filled
+        assert cells["error"].startswith("ConfigurationError: cap_mode 'uncapped'")
+        blank = set(header) - set(filled) - {"error"}
+        assert {c: cells[c] for c in blank} == dict.fromkeys(blank, "")
 
 
 class TestMetricsCommands:
