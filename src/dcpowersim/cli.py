@@ -17,10 +17,12 @@ import os
 import sys
 from pathlib import Path
 
+# flatten_requests is looked up on cosim at call time, so a wrapper installed
+# there (bench/tracer.py) sees every call
+from . import cosim
 from .config import load_bundle
 from .cosim import (
     Scenario,
-    flatten_requests,
     generate_jobs,
     generate_requests,
     job_power_trace,
@@ -45,6 +47,7 @@ from .outputs import (
     write_sweep_csv,
     write_trace_csv,
 )
+from .scheduler import POLICIES
 from .seeds import derive_seed
 from .serving import SPEED_CLASSES
 from .sweep import EXTRA_COLUMNS, run_sweep, summarize
@@ -63,13 +66,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """The scenario inputs the workload generators read."""
     parser.add_argument("--scenario", default=None, help="scenario JSON path")
-    parser.add_argument("--policy", choices=("FCFS_BACKFILL", "SWF"), default=None)
+    parser.add_argument("--verbosity-scale", type=float, default=None)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Scenario overrides that only a co-simulation run reads."""
+    parser.add_argument("--policy", choices=POLICIES, default=None)
     parser.add_argument("--ckpt-seconds", type=float, default=None)
     parser.add_argument("--share", type=float, default=None, help="inference share target")
     parser.add_argument("--utilization", type=float, default=None)
     parser.add_argument("--speed-class", choices=SPEED_CLASSES, default=None)
-    parser.add_argument("--verbosity-scale", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one hybrid scenario")
     _add_config_flags(p_sim)
     _add_scenario_flags(p_sim)
+    _add_run_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario grid")
     _add_config_flags(p_sweep)
@@ -186,7 +195,7 @@ def cmd_generate(args) -> int:
         files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
     else:
         parts = generate_requests(bundle, scenario, root_seed, 1.0)
-        write_requests_csv(out / "requests.csv", *flatten_requests(bundle, parts))
+        write_requests_csv(out / "requests.csv", *cosim.flatten_requests(bundle, parts))
         files = ["requests.csv"]
     write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
     return 0
@@ -203,11 +212,7 @@ def cmd_simulate(args) -> int:
     write_trace_csv(out / "trace.csv", result.trace)
     write_jobs_csv(out / "jobs.csv", result.jobs)
     write_requests_csv(
-        out / "requests.csv",
-        result.request_times,
-        result.request_groups,
-        result.request_templates,
-        result.request_tokens,
+        out / "requests.csv", *cosim.flatten_requests(bundle, result.request_parts)
     )
     write_detail_csv(
         out / "detail.csv", result, [t.template_id for t in bundle.llm_templates]
@@ -250,29 +255,52 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
+def _series_columns(path: str, columns: list[str]) -> list:
+    """The named columns of a series file, or a ConfigurationError naming it."""
+    try:
+        series = read_series_csv(path)
+    except (ValueError, IndexError, StopIteration):
+        raise ConfigurationError(f"{path}: not a numeric CSV with a header row") from None
+    for column in columns:
+        if column not in series:
+            raise ConfigurationError(f"{path}: column {column!r} not in {sorted(series)}")
+    return [series[c] for c in columns]
+
+
 def cmd_metrics(args) -> int:
-    series = read_series_csv(args.series)
-    total = series["p_total_kw"]
-    horizons = [int(h) for h in str(args.ramp_horizons).split(",") if h.strip()]
+    try:
+        horizons = [int(h) for h in str(args.ramp_horizons).split(",") if h.strip()]
+        if min(horizons, default=1) < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigurationError(
+            f"--ramp-horizons needs positive integers, got {args.ramp_horizons!r}"
+        ) from None
+    (total,) = _series_columns(args.series, ["p_total_kw"])
+    try:
+        stats = [("cov", cov(total))] + [
+            (f"ramp{delta}_med", ramp_rate(total, delta, daily_median=args.daily_median))
+            for delta in horizons
+        ]
+    except ValueError as exc:
+        raise ConfigurationError(f"{args.series}: {exc}") from None
     print(f"n_minutes={len(total)}")
     print(f"mean_p_total_kw={fmt(float(total.mean()))}")
-    print(f"cov={fmt(cov(total))}")
-    for delta in horizons:
-        med = ramp_rate(total, delta, daily_median=args.daily_median)
-        print(f"ramp{delta}_med={fmt(med)}")
+    for name, value in stats:
+        print(f"{name}={fmt(value)}")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    series = read_series_csv(args.series)
-    for column in (args.x_column, args.y_column):
-        if column not in series:
-            raise ConfigurationError(
-                f"column {column!r} not in {sorted(series)}"
-            )
-    result = transmission_diagnostic(
-        series[args.x_column], series[args.y_column], args.delta_minutes
-    )
+    if args.delta_minutes < 1:
+        raise ConfigurationError(
+            f"--delta-minutes must be positive, got {args.delta_minutes}"
+        )
+    x, y = _series_columns(args.series, [args.x_column, args.y_column])
+    try:
+        result = transmission_diagnostic(x, y, args.delta_minutes)
+    except ValueError as exc:
+        raise ConfigurationError(f"{args.series}: {exc}") from None
     print(f"slope={fmt(result.slope)}")
     print(f"intercept={fmt(result.intercept)}")
     print(f"n_pairs={result.n_pairs}")

@@ -37,7 +37,7 @@ from .inference_arrivals import (
     fit_group_pmf,
     smooth_histogram,
 )
-from .serving import LLMTemplate
+from .serving import SPEED_CLASSES, LLMTemplate
 
 SCHEMA_VERSION = 1
 
@@ -404,7 +404,7 @@ def _load_llm_templates(doc: dict, errs: _Collector):
         t_where = f"{where}.templates[{i}]"
         tpot = t_doc.get("tpot_s", {})
         if not isinstance(tpot, dict):
-            tpot = {cls: float(tpot) for cls in ("F", "M", "S")}
+            tpot = {cls: float(tpot) for cls in SPEED_CLASSES}
         template = errs.run(
             t_where,
             LLMTemplate,

@@ -13,6 +13,7 @@ is bit-identical whether or not inference is generated at all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,19 @@ MINUTES_PER_DAY = 1440
 
 CAP_MODES = ("capped", "uncapped")
 
+# (field, required type, range test, rule stated when the test fails);
+# bools are rejected even though they are integers
+_NUMBER_RULES = (
+    ("total_gpus", numbers.Integral, lambda v: v >= 1, "must be positive"),
+    ("horizon_days", numbers.Integral, lambda v: v >= 0, "must be nonnegative"),
+    ("share_target", numbers.Real, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("utilization_target", numbers.Real, lambda v: v > 0.0, "must be positive"),
+    ("ckpt_seconds", numbers.Real, lambda v: v >= 1, "must be at least 1 second"),
+    ("cap_fraction", numbers.Real, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("verbosity_scale", numbers.Real, lambda v: v > 0, "must be positive"),
+    ("seed", numbers.Integral, lambda v: True, ""),
+)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -74,38 +88,22 @@ class Scenario:
     cap_fraction: float = 1.0
     verbosity_scale: float = 1.0
     speed_class: str | None = None
-    preempt_on_drop: bool = True
     timezones: dict | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         problems = []
-        if self.total_gpus < 1:
-            problems.append(f"total_gpus must be positive, got {self.total_gpus}")
-        if self.horizon_days < 0:
-            problems.append(
-                f"horizon_days must be nonnegative, got {self.horizon_days}"
-            )
-        if not 0.0 <= self.share_target <= 1.0:
-            problems.append(f"share_target must lie in [0, 1], got {self.share_target}")
-        if self.utilization_target <= 0.0:
-            problems.append(
-                f"utilization_target must be positive, got {self.utilization_target}"
-            )
+        for name, kind, ok, rule in _NUMBER_RULES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                problems.append(f"{name} must be {noun}, got {value!r}")
+            elif not ok(value):
+                problems.append(f"{name} {rule}, got {value}")
         if self.policy not in POLICIES:
             problems.append(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if self.ckpt_seconds <= 0:
-            problems.append(f"ckpt_seconds must be positive, got {self.ckpt_seconds}")
         if self.cap_mode not in CAP_MODES:
             problems.append(f"cap_mode must be one of {CAP_MODES}, got {self.cap_mode!r}")
-        if not 0.0 < self.cap_fraction <= 1.0:
-            problems.append(
-                f"cap_fraction must lie in (0, 1], got {self.cap_fraction}"
-            )
-        if self.verbosity_scale <= 0:
-            problems.append(
-                f"verbosity_scale must be positive, got {self.verbosity_scale}"
-            )
         if self.speed_class is not None and self.speed_class not in SPEED_CLASSES:
             problems.append(
                 f"speed_class must be one of {SPEED_CLASSES}, got {self.speed_class!r}"
@@ -156,10 +154,7 @@ class HybridResult:
     utilization_realized: float
     jobs: list[Job] = field(repr=False)
     trace: ScheduleTrace = field(repr=False)
-    request_times: np.ndarray = field(repr=False)
-    request_groups: list[str] = field(repr=False)
-    request_templates: list[str] = field(repr=False)
-    request_tokens: np.ndarray = field(repr=False)
+    request_parts: list[tuple[np.ndarray, np.ndarray, str, int]] = field(repr=False)
 
     @property
     def unmet_work_frac(self) -> float:
@@ -500,13 +495,7 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         np.concatenate([residual, [scenario.total_gpus]])
     )
     jobs, _ = generate_jobs(bundle, scenario, root_seed, fb)
-    trace = schedule(
-        jobs,
-        capacity,
-        scenario.policy,
-        ckpt_s=scenario.ckpt_seconds,
-        preempt_on_drop=scenario.preempt_on_drop,
-    )
+    trace = schedule(jobs, capacity, scenario.policy, ckpt_s=scenario.ckpt_seconds)
     busy_batch = trace.busy_minutes(n_minutes)
     p_batch = _batch_power_series(bundle, scenario, root_seed, jobs, trace)
     rejected = set(trace.rejected_job_ids)
@@ -514,28 +503,18 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         job.gpu * job.runtime_s / 3600.0 for job in jobs if job.job_id not in rejected
     )
 
-    request_times, request_groups, request_templates, request_tokens = (
-        flatten_requests(bundle, request_parts)
-    )
-
-    # the residual-capacity construction makes this hold by arithmetic,
-    # unless running jobs are allowed to keep their GPUs through a drop;
-    # fail loudly if scheduling ever breaks it otherwise
-    excess = g_inf + busy_batch - scenario.total_gpus
-    overrun = float(np.max(excess, initial=0.0))
+    # the residual-capacity construction makes this hold by arithmetic;
+    # fail loudly if scheduling ever breaks it
+    overrun = float(np.max(g_inf + busy_batch - scenario.total_gpus, initial=0.0))
     if overrun > 1e-9:
-        if not scenario.preempt_on_drop:
-            raise ConfigurationError(
-                "preempt_on_drop false: running batch jobs keep their GPUs through "
-                f"a capacity drop: {overrun:g} GPUs over total_gpus "
-                f"{scenario.total_gpus} in minute {int(excess.argmax())}"
-            )
         raise RuntimeError(
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )
 
     total_work = w_inf_offered + w_batch_offered
-    share_realized = (w_inf_offered / total_work) if total_work > 0.0 else 0.0
+    share_realized = (
+        inference_share(w_inf_offered, w_batch_offered) if total_work > 0.0 else 0.0
+    )
     capacity_hours = scenario.total_gpus * scenario.horizon_days * 24.0
     return HybridResult(
         scenario=scenario,
@@ -563,8 +542,5 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         ),
         jobs=jobs,
         trace=trace,
-        request_times=request_times,
-        request_groups=request_groups,
-        request_templates=request_templates,
-        request_tokens=request_tokens,
+        request_parts=request_parts,
     )

@@ -340,7 +340,6 @@ def default_bundle_doc() -> dict:
             "cap_mode": "capped",
             "cap_fraction": 1.0,
             "verbosity_scale": 1.0,
-            "preempt_on_drop": True,
             "seed": 1,
         },
     }

@@ -33,7 +33,10 @@ def ramp_rates(series: np.ndarray, delta_minutes: int) -> np.ndarray:
     if delta_minutes <= 0:
         raise ValueError("delta must be positive")
     if len(series) <= delta_minutes:
-        raise ValueError("series shorter than the ramp horizon")
+        raise ValueError(
+            f"series of {len(series)} minutes is not longer than the "
+            f"{delta_minutes}-minute ramp horizon"
+        )
     mean = series.mean()
     if mean <= 0:
         raise ValueError("series mean must be positive")
@@ -104,6 +107,8 @@ class TransmissionResult:
 
 def zscore(series: np.ndarray) -> np.ndarray:
     series = np.asarray(series, dtype=float)
+    if len(series) == 0:
+        raise ValueError("series is empty")
     std = series.std()
     if std == 0:
         raise ValueError("series has zero variance")
@@ -116,7 +121,10 @@ def block_means(series: np.ndarray, block_minutes: int) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     n_blocks = len(series) // block_minutes
     if n_blocks == 0:
-        raise ValueError("series shorter than one block")
+        raise ValueError(
+            f"series of {len(series)} minutes is shorter than one "
+            f"{block_minutes}-minute block"
+        )
     return series[: n_blocks * block_minutes].reshape(n_blocks, block_minutes).mean(
         axis=1
     )

@@ -42,8 +42,8 @@ def segment_job(runtime_s: int, ckpt_s: float) -> list[int]:
     """
     if runtime_s <= 0:
         raise ValueError("runtime must be positive")
-    if ckpt_s <= 0:
-        raise ValueError("checkpoint interval must be positive")
+    if not ckpt_s >= 1:
+        raise ValueError(f"checkpoint interval must be at least 1 second, got {ckpt_s}")
     if math.isinf(ckpt_s) or ckpt_s >= runtime_s:
         return [int(runtime_s)]
     step = int(ckpt_s)
@@ -78,7 +78,6 @@ class _Segment:
     seg_index: int
     duration_s: int
     is_last: bool
-    eligible_at: int
 
 
 @dataclass(frozen=True)
@@ -265,17 +264,9 @@ def _policy_key(policy: str, seg: _Segment) -> tuple:
 
 class _Engine:
     def __init__(
-        self,
-        jobs: list[Job],
-        capacity: CapacityTimeline,
-        policy: str,
-        ckpt_s: float,
-        preempt_on_drop: bool,
+        self, jobs: list[Job], capacity: CapacityTimeline, policy: str, ckpt_s: float
     ) -> None:
-        self.capacity = capacity
         self.policy = policy
-        self.ckpt_s = ckpt_s
-        self.preempt_on_drop = preempt_on_drop
         self.trace = ScheduleTrace()
         self.queue: list[tuple[tuple, _Segment]] = []
         self.running: dict[int, tuple[_Segment, int]] = {}  # serial -> (seg, start)
@@ -292,7 +283,7 @@ class _Engine:
                 continue
             durations = segment_job(job.runtime_s, ckpt_s)
             self.segments_of[job.job_id] = durations
-            first = _Segment(job, 0, durations[0], len(durations) == 1, job.arrival_s)
+            first = _Segment(job, 0, durations[0], len(durations) == 1)
             self._push(job.arrival_s, _EV_ARRIVAL, first)
         for t, value in capacity.change_points():
             self._push(t, _EV_CAPACITY, value)
@@ -346,12 +337,12 @@ class _Engine:
         else:
             nxt = seg.seg_index + 1
             self._enqueue(
-                _Segment(seg.job, nxt, durations[nxt], nxt == len(durations) - 1, t)
+                _Segment(seg.job, nxt, durations[nxt], nxt == len(durations) - 1)
             )
 
     def _on_capacity(self, value: int, t: int) -> None:
         self.current_cap = value
-        if not self.preempt_on_drop or self.usage <= value:
+        if self.usage <= value:
             return
         active = [
             (start, seg.job.job_id, seg.seg_index, seg.job.gpu, run_id)
@@ -363,7 +354,6 @@ class _Engine:
             self.trace.preemptions.append(
                 PreemptionRecord(t, seg.job.job_id, seg.seg_index, seg_started)
             )
-            seg.eligible_at = t
             self._enqueue(seg)
 
     def _pass(self, t: int) -> None:
@@ -414,7 +404,6 @@ def schedule(
     capacity: CapacityTimeline,
     policy: str = "FCFS_BACKFILL",
     ckpt_s: float = math.inf,
-    preempt_on_drop: bool = True,
 ) -> ScheduleTrace:
     """Run the scheduler over a job list and a capacity timeline.
 
@@ -426,7 +415,7 @@ def schedule(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    engine = _Engine(jobs, capacity, policy, ckpt_s, preempt_on_drop)
+    engine = _Engine(jobs, capacity, policy, ckpt_s)
     trace = engine.run()
     arrivals = {j.job_id: j.arrival_s for j in jobs}
     trace.queue_delays = {

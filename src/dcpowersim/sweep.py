@@ -35,11 +35,11 @@ def expand_grid(sweep_doc: dict, defaults: dict) -> list[Scenario]:
     merged_defaults = dict(defaults)
     merged_defaults.update(base)
     if shares is None:
-        shares = [merged_defaults.get("share_target", 0.5)]
+        shares = [merged_defaults.get("share_target", Scenario.share_target)]
     if utils is None:
-        utils = [merged_defaults.get("utilization_target", 0.7)]
+        utils = [merged_defaults.get("utilization_target", Scenario.utilization_target)]
     if seeds is None:
-        seeds = [merged_defaults.get("seed", 0)]
+        seeds = [merged_defaults.get("seed", Scenario.seed)]
     scenarios = []
     for share in shares:
         for util in utils:
@@ -93,17 +93,16 @@ def summarize(result: HybridResult) -> dict[str, object]:
 def _run_one(args: tuple) -> tuple[dict, str]:
     """Worker body: returns (results-table row, series filename or "").
 
-    A failed run gives a row with its scenario's targets and an error cell.
+    A failed run gives a row with its scenario's targets, an error cell and
+    no series file.
     """
-    raw_doc, scenario, out_dir, write_series = args
+    raw_doc, scenario, out_dir = args
     try:
         bundle = load_bundle(raw_doc)
         result = run_hybrid(bundle, scenario)
         row = summarize(result)
-        series_name = ""
-        if write_series:
-            series_name = f"series_{scenario.scenario_id}.csv"
-            write_series_csv(Path(out_dir) / series_name, result)
+        series_name = f"series_{scenario.scenario_id}.csv"
+        write_series_csv(Path(out_dir) / series_name, result)
         return row, series_name
     except Exception as exc:  # per-row failure must not kill the sweep
         row = {
@@ -122,7 +121,6 @@ def run_sweep(
     sweep_doc: dict,
     out_dir: str | Path,
     parallel: int = 1,
-    write_series: bool = True,
 ) -> tuple[list[list], list[str], int]:
     """Run every grid point; returns (rows, series files, failure count).
 
@@ -131,7 +129,7 @@ def run_sweep(
     """
     defaults = dict(load_bundle(raw_doc).scenario_defaults)
     scenarios = expand_grid(sweep_doc, defaults)
-    tasks = [(raw_doc, s, str(out_dir), write_series) for s in scenarios]
+    tasks = [(raw_doc, s, str(out_dir)) for s in scenarios]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             outcomes = list(pool.map(_run_one, tasks))

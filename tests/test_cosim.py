@@ -8,6 +8,7 @@ from dcpowersim.cosim import (
     Scenario,
     _batch_power_series,
     _work_scales,
+    flatten_requests,
     generate_jobs,
     inference_share,
     run_hybrid,
@@ -65,13 +66,29 @@ class TestScenarioFromDict:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="frobnicate"):
             scenario_from_dict({"frobnicate": 1}, None)
+        with pytest.raises(ConfigurationError, match="preempt_on_drop"):
+            scenario_from_dict({"preempt_on_drop": False}, None)
 
     def test_all_violations_reported_together(self):
-        with pytest.raises(ConfigurationError) as err:
-            Scenario(total_gpus=0, share_target=2.0)
-        message = str(err.value)
-        assert "total_gpus" in message
-        assert "share_target" in message
+        # each case breaks one more field next to share_target; type errors
+        # are reported instead of raising from a comparison
+        cases = [
+            {"total_gpus": 0},
+            {"total_gpus": "8"},
+            {"total_gpus": 8.5},
+            {"total_gpus": True},
+            {"horizon_days": 1.5},
+            {"seed": "x"},
+            {"ckpt_seconds": 0.5},
+        ]
+        for bad in cases:
+            with pytest.raises(ConfigurationError) as err:
+                Scenario(share_target=2.0, **bad)
+            fields = sorted(line.split()[0] for line in str(err.value).splitlines())
+            assert fields == sorted([*bad, "share_target"]), bad
+
+    def test_infinite_checkpoint_interval_accepted(self):
+        assert Scenario(ckpt_seconds=math.inf).ckpt_seconds == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +108,10 @@ def share_runs(bundle):
 
 
 class TestShareEndpoints:
-    def test_share_zero_has_no_inference(self, share_runs):
+    def test_share_zero_has_no_inference(self, bundle, share_runs):
         res = share_runs[0.0]
-        assert res.request_times.size == 0
+        times, *_ = flatten_requests(bundle, res.request_parts)
+        assert times.size == 0
         assert not res.p_inf_kw.any()
         assert not res.g_inf.any()
         assert res.share_realized == 0.0
@@ -122,7 +140,6 @@ class TestShareEndpoints:
             capacity,
             scen.policy,
             ckpt_s=scen.ckpt_seconds,
-            preempt_on_drop=scen.preempt_on_drop,
         )
         p_batch = _batch_power_series(bundle, scen, root, jobs, trace)
 
@@ -325,21 +342,22 @@ class TestTinyCluster:
     """
 
     def test_population_nonempty(self, tiny_run):
-        _, _, res = tiny_run
-        assert res.request_times.size > 0
+        bundle, _, res = tiny_run
+        times, *_ = flatten_requests(bundle, res.request_parts)
+        assert times.size > 0
         assert len(res.jobs) > 0
 
     def test_every_window_is_ten_seconds(self, tiny_run):
-        _, _, res = tiny_run
-        assert np.all(res.request_tokens == 5)
-        _, durs = service_windows(res.request_times, res.request_tokens, 2.0, 10)
+        bundle, _, res = tiny_run
+        times, _, _, tokens = flatten_requests(bundle, res.request_parts)
+        assert np.all(tokens == 5)
+        _, durs = service_windows(times, tokens, 2.0, 10)
         assert np.all(durs == 10.0)
 
     def test_inference_chain_recomputes(self, tiny_run):
-        _, scen, res = tiny_run
-        starts, durs = service_windows(
-            res.request_times, res.request_tokens, 2.0, 10
-        )
+        bundle, scen, res = tiny_run
+        times, _, _, tokens = flatten_requests(bundle, res.request_parts)
+        starts, durs = service_windows(times, tokens, 2.0, 10)
         conc = concurrency(starts, durs, scen.horizon_minutes, 10)
         assert np.allclose(conc, res.conc[0], atol=1e-12)
 
@@ -366,7 +384,6 @@ class TestTinyCluster:
             capacity,
             scen.policy,
             ckpt_s=scen.ckpt_seconds,
-            preempt_on_drop=scen.preempt_on_drop,
         )
         got = [(r.job_id, r.seg_index, r.start_s, r.end_s) for r in res.trace.runs]
         want = [(r.job_id, r.seg_index, r.start_s, r.end_s) for r in trace.runs]

@@ -208,16 +208,16 @@ class TestSimulateCommand:
         assert " GPUs in minute " in err[1]
         assert " over total_gpus 4" in err[1]
 
-    def test_no_preempt_on_drop_overrun_is_configuration_error(
-        self, tmp_path, cfg_path, capsys
-    ):
-        rc, err = self.infeasible(tmp_path, cfg_path, capsys, 1, preempt_on_drop=False,
-                                  share_target=0.5, utilization_target=0.5)
+    def test_scenario_type_error_exit_code(self, tmp_path, cfg_path, capsys):
+        scen = write_scenario(tmp_path, total_gpus="8", horizon_days=1.5)
+        rc = main(["simulate", "--config", cfg_path, "--scenario", scen,
+                   "--out", str(tmp_path / "bad")])
         assert rc == 1
-        assert err[0] == "configuration error:"
-        assert len(err) == 2
-        assert err[1].startswith("preempt_on_drop false: ")
-        assert " GPUs over total_gpus 4 in minute " in err[1]
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error:",
+            "total_gpus must be an integer, got '8'",
+            "horizon_days must be an integer, got 1.5",
+        ]
 
 
 class TestSweepCommand:
@@ -354,3 +354,30 @@ class TestMetricsCommands:
         rc = main(["diagnose", series_path, "--x-column", "bogus"])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["metrics", "{series}", "--ramp-horizons", "0"], "--ramp-horizons"),
+            (["metrics", "{series}", "--ramp-horizons", "1,x"], "--ramp-horizons"),
+            (["metrics", "{series}", "--ramp-horizons", "1440"], "{series}"),
+            (["metrics", "{header_only}"], "{header_only}"),
+            (["diagnose", "{series}", "--delta-minutes", "0"], "--delta-minutes"),
+            (["diagnose", "{series}", "--delta-minutes", "100000"], "{series}"),
+            (["diagnose", "{header_only}"], "{header_only}"),
+        ],
+    )
+    def test_bad_input_is_one_line_configuration_error(
+        self, series_path, tmp_path, capsys, argv, named
+    ):
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text(",".join(SERIES_COLUMNS) + "\n")
+        paths = {"series": series_path, "header_only": str(header_only)}
+        rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err[0] == "configuration error:"
+        assert len(err) == 2
+        assert named.format(**paths) in err[1]

@@ -27,6 +27,10 @@ class TestSegmenting:
         assert segment_job(3600, 7200.0) == [3600]
         assert segment_job(3600, math.inf) == [3600]
 
+    def test_sub_second_checkpoint_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 second"):
+            segment_job(3600, 0.5)
+
     @given(
         st.integers(min_value=1, max_value=10**6),
         st.integers(min_value=1, max_value=10**5),
@@ -105,13 +109,7 @@ class TestPreemption:
         assert len(runs) == 1
         assert runs[0].start_s == 300
         assert runs[0].end_s == 900
-
-    def test_oversubscription_allowed_when_preemption_off(self):
-        jobs = [Job(job_id=0, arrival_s=0, gpu=4, runtime_s=600)]
-        capacity = CapacityTimeline(np.array([0, 120]), np.array([4, 2]))
-        trace = schedule(jobs, capacity, preempt_on_drop=False)
-        assert trace.preemptions == []
-        assert trace.job_completion[0] == 600
+        assert trace.job_completion[1] == 900
 
 
 class TestRevealedCapacity:
