@@ -45,7 +45,7 @@ class SimCalendar:
         return self.epoch + timedelta(days=int(day))
 
     def daytype(self, day: int) -> str:
-        return WEEKDAY if self.date_of(day).weekday() < 5 else WEEKEND
+        return WEEKEND if self.is_weekend(day) else WEEKDAY
 
     def is_weekend(self, day: int) -> bool:
         return self.date_of(day).weekday() >= 5
@@ -80,15 +80,12 @@ class IntradayProfile:
     """Logistic-normal hourly composition in ALR coordinates.
 
     ``alr_mean`` and ``alr_var`` hold the 23 non-reference coordinates in
-    hour order (the reference hour is skipped). ``shrinkage`` records the
-    regularization used when the profile was estimated; it plays no role at
-    sampling time and is carried only so a bundle round-trips losslessly.
+    hour order (the reference hour is skipped).
     """
 
     alr_mean: np.ndarray
     alr_var: np.ndarray
     reference_hour: int
-    shrinkage: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alr_mean", np.asarray(self.alr_mean, dtype=float))
@@ -133,6 +130,16 @@ class TimezonePlan:
                 raise ConfigurationError("zone shares must be nonnegative")
             if abs(sum(shares) - 1.0) > 1e-9:
                 raise ConfigurationError("zone shares must sum to 1")
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> TimezonePlan:
+        """Plan from ``{"offsets_hours": [...], "shares": [...]}``; both keys
+        are optional and default to one zone at offset 0 and equal shares."""
+        shares = doc.get("shares")
+        return cls(
+            tuple(doc.get("offsets_hours", (0.0,))),
+            None if shares is None else tuple(shares),
+        )
 
 
 def daily_mean(model: DailyCountModel, day: int, calendar: SimCalendar) -> float:

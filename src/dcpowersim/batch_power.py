@@ -13,7 +13,7 @@ count and a hardware adjustment factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,7 +164,6 @@ class PowerTemplate:
     minute_p95: np.ndarray
     ar1_phi: float
     support_count: int
-    backoff_level: str = "leaf"
 
     def __post_init__(self) -> None:
         for name in ("minute_mean", "minute_std", "minute_p5", "minute_p95"):
@@ -199,6 +198,10 @@ class PowerTemplate:
     def n_minutes(self) -> int:
         return len(self.minute_mean)
 
+    @property
+    def backoff_level(self) -> str:
+        return _LEVEL_NAMES[len(self.key)]
+
 
 _LEVEL_NAMES = {4: "runtime-bin", 3: "gpus", 2: "time-limit", 1: "group"}
 
@@ -229,7 +232,7 @@ def select_template(store: TemplateStore, key: tuple, gate: int) -> PowerTemplat
     ``key`` is (group, tl, gpus, runtime_bin) where runtime_bin may be None.
     The chain (group, tl, gpus, bin) -> (group, tl, gpus) -> (group, tl) ->
     (group,) is walked in order and the first node with support_count >=
-    gate wins; its backoff level is recorded on the returned template.
+    gate wins and is returned as stored.
     """
     group, tl, gpus, rbin = key
     chain = []
@@ -239,7 +242,7 @@ def select_template(store: TemplateStore, key: tuple, gate: int) -> PowerTemplat
     for node_key in chain:
         node = store.nodes.get(node_key)
         if node is not None and node.support_count >= gate:
-            return replace(node, backoff_level=_LEVEL_NAMES[len(node_key)])
+            return node
     raise ConfigurationError(
         "no power template meets the support gate "
         f"{gate}; chain inspected: {chain}"
@@ -280,20 +283,6 @@ def ar1_residuals(phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     for t in range(1, n):
         out[t] = phi * out[t - 1] + c * shocks[t]
     return out
-
-
-def template_minute_stats(
-    template: PowerTemplate, minute: int
-) -> tuple[float, float, float, float]:
-    """(mean, std, p5, p95) for a job minute; indexes past the template end
-    hold the template's last minute."""
-    i = min(minute, template.n_minutes - 1)
-    return (
-        float(template.minute_mean[i]),
-        float(template.minute_std[i]),
-        float(template.minute_p5[i]),
-        float(template.minute_p95[i]),
-    )
 
 
 def synthesize_job_power(

@@ -48,9 +48,8 @@ from .outputs import (
     write_trace_csv,
 )
 from .scheduler import POLICIES
-from .seeds import derive_seed
 from .serving import SPEED_CLASSES
-from .sweep import EXTRA_COLUMNS, run_sweep, summarize
+from .sweep import run_sweep, summarize
 
 OUT_ENV_VAR = "DCPOWERSIM_OUT"
 
@@ -75,8 +74,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Scenario overrides that only a co-simulation run reads."""
     parser.add_argument("--policy", choices=POLICIES, default=None)
     parser.add_argument("--ckpt-seconds", type=float, default=None)
-    parser.add_argument("--share", type=float, default=None, help="inference share target")
-    parser.add_argument("--utilization", type=float, default=None)
+    # dest is the Scenario field each flag overrides; metavar keeps --help
+    parser.add_argument(
+        "--share", type=float, dest="share_target", metavar="SHARE",
+        help="inference share target",
+    )
+    parser.add_argument(
+        "--utilization", type=float, dest="utilization_target", metavar="UTILIZATION"
+    )
     parser.add_argument("--speed-class", choices=SPEED_CLASSES, default=None)
 
 
@@ -126,15 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_raw_config(arg: str | None) -> dict:
     if arg is None or arg == "default":
         return default_bundle_doc()
-    with open(arg, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load_json(arg)
 
 
 def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     return doc
@@ -147,34 +154,18 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _flag_overrides(args) -> dict:
-    mapping = {
-        "policy": "policy",
-        "ckpt_seconds": "ckpt_seconds",
-        "share": "share_target",
-        "utilization": "utilization_target",
-        "speed_class": "speed_class",
-        "verbosity_scale": "verbosity_scale",
-        "seed": "seed",
-    }
-    overrides = {}
-    for attr, field in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    return overrides
-
-
 def _build_scenario(bundle, args, default_id: str) -> Scenario:
-    doc = _load_json(getattr(args, "scenario", None))
-    doc.update(_flag_overrides(args))
+    doc = _load_json(args.scenario)
+    # every flag whose dest names a Scenario field overrides the document
+    fields = Scenario.__dataclass_fields__
+    doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     doc.setdefault("scenario_id", default_id)
     return scenario_from_dict(doc, bundle.scenario_defaults)
 
 
 def _manifest_scenario(scenario: Scenario) -> dict:
     doc = scenario_doc(scenario)
-    doc["derived_seed"] = derive_seed(scenario.seed, "run", scenario.scenario_id)
+    doc["derived_seed"] = scenario.root_seed
     return doc
 
 
@@ -183,7 +174,7 @@ def cmd_generate(args) -> int:
     bundle = load_bundle(raw)
     scenario = _build_scenario(bundle, args, "generate")
     out = _out_dir(args)
-    root_seed = derive_seed(scenario.seed, "run", scenario.scenario_id)
+    root_seed = scenario.root_seed
     if args.kind == "batch":
         jobs, times = generate_jobs(bundle, scenario, root_seed, 1.0)
         write_arrivals_csv(out / "arrivals.csv", times, [j.group for j in jobs])
@@ -245,7 +236,7 @@ def cmd_sweep(args) -> int:
     rows, series_files, failures = run_sweep(
         raw, sweep_doc, out, parallel=max(1, args.parallel)
     )
-    write_sweep_csv(out / "sweep.csv", rows, EXTRA_COLUMNS)
+    write_sweep_csv(out / "sweep.csv", rows)
     write_manifest(
         out,
         bundle.config_hash,

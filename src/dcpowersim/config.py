@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -68,7 +68,6 @@ class ModelBundle:
     split_shares: tuple[float, ...]
     grid_tick_s: int
     scenario_defaults: dict
-    raw: dict = field(repr=False)
     config_hash: str = ""
 
     @property
@@ -86,6 +85,10 @@ def canonical_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# what a loader or model constructor raises on a malformed document
+_INPUT_ERRORS = (ConfigurationError, ValueError, KeyError, TypeError, AttributeError)
+
+
 class _Collector:
     def __init__(self) -> None:
         self.problems: list[str] = []
@@ -93,13 +96,13 @@ class _Collector:
     def error(self, where: str, message: str) -> None:
         self.problems.append(f"{where}: {message}")
 
-    def run(self, where: str, fn, *args, **kwargs):
-        """Call a constructor, recording instead of raising its errors."""
+    def run(self, where: str, fn, *args, default=None):
+        """Call ``fn``; on a bad input record the error and return ``default``."""
         try:
-            return fn(*args, **kwargs)
-        except (ConfigurationError, ValueError, KeyError, TypeError) as exc:
+            return fn(*args)
+        except _INPUT_ERRORS as exc:
             self.error(where, str(exc))
-            return None
+            return default
 
     def finish(self) -> None:
         if self.problems:
@@ -120,12 +123,8 @@ def _load_calendar(doc: dict, errs: _Collector) -> SimCalendar:
 
 def _load_batch_arrivals(doc: dict, errs: _Collector):
     where = "batch_arrivals"
-    tz_doc = doc.get("timezones", {"offsets_hours": [0.0]})
     plan = errs.run(
-        where + ".timezones",
-        TimezonePlan,
-        tuple(tz_doc.get("offsets_hours", (0.0,))),
-        tuple(tz_doc["shares"]) if tz_doc.get("shares") is not None else None,
+        where + ".timezones", TimezonePlan.from_doc, doc.get("timezones", {})
     ) or TimezonePlan()
     daily: dict[str, DailyCountModel] = {}
     profiles: dict[str, IntradayProfile] = {}
@@ -156,7 +155,6 @@ def _load_batch_arrivals(doc: dict, errs: _Collector):
             intraday.get("alr_mean", ()),
             intraday.get("alr_var", ()),
             int(intraday.get("reference_hour", 0)),
-            float(intraday.get("shrinkage", 0.0)),
         )
         if profile is not None:
             profiles[group] = profile
@@ -384,8 +382,6 @@ def _load_tokens(doc: dict, errs: _Collector) -> dict[str, TokenDistribution]:
                 TokenDistribution,
                 support_by_group[group],
                 pmf,
-                pooled,
-                tau,
             )
             if dist is not None:
                 out[group] = dist
@@ -450,26 +446,37 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
             raw = json.load(fh)
     else:
         raw = source
+    if not isinstance(raw, dict):
+        raise ConfigurationError("bundle: expected a JSON object")
     errs = _Collector()
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         errs.error("bundle", f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    for section in _SECTIONS:
-        if section not in raw:
-            errs.error("bundle", f"missing section {section!r}")
-        else:
-            sec_version = raw[section].get("schema_version", version)
-            if sec_version != SCHEMA_VERSION:
-                errs.error(
-                    section, f"schema_version {sec_version!r} does not match bundle"
-                )
-    calendar = _load_calendar(raw, errs)
-    plan, daily, profiles = _load_batch_arrivals(raw.get("batch_arrivals", {}), errs)
-    job_models = _load_batch_jobs(raw.get("batch_jobs", {}), errs)
-    store, power_cfg = _load_power_templates(raw.get("power_templates", {}), errs)
-    rate_models = _load_inference_arrivals(raw.get("inference_arrivals", {}), errs)
-    token_dists = _load_tokens(raw.get("tokens", {}), errs)
-    templates, shares, tick = _load_llm_templates(raw.get("llm_templates", {}), errs)
+    sections: dict[str, dict] = {}
+    for name in _SECTIONS:
+        section = sections[name] = raw.get(name, {})
+        if name not in raw:
+            errs.error("bundle", f"missing section {name!r}")
+        elif not isinstance(section, dict):
+            errs.error("bundle", f"section {name!r} must be a JSON object")
+            sections[name] = {}
+        elif (sec_version := section.get("schema_version", version)) != SCHEMA_VERSION:
+            errs.error(name, f"schema_version {sec_version!r} does not match bundle")
+
+    def load(name, loader, default):
+        # a bad value anywhere in a section becomes one line naming it
+        return errs.run(name, loader, sections[name], errs, default=default)
+
+    calendar = errs.run("calendar", _load_calendar, raw, errs, default=SimCalendar())
+    plan, daily, profiles = load("batch_arrivals", _load_batch_arrivals, (None, {}, {}))
+    job_models = load("batch_jobs", _load_batch_jobs, {})
+    store, power_cfg = load("power_templates", _load_power_templates, (None, None))
+    rate_models = load("inference_arrivals", _load_inference_arrivals, {})
+    token_dists = load("tokens", _load_tokens, {})
+    templates, shares, tick = load("llm_templates", _load_llm_templates, ([], (), 10))
+    scenario_defaults = raw.get("scenario_defaults", {})
+    if not isinstance(scenario_defaults, dict):
+        errs.error("scenario_defaults", "must be a JSON object")
 
     # cross references: every model family must agree on its group universe
     if daily and job_models and set(daily) != set(job_models):
@@ -480,7 +487,7 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
         )
     if daily and profiles and set(daily) != set(profiles):
         errs.error("bundle", "every batch group needs an intraday profile")
-    if job_models:
+    if job_models and store is not None:
         for group in sorted(job_models):
             if (group,) not in store.nodes:
                 errs.error(
@@ -506,7 +513,6 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
         llm_templates=templates,
         split_shares=shares,
         grid_tick_s=tick,
-        scenario_defaults=dict(raw.get("scenario_defaults", {})),
-        raw=raw,
+        scenario_defaults=dict(scenario_defaults),
         config_hash=canonical_hash(raw),
     )

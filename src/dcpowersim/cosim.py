@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch_arrivals import daily_mean, superpose_timezones
+from .batch_arrivals import TimezonePlan, daily_mean, superpose_timezones
 from .batch_power import (
     expected_gpu_runtime_hours,
     sample_job,
@@ -108,12 +108,22 @@ class Scenario:
             problems.append(
                 f"speed_class must be one of {SPEED_CLASSES}, got {self.speed_class!r}"
             )
+        if self.timezones is not None:
+            try:
+                TimezonePlan.from_doc(self.timezones)
+            except (ConfigurationError, ValueError, TypeError, AttributeError) as exc:
+                problems.append(f"timezones is not a valid timezone plan: {exc}")
         if problems:
             raise ConfigurationError("\n".join(problems))
 
     @property
     def horizon_minutes(self) -> int:
         return self.horizon_days * MINUTES_PER_DAY
+
+    @property
+    def root_seed(self) -> int:
+        """The seed every random substream of this scenario derives from."""
+        return derive_seed(self.seed, "run", self.scenario_id)
 
 
 def scenario_from_dict(doc: dict, defaults: dict | None = None) -> Scenario:
@@ -326,14 +336,8 @@ def generate_jobs(
     """
     if fb == 0.0:
         return [], np.empty(0)
-    plan = bundle.timezone_plan
-    if scenario.timezones is not None:
-        plan = type(plan)(
-            tuple(scenario.timezones["offsets_hours"]),
-            tuple(scenario.timezones["shares"])
-            if scenario.timezones.get("shares") is not None
-            else None,
-        )
+    tz_doc = scenario.timezones
+    plan = bundle.timezone_plan if tz_doc is None else TimezonePlan.from_doc(tz_doc)
     rows: list[tuple[float, int, int, int, int, int, str]] = []
     for g_index, group in enumerate(bundle.batch_groups):
         arrivals = superpose_timezones(
@@ -428,7 +432,7 @@ def _batch_power_series(
 
 def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
     """Run one scenario end to end and return the minute-level result."""
-    root_seed = derive_seed(scenario.seed, "run", scenario.scenario_id)
+    root_seed = scenario.root_seed
     n_minutes = scenario.horizon_minutes
     n_templates = len(bundle.llm_templates)
     fb, fi = _work_scales(bundle, scenario)

@@ -60,19 +60,10 @@ class MinuteRateModel:
         return self.calibration * self.dispersion
 
 
-def minute_rate(model: MinuteRateModel, minute_of_day: int, weekend: bool) -> float:
-    """Expected arrivals in one minute: exp of the slot's log rate."""
-    if not 0 <= minute_of_day < MINUTES_PER_DAY:
-        raise ValueError("minute_of_day must lie in [0, 1440)")
-    slot = minute_of_day // SLOT_MINUTES
-    return float(np.exp(model.log_rate_table[slot, 1 if weekend else 0]))
-
-
 def minute_mean_series(
     model: MinuteRateModel,
     horizon_days: int,
     calendar: SimCalendar | None = None,
-    mean_scale: float = 1.0,
 ) -> np.ndarray:
     """Per-minute expected arrivals over the whole horizon."""
     calendar = calendar or SimCalendar()
@@ -83,7 +74,7 @@ def minute_mean_series(
         days.append(np.repeat(per_slot, SLOT_MINUTES))
     if not days:
         return np.empty(0, dtype=float)
-    return np.concatenate(days) * mean_scale
+    return np.concatenate(days)
 
 
 def place_in_minutes(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -127,23 +118,15 @@ def equal_shares(n_templates: int) -> tuple[float, ...]:
 class TokenDistribution:
     """Output-token pmf for one request group on support {1..support_max}.
 
-    ``pmf[i]`` is the probability of ``i + 1`` tokens. ``pooled_smoothed``
-    optionally records the pooled pmf the group posterior was blended
-    against, together with the pseudo-count weight ``tau``.
+    ``pmf[i]`` is the probability of ``i + 1`` tokens.
     """
 
     support_max: int
     pmf: np.ndarray
-    pooled_smoothed: np.ndarray | None = None
-    tau: float = 0.0
 
     def __post_init__(self) -> None:
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", pmf)
-        if self.pooled_smoothed is not None:
-            object.__setattr__(
-                self, "pooled_smoothed", np.asarray(self.pooled_smoothed, dtype=float)
-            )
         problems = []
         if self.support_max < 1:
             problems.append("support_max must be at least 1")
@@ -240,7 +223,7 @@ def apply_verbosity(dist: TokenDistribution, scale: float) -> TokenDistribution:
     pmf = np.cumsum(diff)[:new_max]
     pmf = np.maximum(pmf, 0.0)
     pmf /= pmf.sum()
-    return TokenDistribution(new_max, pmf, dist.pooled_smoothed, dist.tau)
+    return TokenDistribution(new_max, pmf)
 
 
 def sample_tokens(

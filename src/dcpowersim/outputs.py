@@ -41,6 +41,12 @@ SWEEP_COLUMNS = (
     "ramp5_med",
     "ramp15_med",
     "unmet_frac",
+    "cov_batch",
+    "cov_inf",
+    "mean_p_total_kw",
+    "w_batch_h",
+    "w_inf_h",
+    "error",
 )
 
 
@@ -152,14 +158,8 @@ def write_detail_csv(
     write_rows(path, DETAIL_COLUMNS, rows())
 
 
-def sweep_header(extra_columns: Sequence[str]) -> tuple[str, ...]:
-    return SWEEP_COLUMNS + tuple(extra_columns) + ("error",)
-
-
-def write_sweep_csv(
-    path: Path | str, rows: Sequence[Sequence], extra_columns: Sequence[str] = ()
-) -> None:
-    write_rows(path, sweep_header(extra_columns), rows)
+def write_sweep_csv(path: Path | str, rows: Sequence[Sequence]) -> None:
+    write_rows(path, SWEEP_COLUMNS, rows)
 
 
 def file_sha256(path: Path | str) -> str:

@@ -9,17 +9,18 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 from .config import load_bundle
 from .cosim import HybridResult, Scenario, run_hybrid, scenario_from_dict
 from .errors import ConfigurationError
 from .metrics import cov, ramp_rate
-from .outputs import sweep_header, write_series_csv
-
-EXTRA_COLUMNS = ("cov_batch", "cov_inf", "mean_p_total_kw", "w_batch_h", "w_inf_h")
+from .outputs import SWEEP_COLUMNS, write_series_csv
 
 RAMP_HORIZONS = (1, 5, 15)
+_GRID_AXES = ("shares", "utilizations", "seeds")
 
 
 def scenario_label(share: float, util: float, seed: int) -> str:
@@ -28,32 +29,28 @@ def scenario_label(share: float, util: float, seed: int) -> str:
 
 def expand_grid(sweep_doc: dict, defaults: dict) -> list[Scenario]:
     """All grid points as scenarios, in scenario_id order."""
-    base = dict(sweep_doc.get("scenario", {}))
-    shares = sweep_doc.get("shares")
-    utils = sweep_doc.get("utilizations")
-    seeds = sweep_doc.get("seeds")
-    merged_defaults = dict(defaults)
-    merged_defaults.update(base)
-    if shares is None:
-        shares = [merged_defaults.get("share_target", Scenario.share_target)]
-    if utils is None:
-        utils = [merged_defaults.get("utilization_target", Scenario.utilization_target)]
-    if seeds is None:
-        seeds = [merged_defaults.get("seed", Scenario.seed)]
+    base = sweep_doc.get("scenario", {})
+    if not isinstance(base, dict):
+        raise ConfigurationError("sweep scenario must be a JSON object")
+    axes = []
+    for key, field in zip(_GRID_AXES, ("share_target", "utilization_target", "seed")):
+        values = sweep_doc.get(key)
+        if values is None:
+            values = [base.get(field, defaults.get(field, getattr(Scenario, field)))]
+        elif not isinstance(values, list):
+            raise ConfigurationError(f"sweep {key} must be a list, got {values!r}")
+        axes.append(values)
     scenarios = []
-    for share in shares:
-        for util in utils:
-            for seed in seeds:
-                doc = dict(base)
-                doc.update(
-                    {
-                        "scenario_id": scenario_label(share, util, seed),
-                        "share_target": float(share),
-                        "utilization_target": float(util),
-                        "seed": int(seed),
-                    }
-                )
-                scenarios.append(scenario_from_dict(doc, defaults))
+    for share, util, seed in product(*axes):
+        # Scenario checks the values before scenario_label formats them
+        doc = {**base, "share_target": share, "utilization_target": util, "seed": seed}
+        scenario = replace(
+            scenario_from_dict(doc, defaults),
+            scenario_id=scenario_label(share, util, seed),
+            share_target=float(share),
+            utilization_target=float(util),
+        )
+        scenarios.append(scenario)
     scenarios.sort(key=lambda s: s.scenario_id)
     ids = [s.scenario_id for s in scenarios]
     if len(set(ids)) != len(ids):
@@ -125,7 +122,7 @@ def run_sweep(
     """Run every grid point; returns (rows, series files, failure count).
 
     Rows come back in scenario_id order, one cell per column of
-    ``sweep_header(EXTRA_COLUMNS)``; cells a row lacks stay empty.
+    ``SWEEP_COLUMNS``; cells a row lacks stay empty.
     """
     defaults = dict(load_bundle(raw_doc).scenario_defaults)
     scenarios = expand_grid(sweep_doc, defaults)
@@ -135,8 +132,7 @@ def run_sweep(
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]
-    header = sweep_header(EXTRA_COLUMNS)
-    rows = [[row.get(c, "") for c in header] for row, _ in outcomes]
+    rows = [[row.get(c, "") for c in SWEEP_COLUMNS] for row, _ in outcomes]
     series_files = [name for _, name in outcomes if name]
     failures = sum(1 for row, _ in outcomes if "error" in row)
     return rows, series_files, failures

@@ -15,7 +15,6 @@ from dcpowersim.batch_power import (
     sample_job,
     select_template,
     synthesize_job_power,
-    template_minute_stats,
 )
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.seeds import substream
@@ -132,27 +131,40 @@ class TestTemplateSelection:
             select_template(store, ("g", 3600, 2, None), gate=194)
 
 
+def _ramp_template(n=10):
+    """Template whose mean in minute i is i + 1 (band of zero width)."""
+    ramp = np.arange(n, dtype=float) + 1.0
+    return PowerTemplate(
+        key=("g",),
+        minute_mean=ramp,
+        minute_std=np.zeros(n),
+        minute_p5=ramp,
+        minute_p95=ramp,
+        ar1_phi=0.0,
+        support_count=1,
+    )
+
+
+def _mean_trace(tpl, minutes):
+    """synthesize_job_power without noise on one GPU: the template mean,
+    minute by minute, for a job running ``minutes`` minutes."""
+    cfg = PowerSynthesisConfig(noise_factor=0.0, hw_factor=1.0)
+    return synthesize_job_power(tpl, 60.0 * minutes, 1, cfg, substream(1, "mean"))
+
+
 class TestMinuteStats:
     def test_query_past_end_holds_last_minute(self):
-        tpl = _template(("g",), n=10)
-        assert template_minute_stats(tpl, 10) == template_minute_stats(tpl, 9)
+        trace = _mean_trace(_ramp_template(n=10), 12)
+        assert trace[10] == trace[9]
 
     def test_in_range_identity(self):
-        tpl = PowerTemplate(
-            key=("g",),
-            minute_mean=np.arange(10, dtype=float) + 1.0,
-            minute_std=np.zeros(10),
-            minute_p5=np.arange(10, dtype=float) + 1.0,
-            minute_p95=np.arange(10, dtype=float) + 1.0,
-            ar1_phi=0.0,
-            support_count=1,
-        )
-        assert template_minute_stats(tpl, 9)[0] == pytest.approx(10.0)
+        trace = _mean_trace(_ramp_template(n=10), 12)
+        assert trace[9] == pytest.approx(10.0)
 
     def test_length_one_template_always_minute_zero(self):
-        tpl = _template(("g",), n=1, mean=0.7)
+        trace = _mean_trace(_template(("g",), n=1, mean=0.7), 501)
         for minute in (0, 5, 500):
-            assert template_minute_stats(tpl, minute)[0] == pytest.approx(0.7)
+            assert trace[minute] == pytest.approx(0.7)
 
 
 class TestResiduals:

@@ -80,6 +80,7 @@ class TestScenarioFromDict:
             {"horizon_days": 1.5},
             {"seed": "x"},
             {"ckpt_seconds": 0.5},
+            {"timezones": {"offsets_hours": "x"}},
         ]
         for bad in cases:
             with pytest.raises(ConfigurationError) as err:

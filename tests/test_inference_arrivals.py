@@ -11,7 +11,7 @@ from dcpowersim.inference_arrivals import (
     apply_verbosity,
     equal_shares,
     fit_group_pmf,
-    minute_rate,
+    minute_mean_series,
     sample_tokens,
     smooth_histogram,
     split_across_templates,
@@ -23,26 +23,31 @@ def _rate_model(table):
     return MinuteRateModel(group="g", log_rate_table=table, dispersion=0.1)
 
 
+# the default calendar starts on Monday 2024-01-01, so day 0 is a weekday
+# and day 5 a Saturday
+WEEKEND_DAY = 5
+
+
 class TestMinuteRate:
     def test_zero_table_unit_rate(self):
-        model = _rate_model(np.zeros((96, 2)))
+        rate = minute_mean_series(_rate_model(np.zeros((96, 2))), 1)
         for minute in (0, 700, 1439):
-            assert minute_rate(model, minute, weekend=False) == pytest.approx(1.0)
+            assert rate[minute] == pytest.approx(1.0)
 
     def test_slot_forty_covers_minutes_600_to_614(self):
         table = np.zeros((96, 2))
         table[40, 0] = math.log(120.0)
-        model = _rate_model(table)
+        rate = minute_mean_series(_rate_model(table), WEEKEND_DAY + 1)
         for minute in (600, 607, 614):
-            assert minute_rate(model, minute, weekend=False) == pytest.approx(120.0)
-        assert minute_rate(model, 599, weekend=False) == pytest.approx(1.0)
-        assert minute_rate(model, 615, weekend=False) == pytest.approx(1.0)
-        assert minute_rate(model, 607, weekend=True) == pytest.approx(1.0)
+            assert rate[minute] == pytest.approx(120.0)
+        assert rate[599] == pytest.approx(1.0)
+        assert rate[615] == pytest.approx(1.0)
+        assert rate[WEEKEND_DAY * 1440 + 607] == pytest.approx(1.0)
 
     def test_minutes_in_same_slot_share_rate(self):
         table = substream(1, "table").normal(size=(96, 2))
-        model = _rate_model(table)
-        assert minute_rate(model, 0, False) == minute_rate(model, 14, False)
+        rate = minute_mean_series(_rate_model(table), 1)
+        assert rate[0] == rate[14]
 
 
 class TestMinuteCounts:

@@ -8,6 +8,7 @@ import pytest
 from dcpowersim.cli import main
 from dcpowersim.config import canonical_hash, load_bundle
 from dcpowersim.cosim import run_hybrid
+from dcpowersim.defaults import default_bundle_doc
 from dcpowersim.outputs import (
     JOB_POWER_COLUMNS,
     SERIES_COLUMNS,
@@ -15,11 +16,10 @@ from dcpowersim.outputs import (
     file_sha256,
     fmt,
     read_series_csv,
-    sweep_header,
     write_job_power_csv,
     write_series_csv,
 )
-from dcpowersim.sweep import EXTRA_COLUMNS, expand_grid, summarize
+from dcpowersim.sweep import expand_grid, summarize
 
 from test_cosim import tiny_doc
 
@@ -68,8 +68,8 @@ class TestSeriesFile:
         assert lines[1:] == ["3,0,0.5", "3,1,0.25", "4,0,1"]
 
     def test_sweep_header_layout(self):
-        header = sweep_header(EXTRA_COLUMNS)
-        assert header[: len(SWEEP_COLUMNS)] == SWEEP_COLUMNS
+        header = SWEEP_COLUMNS
+        assert header[0] == "scenario_id"
         assert header[-1] == "error"
         assert "cov_inf" in header
 
@@ -288,7 +288,7 @@ class TestSweepCommand:
                      "--out", str(out)]) == 2
         with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
             header, *body = list(csv.reader(fh))
-        assert tuple(header) == sweep_header(EXTRA_COLUMNS)
+        assert tuple(header) == SWEEP_COLUMNS
         assert [len(row) for row in body] == [len(header)] * 2
         rows = {row[0]: dict(zip(header, row)) for row in body}
 
@@ -317,6 +317,68 @@ class TestSweepCommand:
         assert cells["error"].startswith("ConfigurationError: cap_mode 'uncapped'")
         blank = set(header) - set(filled) - {"error"}
         assert {c: cells[c] for c in blank} == dict.fromkeys(blank, "")
+
+
+class TestBadInputFiles:
+    """Malformed or wrong-typed input files end in one configuration error."""
+
+    @staticmethod
+    def default_with(*path_and_value):
+        """The default bundle as JSON with the field at ``path`` replaced."""
+        *keys, last, value = path_and_value
+        doc = default_bundle_doc()
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize(
+        "command, flag, content",
+        [
+            ("simulate", "--config", '{"schema_version": 1,'),
+            ("simulate", "--config", "[1, 2]"),
+            ("simulate", "--config",
+             ("batch_arrivals", "groups", "low", "dispersion", "x")),
+            ("simulate", "--config",
+             ("llm_templates", "templates", 0, "max_batch", "x")),
+            ("simulate", "--config",
+             ("batch_jobs", "groups", "low", "time_limits", 0, "limit_s", None)),
+            ("simulate", "--config", ("tokens", [])),
+            ("simulate", "--config", ("scenario_defaults", "x")),
+            ("sweep", "--scenario", '{"shares": ["x"]}'),
+            ("sweep", "--scenario", '{"shares": 0.5}'),
+            ("simulate", "--scenario", '{"timezones": {"offsets_hours": "x"}}'),
+        ],
+        ids=[
+            "malformed-json",
+            "bundle-list",
+            "dispersion-string",
+            "max-batch-string",
+            "limit-null",
+            "section-list",
+            "defaults-string",
+            "grid-share-string",
+            "grid-axis-scalar",
+            "timezones-string",
+        ],
+    )
+    def test_bad_file_is_configuration_error(
+        self, tmp_path, capsys, command, flag, content
+    ):
+        path = tmp_path / "input.json"
+        if isinstance(content, tuple):
+            content = self.default_with(*content)
+        path.write_text(content)
+        config = str(path) if flag == "--config" else "default"
+        argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if flag == "--scenario":
+            argv += ["--scenario", str(path)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err
 
 
 class TestMetricsCommands:
