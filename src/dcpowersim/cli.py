@@ -20,7 +20,7 @@ from pathlib import Path
 # flatten_requests is looked up on cosim at call time, so a wrapper installed
 # there (bench/tracer.py) sees every call
 from . import cosim
-from .config import load_bundle
+from .config import canonical_hash, load_bundle, load_json
 from .cosim import (
     Scenario,
     generate_jobs,
@@ -131,20 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_raw_config(arg: str | None) -> dict:
     if arg is None or arg == "default":
         return default_bundle_doc()
-    return _load_json(arg)
-
-
-def _load_json(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object")
-    return doc
+    return load_json(arg)
 
 
 def _out_dir(args) -> Path:
@@ -155,7 +142,7 @@ def _out_dir(args) -> Path:
 
 
 def _build_scenario(bundle, args, default_id: str) -> Scenario:
-    doc = _load_json(args.scenario)
+    doc = load_json(args.scenario)
     # every flag whose dest names a Scenario field overrides the document
     fields = Scenario.__dataclass_fields__
     doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
@@ -228,8 +215,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = _load_raw_config(args.config)
-    bundle = load_bundle(raw)
-    sweep_doc = _load_json(args.scenario)
+    sweep_doc = load_json(args.scenario)
     if args.seed is not None and "seeds" not in sweep_doc:
         sweep_doc["seeds"] = [args.seed]
     out = _out_dir(args)
@@ -239,7 +225,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(out / "sweep.csv", rows)
     write_manifest(
         out,
-        bundle.config_hash,
+        canonical_hash(raw),
         {"sweep": sweep_doc},
         ["sweep.csv"] + series_files,
     )

@@ -85,6 +85,20 @@ def canonical_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def load_json(path: str | Path | None) -> dict:
+    """The JSON object in the file at ``path``, or ``{}`` for no path."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    return doc
+
+
 # what a loader or model constructor raises on a malformed document
 _INPUT_ERRORS = (ConfigurationError, ValueError, KeyError, TypeError, AttributeError)
 
@@ -441,11 +455,7 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
     Every problem found anywhere in the document is reported in one
     :class:`ConfigurationError`, one line per violation.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = source
+    raw = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
         raise ConfigurationError("bundle: expected a JSON object")
     errs = _Collector()

@@ -139,24 +139,33 @@ def scenario_from_dict(doc: dict, defaults: dict | None = None) -> Scenario:
     return Scenario(**merged)
 
 
+@dataclass(frozen=True)
+class Serving:
+    """Per-template serving state, one row per template, one column per minute;
+    ``budgets`` is None when serving runs uncapped or has no work."""
+
+    conc: np.ndarray
+    conc_cap: np.ndarray
+    gpus: np.ndarray
+    power_kw: np.ndarray
+    budgets: list[int] | None
+
+    @property
+    def unmet(self) -> np.ndarray:
+        return self.conc - self.conc_cap
+
+
 @dataclass
 class HybridResult:
     """Everything produced by one scenario run, on the minute grid."""
 
     scenario: Scenario
-    horizon_minutes: int
     p_total_kw: np.ndarray
     p_batch_kw: np.ndarray
     p_inf_kw: np.ndarray
     g_inf: np.ndarray
     busy_batch: np.ndarray
-    residual_capacity: np.ndarray
-    conc: np.ndarray
-    conc_cap: np.ndarray
-    unmet: np.ndarray
-    template_gpus: np.ndarray
-    template_power_kw: np.ndarray
-    budgets: list[int] | None
+    serving: Serving
     w_inf_offered_h: float
     w_batch_offered_h: float
     unmet_work_h: float
@@ -404,11 +413,7 @@ def _batch_power_series(
     runs_by_job: dict[int, list] = {}
     for run in trace.runs:
         runs_by_job.setdefault(run.job_id, []).append(run)
-    step = (
-        0
-        if math.isinf(scenario.ckpt_seconds)
-        else int(scenario.ckpt_seconds)
-    )
+    step = 0 if math.isinf(scenario.ckpt_seconds) else int(scenario.ckpt_seconds)
     for job in jobs:
         runs = runs_by_job.get(job.job_id)
         if not runs:
@@ -430,19 +435,20 @@ def _batch_power_series(
     return out
 
 
-def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
-    """Run one scenario end to end and return the minute-level result."""
-    root_seed = scenario.root_seed
+def serve_inference(
+    bundle: ModelBundle,
+    scenario: Scenario,
+    request_parts: list[tuple[np.ndarray, np.ndarray, str, int]],
+) -> tuple[Serving, float, float]:
+    """Serve the requests under per-template budgets; also returns the
+    offered and the unmet inference GPU-hours."""
     n_minutes = scenario.horizon_minutes
-    n_templates = len(bundle.llm_templates)
-    fb, fi = _work_scales(bundle, scenario)
-
-    # inference side
-    request_parts = generate_requests(bundle, scenario, root_seed, fi)
+    templates = bundle.llm_templates
     empty = [(np.empty(0), np.empty(0, dtype=np.int64))]
-    conc = np.zeros((n_templates, n_minutes))
-    offered = np.zeros(n_templates)
-    for t_index, template in enumerate(bundle.llm_templates):
+    conc = np.zeros((len(templates), n_minutes))
+    offered = np.zeros(len(templates))
+    # one template's service windows at a time keeps peak memory low
+    for t_index, template in enumerate(templates):
         parts = [p for p in request_parts if p[3] == t_index] or empty
         win_starts, win_durs = service_windows(
             np.concatenate([p[0] for p in parts]),
@@ -455,34 +461,27 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
             win_starts, win_durs, n_minutes, bundle.grid_tick_s
         )
     w_inf_offered = float(offered.sum())
-    budgets: list[int] | None = None
+    # template constants as columns, so each serving rule runs once on conc
+    max_batch = np.array([[t.max_batch] for t in templates])
+    per_instance = np.array([[t.gpus_per_instance] for t in templates])
+    budgets = budget_col = None
     if scenario.cap_mode == "capped" and w_inf_offered > 0.0:
         pool = int(math.floor(scenario.cap_fraction * scenario.total_gpus))
-        budgets = allocate_budgets(
-            pool,
-            offered,
-            [t.gpus_per_instance for t in bundle.llm_templates],
-        )
-    conc_cap = np.zeros_like(conc)
-    unmet = np.zeros_like(conc)
-    template_gpus = np.zeros((n_templates, n_minutes), dtype=np.int64)
-    template_power = np.zeros((n_templates, n_minutes))
-    unmet_work_h = 0.0
-    for t_index, template in enumerate(bundle.llm_templates):
-        conc_cap[t_index] = cap_concurrency(
-            conc[t_index],
-            template.max_batch,
-            budgets[t_index] if budgets is not None else None,
-            template.gpus_per_instance,
-        )
-        template_gpus[t_index] = gpu_use(
-            conc_cap[t_index], template.max_batch, template.gpus_per_instance
-        )
-        template_power[t_index] = inference_power(conc_cap[t_index], template.rho_kw)
-        unmet[t_index] = conc[t_index] - conc_cap[t_index]
-        unmet_work_h += template.gpu_hours(float(unmet[t_index].sum()) * 60.0)
-    g_inf = template_gpus.sum(axis=0)
-    p_inf = template_power.sum(axis=0)
+        budgets = allocate_budgets(pool, offered, per_instance[:, 0])
+        budget_col = np.array(budgets)[:, None]
+    conc_cap = cap_concurrency(conc, max_batch, budget_col, per_instance)
+    gpus = gpu_use(conc_cap, max_batch, per_instance)
+    power_kw = inference_power(conc_cap, np.array([[t.rho_kw] for t in templates]))
+    serving = Serving(conc, conc_cap, gpus, power_kw, budgets)
+    unmet_slot_s = serving.unmet.sum(axis=1) * 60.0
+    unmet_work_h = float(sum(t.gpu_hours(s) for t, s in zip(templates, unmet_slot_s)))
+    return serving, w_inf_offered, unmet_work_h
+
+
+def run_batch(
+    bundle: ModelBundle, scenario: Scenario, fb: float, g_inf: np.ndarray
+) -> tuple[list[Job], ScheduleTrace]:
+    """Generate the batch jobs and schedule them on the GPUs serving left."""
     # only uncapped serving can outgrow the cluster: budgets fit the pool
     excess = g_inf - scenario.total_gpus
     if np.max(excess, initial=0) > 0:
@@ -492,20 +491,26 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
             f"minute {minute}: {excess[minute]} over total_gpus "
             f"{scenario.total_gpus}"
         )
-
-    # batch side runs on whatever the serving plane left over
-    residual = scenario.total_gpus - g_inf
     capacity = CapacityTimeline.from_minute_series(
-        np.concatenate([residual, [scenario.total_gpus]])
+        np.concatenate([scenario.total_gpus - g_inf, [scenario.total_gpus]])
     )
-    jobs, _ = generate_jobs(bundle, scenario, root_seed, fb)
+    jobs, _ = generate_jobs(bundle, scenario, scenario.root_seed, fb)
     trace = schedule(jobs, capacity, scenario.policy, ckpt_s=scenario.ckpt_seconds)
-    busy_batch = trace.busy_minutes(n_minutes)
-    p_batch = _batch_power_series(bundle, scenario, root_seed, jobs, trace)
-    rejected = set(trace.rejected_job_ids)
-    w_batch_offered = sum(
-        job.gpu * job.runtime_s / 3600.0 for job in jobs if job.job_id not in rejected
+    return jobs, trace
+
+
+def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
+    """Run one scenario end to end and return the minute-level result."""
+    fb, fi = _work_scales(bundle, scenario)
+    request_parts = generate_requests(bundle, scenario, scenario.root_seed, fi)
+    serving, w_inf_offered, unmet_work_h = serve_inference(
+        bundle, scenario, request_parts
     )
+    g_inf = serving.gpus.sum(axis=0)
+    p_inf = serving.power_kw.sum(axis=0)
+    jobs, trace = run_batch(bundle, scenario, fb, g_inf)
+    busy_batch = trace.busy_minutes(scenario.horizon_minutes)
+    p_batch = _batch_power_series(bundle, scenario, scenario.root_seed, jobs, trace)
 
     # the residual-capacity construction makes this hold by arithmetic;
     # fail loudly if scheduling ever breaks it
@@ -515,33 +520,30 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )
 
+    rejected = set(trace.rejected_job_ids)
+    w_batch_offered = sum(
+        (job.gpu * job.runtime_s / 3600.0 for job in jobs if job.job_id not in rejected),
+        0.0,
+    )
     total_work = w_inf_offered + w_batch_offered
     share_realized = (
         inference_share(w_inf_offered, w_batch_offered) if total_work > 0.0 else 0.0
     )
-    capacity_hours = scenario.total_gpus * scenario.horizon_days * 24.0
     return HybridResult(
         scenario=scenario,
-        horizon_minutes=n_minutes,
         p_total_kw=p_batch + p_inf,
         p_batch_kw=p_batch,
         p_inf_kw=p_inf,
         g_inf=g_inf,
         busy_batch=busy_batch,
-        residual_capacity=residual,
-        conc=conc,
-        conc_cap=conc_cap,
-        unmet=unmet,
-        template_gpus=template_gpus,
-        template_power_kw=template_power,
-        budgets=budgets,
+        serving=serving,
         w_inf_offered_h=w_inf_offered,
         w_batch_offered_h=w_batch_offered,
         unmet_work_h=unmet_work_h,
         share_realized=share_realized,
         utilization_realized=(
             utilization(total_work, scenario.total_gpus, scenario.horizon_days)
-            if capacity_hours > 0.0
+            if scenario.horizon_days > 0
             else 0.0
         ),
         jobs=jobs,

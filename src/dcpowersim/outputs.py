@@ -71,7 +71,7 @@ def write_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
     rows = zip(
-        range(result.horizon_minutes),
+        range(result.scenario.horizon_minutes),
         result.p_total_kw,
         result.p_batch_kw,
         result.p_inf_kw,
@@ -142,20 +142,14 @@ def write_detail_csv(
     path: Path | str, result: HybridResult, template_ids: Sequence[str]
 ) -> None:
     """Per-minute, per-template serving detail in minute-major order."""
-    def rows():
-        for minute in range(result.horizon_minutes):
-            for t_index, template_id in enumerate(template_ids):
-                yield (
-                    minute,
-                    template_id,
-                    result.conc[t_index, minute],
-                    result.conc_cap[t_index, minute],
-                    result.template_gpus[t_index, minute],
-                    result.template_power_kw[t_index, minute],
-                    result.unmet[t_index, minute],
-                )
-
-    write_rows(path, DETAIL_COLUMNS, rows())
+    s = result.serving
+    n_minutes = result.scenario.horizon_minutes
+    rows = zip(
+        np.repeat(np.arange(n_minutes), len(template_ids)),
+        list(template_ids) * n_minutes,
+        *(m.T.ravel() for m in (s.conc, s.conc_cap, s.gpus, s.power_kw, s.unmet)),
+    )
+    write_rows(path, DETAIL_COLUMNS, rows)
 
 
 def write_sweep_csv(path: Path | str, rows: Sequence[Sequence]) -> None:

@@ -6,6 +6,8 @@ tokens * seconds-per-token, rounded up to whole ticks. Minute-averaged
 concurrency is capped by the template's GPU budget, instances are
 provisioned in whole template-sized GPU blocks, and power scales linearly
 with capped concurrency. Demand above the cap is dropped, not carried over.
+The cap, GPU and power rules broadcast: given a templates x minutes matrix,
+each template constant may be a column with one row per template.
 """
 
 from __future__ import annotations

@@ -93,9 +93,8 @@ def _run_one(args: tuple) -> tuple[dict, str]:
     A failed run gives a row with its scenario's targets, an error cell and
     no series file.
     """
-    raw_doc, scenario, out_dir = args
+    bundle, scenario, out_dir = args
     try:
-        bundle = load_bundle(raw_doc)
         result = run_hybrid(bundle, scenario)
         row = summarize(result)
         series_name = f"series_{scenario.scenario_id}.csv"
@@ -121,12 +120,13 @@ def run_sweep(
 ) -> tuple[list[list], list[str], int]:
     """Run every grid point; returns (rows, series files, failure count).
 
-    Rows come back in scenario_id order, one cell per column of
-    ``SWEEP_COLUMNS``; cells a row lacks stay empty.
+    The bundle is loaded once and handed to every run. Rows come back in
+    scenario_id order, one cell per column of ``SWEEP_COLUMNS``; cells a row
+    lacks stay empty.
     """
-    defaults = dict(load_bundle(raw_doc).scenario_defaults)
-    scenarios = expand_grid(sweep_doc, defaults)
-    tasks = [(raw_doc, s, str(out_dir)) for s in scenarios]
+    bundle = load_bundle(raw_doc)
+    scenarios = expand_grid(sweep_doc, dict(bundle.scenario_defaults))
+    tasks = [(bundle, s, str(out_dir)) for s in scenarios]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             outcomes = list(pool.map(_run_one, tasks))

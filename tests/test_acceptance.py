@@ -127,7 +127,7 @@ def test_02_ramp_hump_over_share_sweep(shape_sweep, gate):
 def test_03_saturation_flattens_power(saturated_run, gate):
     res = saturated_run
     cap_level = 4.0  # budget 4 GPUs / 2 per instance * batch 2
-    binding = res.conc[0] >= cap_level
+    binding = res.serving.conc[0] >= cap_level
     levels = np.unique(res.p_total_kw[binding])
     ok = (
         binding.sum() >= 100

@@ -42,6 +42,12 @@ class TestLoadBundle:
         assert bundle.batch_groups == ["tiny"]
         assert bundle.request_groups == ["req"]
 
+    def test_malformed_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        with pytest.raises(ConfigurationError, match="bad.json: not valid JSON"):
+            load_bundle(str(path))
+
     def test_schema_version_checked(self):
         doc = tiny_doc()
         doc["schema_version"] = 99

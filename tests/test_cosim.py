@@ -159,6 +159,7 @@ class TestShareEndpoints:
         assert not res.p_batch_kw.any()
         assert not res.busy_batch.any()
         assert res.w_batch_offered_h == 0.0
+        assert type(res.w_batch_offered_h) is float
         assert res.share_realized == 1.0
         assert np.array_equal(res.p_total_kw, res.p_inf_kw)
 
@@ -188,14 +189,24 @@ class TestRunInvariants:
 
     def test_unmet_demand_nonnegative(self, share_runs):
         res = share_runs[0.5]
-        assert np.all(res.unmet >= 0.0)
-        assert np.allclose(res.unmet, res.conc - res.conc_cap)
+        assert np.all(res.serving.unmet >= 0.0)
+        assert np.allclose(res.serving.unmet, res.serving.conc - res.serving.conc_cap)
 
-    def test_residual_is_total_minus_inference(self, share_runs):
-        res = share_runs[0.5]
-        assert np.array_equal(
-            res.residual_capacity, res.scenario.total_gpus - res.g_inf
-        )
+    def test_each_template_row_follows_its_own_template(self, bundle, share_runs):
+        serving = share_runs[0.5].serving
+        assert len(bundle.llm_templates) == len(serving.budgets) == 7
+        for t_index, template in enumerate(bundle.llm_templates):
+            batch, per_instance = template.max_batch, template.gpus_per_instance
+            cap = cap_concurrency(
+                serving.conc[t_index], batch, serving.budgets[t_index], per_instance
+            )
+            assert np.array_equal(serving.conc_cap[t_index], cap), template
+            assert np.array_equal(
+                serving.gpus[t_index], gpu_use(cap, batch, per_instance)
+            ), template
+            assert np.array_equal(
+                serving.power_kw[t_index], inference_power(cap, template.rho_kw)
+            ), template
 
     def test_determinism_same_seed(self, bundle):
         scen = {"scenario_id": "det", "total_gpus": 8, "horizon_days": 1,
@@ -223,9 +234,9 @@ class TestRunInvariants:
             seed=2,
         )
         res = run_hybrid(bundle, scen)
-        assert res.budgets is None
-        assert np.array_equal(res.conc_cap, res.conc)
-        assert not res.unmet.any()
+        assert res.serving.budgets is None
+        assert np.array_equal(res.serving.conc_cap, res.serving.conc)
+        assert not res.serving.unmet.any()
         assert res.unmet_work_h == 0.0
 
 
@@ -360,25 +371,24 @@ class TestTinyCluster:
         times, _, _, tokens = flatten_requests(bundle, res.request_parts)
         starts, durs = service_windows(times, tokens, 2.0, 10)
         conc = concurrency(starts, durs, scen.horizon_minutes, 10)
-        assert np.allclose(conc, res.conc[0], atol=1e-12)
+        assert np.allclose(conc, res.serving.conc[0], atol=1e-12)
 
         offered = durs.sum() * 2 / (2 * 3600.0)
         assert res.w_inf_offered_h == pytest.approx(offered)
         assert allocate_budgets(4, np.array([offered]), [2]) == [4]
-        assert res.budgets == [4]
+        assert res.serving.budgets == [4]
 
         cc = cap_concurrency(conc, 2, 4, 2)
-        assert np.allclose(cc, res.conc_cap[0], atol=1e-12)
-        assert np.array_equal(gpu_use(res.conc_cap[0], 2, 2), res.g_inf)
+        assert np.allclose(cc, res.serving.conc_cap[0], atol=1e-12)
+        assert np.array_equal(gpu_use(res.serving.conc_cap[0], 2, 2), res.g_inf)
         assert np.allclose(
-            inference_power(res.conc_cap[0], 0.5), res.p_inf_kw, atol=1e-12
+            inference_power(res.serving.conc_cap[0], 0.5), res.p_inf_kw, atol=1e-12
         )
 
     def test_residual_and_schedule_recompute(self, tiny_run):
         bundle, scen, res = tiny_run
-        assert np.array_equal(res.residual_capacity, 4 - res.g_inf)
         capacity = CapacityTimeline.from_minute_series(
-            np.concatenate([res.residual_capacity, [4]])
+            np.concatenate([4 - res.g_inf, [4]])
         )
         trace = schedule(
             res.jobs,

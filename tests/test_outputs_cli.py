@@ -44,7 +44,7 @@ class TestCellFormat:
 class TestSeriesFile:
     def test_round_trip(self, tmp_path):
         result = SimpleNamespace(
-            horizon_minutes=3,
+            scenario=SimpleNamespace(horizon_minutes=3),
             p_total_kw=np.array([1.5, 2.25, 0.0]),
             p_batch_kw=np.array([1.0, 2.0, 0.0]),
             p_inf_kw=np.array([0.5, 0.25, 0.0]),
@@ -243,6 +243,22 @@ class TestSweepCommand:
         assert lines[0].startswith(",".join(SWEEP_COLUMNS[:3]))
         ids = [line.split(",")[0] for line in lines[1:]]
         assert ids == sorted(ids)
+
+    def test_bundle_loaded_once(self, tmp_path, cfg_path, monkeypatch):
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return load_bundle(source)
+
+        for module in ("cli", "sweep"):
+            monkeypatch.setattr(f"dcpowersim.{module}.load_bundle", counting)
+        rc = main(["sweep", "--config", cfg_path,
+                   "--scenario", self.sweep_doc(tmp_path), "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_hash"] == canonical_hash(tiny_doc())
 
     def test_parallel_matches_serial(self, tmp_path, cfg_path):
         doc = self.sweep_doc(tmp_path)

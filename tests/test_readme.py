@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import dcpowersim
+from dcpowersim.config import _SECTIONS
 from dcpowersim.cosim import Scenario
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -20,6 +21,10 @@ def listed_names(marker: str) -> list[str]:
 
 def test_scenario_fields_match_dataclass():
     assert listed_names("Scenario fields:") == list(Scenario.__dataclass_fields__)
+
+
+def test_bundle_sections_match_loader():
+    assert listed_names("six sections:") == list(_SECTIONS)
 
 
 def test_top_level_exports_match_all():
