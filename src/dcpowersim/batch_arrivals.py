@@ -210,7 +210,7 @@ def generate_zone_arrivals(
     profile: IntradayProfile,
     horizon_days: int,
     rng: np.random.Generator,
-    calendar: SimCalendar | None = None,
+    calendar: SimCalendar,
     mean_scale: float = 1.0,
     offset_hours: float = 0.0,
 ) -> np.ndarray:
@@ -225,7 +225,6 @@ def generate_zone_arrivals(
         raise ValueError("horizon_days must be nonnegative")
     if mean_scale < 0:
         raise ValueError("mean_scale must be nonnegative")
-    calendar = calendar or SimCalendar()
     if mean_scale == 0.0:
         return np.empty(0, dtype=float)
     offset_s = offset_hours * SECONDS_PER_HOUR
@@ -253,7 +252,7 @@ def superpose_timezones(
     profile: IntradayProfile,
     horizon_days: int,
     rng: np.random.Generator,
-    calendar: SimCalendar | None = None,
+    calendar: SimCalendar,
     mean_scale: float = 1.0,
 ) -> np.ndarray:
     """Merge per-zone arrival streams into one sorted stream.

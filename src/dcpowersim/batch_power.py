@@ -69,6 +69,8 @@ class JobClassModel:
                 problems.append(f"time limit {tl} must be positive")
             if tl not in self.gpu_tables:
                 problems.append(f"no GPU table for time limit {tl}")
+            elif any(g < 1 for g in self.gpu_tables[tl][0]):
+                problems.append(f"GPU counts for time limit {tl} must be at least 1")
         grid = self.quantile_grid
         if len(grid) < 2 or np.any(np.diff(grid) <= 0):
             problems.append("quantile_grid must be ascending with 2+ points")
@@ -197,13 +199,6 @@ class PowerTemplate:
     @property
     def n_minutes(self) -> int:
         return len(self.minute_mean)
-
-    @property
-    def backoff_level(self) -> str:
-        return _LEVEL_NAMES[len(self.key)]
-
-
-_LEVEL_NAMES = {4: "runtime-bin", 3: "gpus", 2: "time-limit", 1: "group"}
 
 
 @dataclass(frozen=True)

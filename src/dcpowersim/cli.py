@@ -236,6 +236,8 @@ def _series_columns(path: str, columns: list[str]) -> list:
     """The named columns of a series file, or a ConfigurationError naming it."""
     try:
         series = read_series_csv(path)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read: {exc}") from None
     except (ValueError, IndexError, StopIteration):
         raise ConfigurationError(f"{path}: not a numeric CSV with a header row") from None
     for column in columns:
@@ -300,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
 

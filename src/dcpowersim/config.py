@@ -89,11 +89,13 @@ def load_json(path: str | Path | None) -> dict:
     """The JSON object in the file at ``path``, or ``{}`` for no path."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     return doc

@@ -29,6 +29,7 @@ from .config import ModelBundle
 from .distributions import sample_nb2
 from .errors import ConfigurationError
 from .inference_arrivals import (
+    MINUTES_PER_DAY,
     apply_verbosity,
     minute_mean_series,
     place_in_minutes,
@@ -54,8 +55,6 @@ from .serving import (
     inference_power,
     service_windows,
 )
-
-MINUTES_PER_DAY = 1440
 
 CAP_MODES = ("capped", "uncapped")
 
@@ -219,22 +218,17 @@ def expected_inference_work_gpu_hours(
     Window durations include the service-grid tick rounding, so this is
     the exact expectation of the realized offered work per request.
     """
-    per_request = {}
+    total = 0.0
     for group in bundle.request_groups:
         dist = apply_verbosity(bundle.token_dists[group], verbosity_scale)
-        work = 0.0
+        per_request = 0.0
         for share, template in zip(bundle.split_shares, bundle.llm_templates):
             mean_dur = expected_window_seconds(
                 dist.pmf, template.tpot(speed_class), bundle.grid_tick_s
             )
-            work += template.gpu_hours(share * mean_dur)
-        per_request[group] = work
-    total = 0.0
-    for group in bundle.request_groups:
-        mu = minute_mean_series(
-            bundle.rate_models[group], horizon_days, bundle.calendar
-        )
-        total += float(mu.sum()) * per_request[group]
+            per_request += template.gpu_hours(share * mean_dur)
+        mu = minute_mean_series(bundle.rate_models[group], horizon_days, bundle.calendar)
+        total += float(mu.sum()) * per_request
     return total
 
 

@@ -63,10 +63,9 @@ class MinuteRateModel:
 def minute_mean_series(
     model: MinuteRateModel,
     horizon_days: int,
-    calendar: SimCalendar | None = None,
+    calendar: SimCalendar,
 ) -> np.ndarray:
     """Per-minute expected arrivals over the whole horizon."""
-    calendar = calendar or SimCalendar()
     days = []
     for day in range(horizon_days):
         col = 1 if calendar.is_weekend(day) else 0
@@ -139,9 +138,6 @@ class TokenDistribution:
                 problems.append("pmf must sum to 1")
         if problems:
             raise ConfigurationError("; ".join(problems))
-
-    def mean(self) -> float:
-        return float(np.arange(1, self.support_max + 1) @ self.pmf)
 
 
 def smooth_histogram(counts: np.ndarray, bandwidth: int) -> np.ndarray:

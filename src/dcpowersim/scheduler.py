@@ -18,13 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MINUTES_PER_DAY = 1_440
 
 POLICIES = ("FCFS_BACKFILL", "SWF")
 
@@ -138,10 +135,6 @@ class CapacityTimeline:
             raise ValueError("capacity values must be nonnegative")
 
     @classmethod
-    def constant(cls, gpus: int) -> "CapacityTimeline":
-        return cls(np.array([0]), np.array([gpus]))
-
-    @classmethod
     def from_minute_series(cls, per_minute: np.ndarray) -> "CapacityTimeline":
         """Timeline with a breakpoint at each minute where the value changes."""
         per_minute = np.asarray(per_minute, dtype=np.int64)
@@ -182,16 +175,6 @@ class ScheduleTrace:
         ends = np.array([r.end_s for r in self.runs], dtype=np.int64)
         gpus = np.array([r.gpu for r in self.runs], dtype=float)
         return accumulate_intervals(starts, ends, gpus, n_minutes)
-
-    def usage_step(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact occupied-GPU step function (times, values) from the runs."""
-        events: dict[int, int] = {}
-        for r in self.runs:
-            events[r.start_s] = events.get(r.start_s, 0) + r.gpu
-            events[r.end_s] = events.get(r.end_s, 0) - r.gpu
-        times = np.array(sorted(events), dtype=np.int64)
-        deltas = np.array([events[t] for t in times], dtype=np.int64)
-        return times, np.cumsum(deltas)
 
 
 def accumulate_intervals(
@@ -423,36 +406,3 @@ def schedule(
         for job_id, start in trace.job_first_start.items()
     }
     return trace
-
-
-def revealed_capacity(
-    busy_minutes: np.ndarray, minutes_per_day: int = MINUTES_PER_DAY
-) -> CapacityTimeline:
-    """Running maximum of daily 99th-percentile busy GPUs.
-
-    The percentile is nearest-rank (rank = ceil(0.99 * n) in the sorted
-    day), so the proxy tracks sustained occupancy rather than single-minute
-    spikes, and the running maximum makes it nondecreasing. A trailing
-    partial day is excluded with a warning.
-    """
-    busy = np.asarray(busy_minutes, dtype=float)
-    n_days, leftover = divmod(len(busy), minutes_per_day)
-    if leftover:
-        warnings.warn(
-            "trailing partial day excluded from revealed capacity",
-            stacklevel=2,
-        )
-    if n_days == 0:
-        raise ValueError("need at least one complete day of busy-GPU minutes")
-    rank = math.ceil(0.99 * minutes_per_day)
-    times = []
-    values = []
-    running = -math.inf
-    for d in range(n_days):
-        day = np.sort(busy[d * minutes_per_day : (d + 1) * minutes_per_day])
-        running = max(running, float(day[rank - 1]))
-        level = int(math.ceil(running - 1e-9))
-        if not values or level != values[-1]:
-            times.append(d * minutes_per_day * 60)
-            values.append(level)
-    return CapacityTimeline(np.array(times), np.array(values))

@@ -12,7 +12,6 @@ each template constant may be a column with one row per template.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,19 +75,10 @@ class LLMTemplate:
         return slot_seconds * self.gpus_per_instance / (self.max_batch * 3600.0)
 
 
-def service_window(
-    arrival_s: float, tokens: int, tpot_s: float, grid_tick_s: int
-) -> tuple[float, float]:
-    """(start, duration) of one request's service window in seconds.
-
-    The window starts at the first tick at or after arrival and lasts
-    ceil(tokens * tpot / tick) ticks; exact multiples stay unchanged.
-    """
-    if tokens <= 0 or tpot_s <= 0 or grid_tick_s <= 0:
-        raise ValueError("tokens, tpot and tick must be positive")
-    start = grid_tick_s * math.ceil(arrival_s / grid_tick_s - _GRID_EPS)
-    ticks = max(1, math.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
-    return float(start), float(grid_tick_s * ticks)
+def _window_ticks(tokens: np.ndarray, tpot_s: float, grid_tick_s: int) -> np.ndarray:
+    """Whole service ticks of each token count: ceil(tokens * tpot / tick),
+    at least one; exact multiples stay unchanged."""
+    return np.maximum(1, np.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
 
 
 def service_windows(
@@ -98,7 +88,7 @@ def service_windows(
     arrivals = np.asarray(arrivals, dtype=float)
     tokens = np.asarray(tokens, dtype=float)
     starts = grid_tick_s * np.ceil(arrivals / grid_tick_s - _GRID_EPS)
-    ticks = np.maximum(1, np.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
+    ticks = _window_ticks(tokens, tpot_s, grid_tick_s)
     return starts.astype(np.int64), (grid_tick_s * ticks).astype(np.int64)
 
 
@@ -111,8 +101,7 @@ def expected_window_seconds(
     expectations match realized durations exactly in the mean.
     """
     pmf = np.asarray(token_pmf, dtype=float)
-    tokens = np.arange(1, len(pmf) + 1)
-    ticks = np.maximum(1, np.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
+    ticks = _window_ticks(np.arange(1, len(pmf) + 1), tpot_s, grid_tick_s)
     return float(np.dot(pmf, grid_tick_s * ticks))
 
 

@@ -3,12 +3,23 @@
 Everything in this file is deliberately written from the rule statements,
 not from the package source: plain event replays, exhaustive enumeration,
 and closed-form arithmetic. Slow is fine here; these run on tiny inputs.
+No command of the package runs any of it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
+
+from dcpowersim.scheduler import CapacityTimeline
+
+MINUTES_PER_DAY = 1_440
+
+# guards ceil against float representation error on exact multiples
+_GRID_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,6 +220,70 @@ def nearest_rank_quantile(values, q: float) -> float:
     ordered = sorted(values)
     rank = math.ceil(q * len(ordered))
     return ordered[max(rank, 1) - 1]
+
+
+def revealed_capacity(busy_minutes) -> CapacityTimeline:
+    """Running maximum of daily nearest-rank 99th-percentile busy GPUs.
+
+    Each complete day contributes its p99, so the proxy tracks sustained
+    occupancy rather than single-minute spikes, and the running maximum,
+    rounded up to whole GPUs, makes it nondecreasing. A trailing partial
+    day is excluded with a warning.
+    """
+    busy = [float(b) for b in busy_minutes]
+    n_days, leftover = divmod(len(busy), MINUTES_PER_DAY)
+    if leftover:
+        warnings.warn("trailing partial day excluded from revealed capacity")
+    if n_days == 0:
+        raise ValueError("need at least one complete day of busy-GPU minutes")
+    times: list[int] = []
+    values: list[int] = []
+    running = -math.inf
+    for d in range(n_days):
+        day = busy[d * MINUTES_PER_DAY : (d + 1) * MINUTES_PER_DAY]
+        running = max(running, nearest_rank_quantile(day, 0.99))
+        level = math.ceil(running - 1e-9)
+        if not values or level != values[-1]:
+            times.append(d * MINUTES_PER_DAY * 60)
+            values.append(level)
+    return CapacityTimeline(times, values)
+
+
+def flat_capacity(gpus: int) -> CapacityTimeline:
+    """A capacity timeline that holds ``gpus`` from t=0 on."""
+    return CapacityTimeline([0], [gpus])
+
+
+def usage_step(runs) -> tuple[np.ndarray, np.ndarray]:
+    """Exact occupied-GPU step function (times, values) of segment runs."""
+    events: dict[int, int] = {}
+    for r in runs:
+        events[r.start_s] = events.get(r.start_s, 0) + r.gpu
+        events[r.end_s] = events.get(r.end_s, 0) - r.gpu
+    times = sorted(events)
+    deltas = [events[t] for t in times]
+    return np.array(times, dtype=np.int64), np.cumsum(deltas, dtype=np.int64)
+
+
+def service_window(
+    arrival_s: float, tokens: int, tpot_s: float, grid_tick_s: int
+) -> tuple[float, float]:
+    """(start, duration) of one request's service window in seconds.
+
+    The window starts at the first tick at or after arrival and lasts
+    ceil(tokens * tpot / tick) ticks, at least one; exact multiples stay
+    unchanged.
+    """
+    if tokens <= 0 or tpot_s <= 0 or grid_tick_s <= 0:
+        raise ValueError("tokens, tpot and tick must be positive")
+    start = grid_tick_s * math.ceil(arrival_s / grid_tick_s - _GRID_EPS)
+    ticks = max(1, math.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
+    return float(start), float(grid_tick_s * ticks)
+
+
+def token_mean(dist) -> float:
+    """Mean token count of a pmf on support {1..support_max}."""
+    return sum((i + 1) * float(p) for i, p in enumerate(dist.pmf))
 
 
 def ols_closed_form(xs, ys) -> tuple[float, float]:

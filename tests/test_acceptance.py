@@ -20,17 +20,18 @@ from dcpowersim.cosim import Scenario, inference_share, run_hybrid
 from dcpowersim.distributions import sample_nb2
 from dcpowersim.inference_arrivals import apply_verbosity, sample_tokens
 from dcpowersim.metrics import cov, ramp_rate
-from dcpowersim.scheduler import (
-    CapacityTimeline,
-    Job,
-    revealed_capacity,
-    schedule,
-    segment_job,
-)
+from dcpowersim.scheduler import Job, schedule, segment_job
 from dcpowersim.seeds import substream
 from dcpowersim.serving import cap_concurrency, gpu_use, inference_power
 
-from oracles import TinyJob, enumerate_admissible, plain_fcfs_starts
+from oracles import (
+    TinyJob,
+    enumerate_admissible,
+    flat_capacity,
+    plain_fcfs_starts,
+    revealed_capacity,
+    token_mean,
+)
 from test_cosim import tiny_doc
 
 SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -166,7 +167,7 @@ def test_04_backfill_honors_fcfs_reservations(gate):
         ]
         jobs = _engine_jobs(spec)
         trace = schedule(
-            jobs, CapacityTimeline.constant(cap), "FCFS_BACKFILL", ckpt_s=math.inf
+            jobs, flat_capacity(cap), "FCFS_BACKFILL", ckpt_s=math.inf
         )
         oracle = plain_fcfs_starts(
             [TinyJob(j.job_id, j.arrival_s, j.gpu, j.runtime_s) for j in jobs], cap
@@ -214,7 +215,7 @@ def test_05_traces_match_exhaustive_search(gate):
         for policy in ("FCFS_BACKFILL", "SWF"):
             trace = schedule(
                 _engine_jobs(spec),
-                CapacityTimeline.constant(cap),
+                flat_capacity(cap),
                 policy,
                 ckpt_s=math.inf,
             )
@@ -354,7 +355,7 @@ def test_10_verbosity_identity(bundle, gate):
     identity = np.array_equal(unscaled.pmf, dist.pmf)
     doubled = apply_verbosity(dist, 2.0)
     draws = sample_tokens(doubled, substream(11, "acc-verbosity"), 10**6)
-    target = 2.0 * dist.mean()
+    target = 2.0 * token_mean(dist)
     rel = abs(float(draws.mean()) - target) / target
     gate(
         "10 verbosity",

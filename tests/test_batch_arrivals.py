@@ -135,8 +135,12 @@ class TestTimezones:
         model = _model(math.log(40.0), alpha=0.1)
         profile = IntradayProfile(np.zeros(23), np.full(23, 0.01), reference_hour=0)
         plan = TimezonePlan(offsets_hours=(0.0,))
-        merged = superpose_timezones(plan, model, profile, 5, substream(9, "tz"))
-        single = generate_zone_arrivals(model, profile, 5, substream(9, "tz"))
+        merged = superpose_timezones(
+            plan, model, profile, 5, substream(9, "tz"), SimCalendar()
+        )
+        single = generate_zone_arrivals(
+            model, profile, 5, substream(9, "tz"), SimCalendar()
+        )
         assert np.array_equal(merged, single)
 
     def test_three_zone_mean_preserved(self):
@@ -144,7 +148,7 @@ class TestTimezones:
         profile = IntradayProfile(np.zeros(23), np.zeros(23), reference_hour=0)
         plan = TimezonePlan(offsets_hours=(0.0, 8.0, 16.0))
         merged = superpose_timezones(
-            plan, model, profile, 1000, substream(10, "tz3")
+            plan, model, profile, 1000, substream(10, "tz3"), SimCalendar()
         )
         per_day = merged.size / 1000.0
         assert per_day == pytest.approx(90.0, rel=0.02)
@@ -154,7 +158,9 @@ class TestTimezones:
         mean = np.full(23, -500.0)  # all mass at the reference hour 0
         profile = IntradayProfile(mean, np.zeros(23), reference_hour=0)
         plan = TimezonePlan(offsets_hours=(0.0, 12.0))
-        merged = superpose_timezones(plan, model, profile, 3, substream(11, "tz12"))
+        merged = superpose_timezones(
+            plan, model, profile, 3, substream(11, "tz12"), SimCalendar()
+        )
         hours = (merged % 86400.0) // 3600.0
         assert set(hours.astype(int)) <= {0, 12}
 

@@ -80,7 +80,6 @@ class TestTemplateSelection:
         )
         chosen = select_template(store, ("g", 3600, 2, None), gate=194)
         assert chosen.key == ("g", 3600, 2)
-        assert chosen.backoff_level == "gpus"
 
     def test_leaf_below_gate_backs_off_to_parent(self):
         store = TemplateStore(
@@ -92,7 +91,6 @@ class TestTemplateSelection:
         )
         chosen = select_template(store, ("g", 3600, 2, None), gate=194)
         assert chosen.key == ("g", 3600)
-        assert chosen.backoff_level == "time-limit"
 
     def test_full_backoff_to_group_node(self):
         store = TemplateStore(
@@ -105,7 +103,6 @@ class TestTemplateSelection:
         )
         chosen = select_template(store, ("g", 3600, 2, None), gate=194)
         assert chosen.key == ("g",)
-        assert chosen.backoff_level == "group"
 
     def test_runtime_bin_node_preferred_when_supported(self):
         store = TemplateStore(
@@ -120,7 +117,7 @@ class TestTemplateSelection:
         rbin = store.runtime_bin("g", 3600, 2, 2400.0)
         assert rbin == 1
         chosen = select_template(store, ("g", 3600, 2, rbin), gate=194)
-        assert chosen.backoff_level == "runtime-bin"
+        assert chosen.key == ("g", 3600, 2, 1)
 
     def test_no_node_meets_gate_raises(self):
         store = TemplateStore(

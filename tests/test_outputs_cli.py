@@ -335,6 +335,10 @@ class TestSweepCommand:
         assert {c: cells[c] for c in blank} == dict.fromkeys(blank, "")
 
 
+# stands for an input path that is a directory, not a file
+DIRECTORY = object()
+
+
 class TestBadInputFiles:
     """Malformed or wrong-typed input files end in one configuration error."""
 
@@ -365,6 +369,12 @@ class TestBadInputFiles:
             ("sweep", "--scenario", '{"shares": ["x"]}'),
             ("sweep", "--scenario", '{"shares": 0.5}'),
             ("simulate", "--scenario", '{"timezones": {"offsets_hours": "x"}}'),
+            ("simulate", "--config", DIRECTORY),
+            ("simulate", "--scenario", DIRECTORY),
+            ("metrics", "series", DIRECTORY),
+            ("simulate", "--config", b"\xff\xfe{\x00}\x00"),
+            ("simulate", "--config",
+             ("batch_jobs", "groups", "low", "time_limits", 0, "gpus", 0, "gpus", 0)),
         ],
         ids=[
             "malformed-json",
@@ -377,17 +387,30 @@ class TestBadInputFiles:
             "grid-share-string",
             "grid-axis-scalar",
             "timezones-string",
+            "config-directory",
+            "scenario-directory",
+            "series-directory",
+            "config-utf16-bytes",
+            "gpu-count-zero",
         ],
     )
     def test_bad_file_is_configuration_error(
         self, tmp_path, capsys, command, flag, content
     ):
         path = tmp_path / "input.json"
-        if isinstance(content, tuple):
-            content = self.default_with(*content)
-        path.write_text(content)
-        config = str(path) if flag == "--config" else "default"
-        argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if content is DIRECTORY:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            if isinstance(content, tuple):
+                content = self.default_with(*content)
+            path.write_text(content)
+        if flag == "series":
+            argv = [command, str(path)]
+        else:
+            config = str(path) if flag == "--config" else "default"
+            argv = [command, "--config", config, "--out", str(tmp_path / "out")]
         if flag == "--scenario":
             argv += ["--scenario", str(path)]
         rc = main(argv)
@@ -395,6 +418,8 @@ class TestBadInputFiles:
         assert rc == 1
         assert err.startswith("configuration error")
         assert "Traceback" not in err
+        if content is DIRECTORY or isinstance(content, bytes):
+            assert str(path) in err
 
 
 class TestMetricsCommands:

@@ -8,12 +8,17 @@ from dcpowersim.scheduler import (
     CapacityTimeline,
     Job,
     preempt_on_capacity_drop,
-    revealed_capacity,
     schedule,
     segment_job,
 )
 
-from oracles import TinyJob, plain_fcfs_starts
+from oracles import (
+    TinyJob,
+    flat_capacity,
+    plain_fcfs_starts,
+    revealed_capacity,
+    usage_step,
+)
 
 
 class TestSegmenting:
@@ -52,7 +57,7 @@ class TestBackfillHandCase:
         ]
 
     def test_backfill_fills_around_reservation(self):
-        trace = schedule(self._jobs(), CapacityTimeline.constant(4))
+        trace = schedule(self._jobs(), flat_capacity(4))
         starts = trace.job_first_start
         assert starts[0] == 0
         assert starts[2] == 2  # ends at 7, before the head reservation at 10
@@ -66,13 +71,13 @@ class TestBackfillHandCase:
     def test_single_job_starts_at_arrival(self):
         trace = schedule(
             [Job(job_id=5, arrival_s=42, gpu=2, runtime_s=100)],
-            CapacityTimeline.constant(4),
+            flat_capacity(4),
         )
         assert trace.job_first_start[5] == 42
         assert trace.queue_delays[5] == 0
 
     def test_swf_orders_by_gpu_then_runtime(self):
-        trace = schedule(self._jobs(), CapacityTimeline.constant(4), policy="SWF")
+        trace = schedule(self._jobs(), flat_capacity(4), policy="SWF")
         starts = trace.job_first_start
         # A occupies 3 GPUs on [0, 10); C (1 GPU) fits beside it at 2
         assert starts[0] == 0
@@ -169,15 +174,15 @@ class TestSchedulerProperties:
     @settings(max_examples=120, deadline=None)
     def test_capacity_never_exceeded(self, instance):
         jobs, cap = instance
-        trace = schedule(_tiny_jobs(jobs), CapacityTimeline.constant(cap))
-        _, usage = trace.usage_step()
+        trace = schedule(_tiny_jobs(jobs), flat_capacity(cap))
+        _, usage = usage_step(trace.runs)
         assert usage.max(initial=0) <= cap
 
     @given(_instances())
     @settings(max_examples=120, deadline=None)
     def test_every_job_runs_exactly_once_fully(self, instance):
         jobs, cap = instance
-        trace = schedule(_tiny_jobs(jobs), CapacityTimeline.constant(cap))
+        trace = schedule(_tiny_jobs(jobs), flat_capacity(cap))
         by_job = {}
         for r in trace.runs:
             assert r.completed
@@ -192,7 +197,7 @@ class TestSchedulerProperties:
     @settings(max_examples=120, deadline=None)
     def test_never_waiting_jobs_start_at_arrival(self, instance):
         jobs, cap = instance
-        trace = schedule(_tiny_jobs(jobs), CapacityTimeline.constant(cap))
+        trace = schedule(_tiny_jobs(jobs), flat_capacity(cap))
         oracle = plain_fcfs_starts(
             [TinyJob(i, a, g, r) for i, (a, g, r) in enumerate(jobs)], cap
         )
@@ -205,7 +210,7 @@ class TestSchedulerProperties:
     def test_segment_conservation_with_checkpoints(self, instance, ckpt):
         jobs, cap = instance
         trace = schedule(
-            _tiny_jobs(jobs), CapacityTimeline.constant(cap), ckpt_s=float(ckpt)
+            _tiny_jobs(jobs), flat_capacity(cap), ckpt_s=float(ckpt)
         )
         completed = {}
         for r in trace.runs:
@@ -218,7 +223,7 @@ class TestSchedulerProperties:
     @settings(max_examples=60, deadline=None)
     def test_backfills_respect_head_reservation(self, instance):
         jobs, cap = instance
-        trace = schedule(_tiny_jobs(jobs), CapacityTimeline.constant(cap))
+        trace = schedule(_tiny_jobs(jobs), flat_capacity(cap))
         runtimes = {i: r for i, (_, _, r) in enumerate(jobs)}
         for bf in trace.backfills:
             assert bf.time_s + runtimes[bf.job_id] <= bf.head_reservation_s
@@ -226,7 +231,7 @@ class TestSchedulerProperties:
     def test_oversized_job_rejected(self):
         trace = schedule(
             [Job(job_id=0, arrival_s=0, gpu=10, runtime_s=60)],
-            CapacityTimeline.constant(4),
+            flat_capacity(4),
         )
         assert trace.rejected_job_ids == [0]
         assert trace.runs == []

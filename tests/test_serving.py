@@ -10,12 +10,11 @@ from dcpowersim.serving import (
     expected_window_seconds,
     gpu_use,
     inference_power,
-    service_window,
     service_windows,
 )
 from dcpowersim.seeds import substream
 
-from oracles import brute_concurrency
+from oracles import brute_concurrency, service_window
 
 
 class TestServiceWindow:

@@ -1,12 +1,12 @@
-"""Static check: every top-level function and method in the package is
-referenced from some package module.
+"""Static checks: every top-level function and method in the package is
+referenced from some package module, and every top-level function in
+``tests/oracles.py`` from some module under ``tests/``.
 
-A definition counts as referenced when a package module uses its name as a
-bare name or as an attribute. Exempt are dunder methods (Python calls them),
-the names in ``__all__`` (the public surface) and the references in
-``TEST_REFERENCES``, which the package keeps on purpose for the tests to
-compare against. A scalar twin of a rule that only tests call would pass
-those tests while the code a run executes went unchecked.
+A definition counts as referenced when a module of the same tree uses its
+name as a bare name or as an attribute. In the package, dunder methods
+(Python calls them) and the names in ``__all__`` (the public surface) are
+exempt; nothing else is. A helper that only tests call belongs in
+``tests/oracles.py``, where an oracle no test calls is flagged in turn.
 """
 
 import ast
@@ -15,14 +15,7 @@ from pathlib import Path
 import dcpowersim
 
 PACKAGE = Path(dcpowersim.__file__).parent
-
-TEST_REFERENCES = {
-    "service_window": "scalar reference that service_windows is compared against",
-    "ScheduleTrace.usage_step": "exact occupancy oracle of the scheduler property tests",
-    "revealed_capacity": "closed form checked by acceptance criterion 07",
-    "CapacityTimeline.constant": "flat capacity timeline the scheduler tests build",
-    "PowerTemplate.backoff_level": "backoff level of a selected template, read by tests",
-}
+TESTS = Path(__file__).parent
 
 
 def definitions(tree: ast.Module):
@@ -72,5 +65,15 @@ def test_checker_flags_only_unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    exempt = set(dcpowersim.__all__) | set(TEST_REFERENCES)
-    assert unreferenced(sources, exempt) == []
+    assert unreferenced(sources, exempt=set(dcpowersim.__all__)) == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")}
+    # test modules define tests and fixtures that pytest, not code, calls
+    oracles = [
+        entry
+        for entry in unreferenced(sources, exempt=set())
+        if entry.startswith("oracles.py: ")
+    ]
+    assert oracles == []
