@@ -12,9 +12,9 @@ finished but some grid points failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # flatten_requests is looked up on cosim at call time, so a wrapper installed
@@ -35,12 +35,12 @@ from .metrics import cov, ramp_rate, transmission_diagnostic
 from .outputs import (
     fmt,
     read_series_csv,
-    scenario_doc,
     write_arrivals_csv,
     write_busy_csv,
     write_detail_csv,
     write_job_power_csv,
     write_jobs_csv,
+    write_json,
     write_manifest,
     write_requests_csv,
     write_series_csv,
@@ -151,9 +151,7 @@ def _build_scenario(bundle, args, default_id: str) -> Scenario:
 
 
 def _manifest_scenario(scenario: Scenario) -> dict:
-    doc = scenario_doc(scenario)
-    doc["derived_seed"] = scenario.root_seed
-    return doc
+    return {**asdict(scenario), "derived_seed": scenario.root_seed}
 
 
 def cmd_generate(args) -> int:
@@ -197,9 +195,7 @@ def cmd_simulate(args) -> int:
     )
     summary = {k: (v if v != "" else None) for k, v in summarize(result).items()}
     summary["rejected_job_ids"] = list(result.trace.rejected_job_ids)
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metrics.json", summary)
     files = [
         "series.csv",
         "busy.csv",

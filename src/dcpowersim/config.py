@@ -23,6 +23,7 @@ from .batch_arrivals import (
     TimezonePlan,
 )
 from .batch_power import (
+    DEFAULT_TEMPLATE_GATE,
     JobClassModel,
     PowerSynthesisConfig,
     PowerTemplate,
@@ -112,13 +113,14 @@ class _Collector:
     def error(self, where: str, message: str) -> None:
         self.problems.append(f"{where}: {message}")
 
-    def run(self, where: str, fn, *args, default=None):
-        """Call ``fn``; on a bad input record the error and return ``default``."""
+    def run(self, where: str, fn, *args):
+        """Call ``fn``; on a bad input record the error and return None.
+
+        Nothing loaded after an error is used, since ``finish`` raises."""
         try:
             return fn(*args)
         except _INPUT_ERRORS as exc:
             self.error(where, str(exc))
-            return default
 
     def finish(self) -> None:
         if self.problems:
@@ -127,31 +129,23 @@ class _Collector:
             )
 
 
-def _load_calendar(doc: dict, errs: _Collector) -> SimCalendar:
-    section = doc.get("calendar", {})
-    epoch_raw = section.get("epoch", "2024-01-01")
-    try:
-        return SimCalendar(date.fromisoformat(str(epoch_raw)))
-    except ValueError as exc:
-        errs.error("calendar", str(exc))
-        return SimCalendar()
+def _load_calendar(doc: dict) -> SimCalendar:
+    epoch = doc.get("calendar", {}).get("epoch", SimCalendar.epoch)
+    return SimCalendar(date.fromisoformat(str(epoch)))
 
 
 def _load_batch_arrivals(doc: dict, errs: _Collector):
     where = "batch_arrivals"
-    plan = errs.run(
-        where + ".timezones", TimezonePlan.from_doc, doc.get("timezones", {})
-    ) or TimezonePlan()
+    plan = errs.run(where + ".timezones", TimezonePlan.from_doc, doc.get("timezones", {}))
     daily: dict[str, DailyCountModel] = {}
     profiles: dict[str, IntradayProfile] = {}
     groups = doc.get("groups")
     if not groups:
-        errs.error(where, "no batch groups configured")
-        return plan, daily, profiles
+        raise ConfigurationError("no batch groups configured")
     for group, g_doc in sorted(groups.items()):
         g_where = f"{where}.groups.{group}"
         wom = g_doc.get("week_of_month_log_effect", [0.0])
-        model = errs.run(
+        daily[group] = errs.run(
             g_where,
             DailyCountModel,
             group,
@@ -159,21 +153,17 @@ def _load_batch_arrivals(doc: dict, errs: _Collector):
             {i: float(v) for i, v in enumerate(wom)},
             float(g_doc.get("dispersion", 0.0)),
         )
-        if model is not None:
-            daily[group] = model
         intraday = g_doc.get("intraday")
         if intraday is None:
             errs.error(g_where, "missing intraday profile")
             continue
-        profile = errs.run(
+        profiles[group] = errs.run(
             g_where + ".intraday",
             IntradayProfile,
             intraday.get("alr_mean", ()),
             intraday.get("alr_var", ()),
             int(intraday.get("reference_hour", 0)),
         )
-        if profile is not None:
-            profiles[group] = profile
     return plan, daily, profiles
 
 
@@ -186,6 +176,7 @@ def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
     out: dict[str, JobClassModel] = {}
     for group, g_doc in sorted(doc.get("groups", {}).items()):
         g_where = f"{where}.groups.{group}"
+        reported = len(errs.problems)
         limits = g_doc.get("time_limits", [])
         if not limits:
             errs.error(g_where, "no time limits configured")
@@ -204,8 +195,7 @@ def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
             support = tuple(int(r["gpus"]) for r in gpu_rows)
             counts = np.array([float(r.get("count", 0)) for r in gpu_rows])
             pmf = errs.run(g_where, add_alpha_pmf, counts, add_alpha)
-            if pmf is not None:
-                gpu_tables[tl] = (support, pmf)
+            gpu_tables[tl] = (support, pmf)
         tl_pmf = errs.run(g_where, add_alpha_pmf, np.array(tl_counts), add_alpha)
         q_doc = g_doc.get("runtime_log_quantiles", {})
         leaf = {}
@@ -217,21 +207,21 @@ def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
             for k, v in q_doc.get("by_limit", {}).items()
         }
         group_curve = q_doc.get("group")
-        model = errs.run(
+        if len(errs.problems) > reported:
+            continue  # the model's checks would restate what failed to load
+        out[group] = errs.run(
             g_where,
             JobClassModel,
             group,
             tuple(tl_support),
-            tl_pmf if tl_pmf is not None else np.array([]),
+            tl_pmf,
             gpu_tables,
             grid,
             leaf,
             by_tl,
             np.asarray(group_curve, dtype=float) if group_curve is not None else None,
         )
-        if model is not None:
-            out[group] = model
-    if not out:
+    if not doc.get("groups"):
         errs.error(where, "no batch job models configured")
     return out
 
@@ -254,10 +244,10 @@ def _load_power_templates(doc: dict, errs: _Collector):
     cfg = errs.run(
         where,
         PowerSynthesisConfig,
-        float(doc.get("noise_factor", 1.0)),
-        float(doc.get("hw_factor", 1.0)),
-        int(doc.get("template_gate", 194)),
-    ) or PowerSynthesisConfig()
+        float(doc.get("noise_factor", PowerSynthesisConfig.noise_factor)),
+        float(doc.get("hw_factor", PowerSynthesisConfig.hw_factor)),
+        int(doc.get("template_gate", DEFAULT_TEMPLATE_GATE)),
+    )
     nodes: dict[tuple, PowerTemplate] = {}
     for i, node in enumerate(doc.get("nodes", [])):
         n_where = f"{where}.nodes[{i}]"
@@ -293,14 +283,14 @@ def _load_power_templates(doc: dict, errs: _Collector):
             errs.error(e_where, "edges must be ascending with 2+ points")
             continue
         edges[key] = arr
-    if not nodes:
+    if not doc.get("nodes"):
         errs.error(where, "no power template nodes configured")
     return TemplateStore(nodes, edges), cfg
 
 
 def _load_inference_arrivals(doc: dict, errs: _Collector):
     where = "inference_arrivals"
-    kappa = float(doc.get("calibration_factor", 1.0))
+    kappa = float(doc.get("calibration_factor", MinuteRateModel.calibration))
     out: dict[str, MinuteRateModel] = {}
     for group, g_doc in sorted(doc.get("groups", {}).items()):
         g_where = f"{where}.groups.{group}"
@@ -309,7 +299,7 @@ def _load_inference_arrivals(doc: dict, errs: _Collector):
         table = np.column_stack(
             [np.asarray(weekday, dtype=float), np.asarray(weekend, dtype=float)]
         ) if len(weekday) == len(weekend) else np.empty((0, 2))
-        model = errs.run(
+        out[group] = errs.run(
             g_where,
             MinuteRateModel,
             group,
@@ -317,9 +307,7 @@ def _load_inference_arrivals(doc: dict, errs: _Collector):
             float(g_doc.get("dispersion", 0.0)),
             kappa,
         )
-        if model is not None:
-            out[group] = model
-    if not out:
+    if not doc.get("groups"):
         errs.error(where, "no inference request groups configured")
     return out
 
@@ -347,8 +335,7 @@ def _load_tokens(doc: dict, errs: _Collector) -> dict[str, TokenDistribution]:
     pools = doc.get("pools", {})
     groups = doc.get("groups", {})
     if not groups:
-        errs.error(where, "no token groups configured")
-        return {}
+        raise ConfigurationError("no token groups configured")
     hist_by_group: dict[str, np.ndarray] = {}
     support_by_group: dict[str, int] = {}
     out: dict[str, TokenDistribution] = {}
@@ -361,9 +348,7 @@ def _load_tokens(doc: dict, errs: _Collector) -> dict[str, TokenDistribution]:
         support_by_group[group] = support_max
         if "pmf" in g_doc:
             pmf = np.asarray(g_doc["pmf"], dtype=float)
-            dist = errs.run(g_where, TokenDistribution, support_max, pmf)
-            if dist is not None:
-                out[group] = dist
+            out[group] = errs.run(g_where, TokenDistribution, support_max, pmf)
         elif "histogram" in g_doc:
             hist = _dense_histogram(g_doc["histogram"], support_max, errs, g_where)
             if hist is not None:
@@ -393,14 +378,9 @@ def _load_tokens(doc: dict, errs: _Collector) -> dict[str, TokenDistribution]:
             )
             if pmf is None:
                 continue
-            dist = errs.run(
-                f"{where}.groups.{group}",
-                TokenDistribution,
-                support_by_group[group],
-                pmf,
+            out[group] = errs.run(
+                f"{where}.groups.{group}", TokenDistribution, support_by_group[group], pmf
             )
-            if dist is not None:
-                out[group] = dist
     return out
 
 
@@ -409,10 +389,12 @@ def _load_llm_templates(doc: dict, errs: _Collector):
     tick = int(doc.get("grid_tick_s", 10))
     if tick <= 0 or 60 % tick != 0:
         errs.error(where, "grid_tick_s must be a positive divisor of 60")
-        tick = 10
+    t_docs = doc.get("templates")
+    if not t_docs:
+        raise ConfigurationError("no serving templates configured")
     templates: list[LLMTemplate] = []
     seen: set[str] = set()
-    for i, t_doc in enumerate(doc.get("templates", [])):
+    for i, t_doc in enumerate(t_docs):
         t_where = f"{where}.templates[{i}]"
         tpot = t_doc.get("tpot_s", {})
         if not isinstance(tpot, dict):
@@ -425,7 +407,7 @@ def _load_llm_templates(doc: dict, errs: _Collector):
             int(t_doc.get("max_batch", 0)),
             {k: float(v) for k, v in tpot.items()},
             float(t_doc.get("rho_kw", 0.0)),
-            str(t_doc.get("speed_class", "M")),
+            str(t_doc.get("speed_class", LLMTemplate.speed_class)),
         )
         if template is None:
             continue
@@ -433,22 +415,19 @@ def _load_llm_templates(doc: dict, errs: _Collector):
             errs.error(t_where, f"duplicate template_id {template.template_id!r}")
         seen.add(template.template_id)
         templates.append(template)
-    if not templates:
-        errs.error(where, "no serving templates configured")
-        shares: tuple[float, ...] = ()
-    else:
-        raw_shares = doc.get("split_shares")
-        if raw_shares is None:
-            shares = equal_shares(len(templates))
-        else:
-            shares = tuple(float(s) for s in raw_shares)
-            if len(shares) != len(templates):
-                errs.error(where, "split_shares length must match templates")
-                shares = equal_shares(len(templates))
-            elif any(s < 0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
-                errs.error(where, "split_shares must be nonnegative and sum to 1")
-                shares = equal_shares(len(templates))
+    shares = doc.get("split_shares")
+    shares = equal_shares(len(t_docs)) if shares is None else tuple(map(float, shares))
+    if len(shares) != len(t_docs):
+        errs.error(where, "split_shares length must match templates")
+    elif any(s < 0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
+        errs.error(where, "split_shares must be nonnegative and sum to 1")
     return templates, shares, tick
+
+
+def _declared(section: dict) -> set:
+    """The group names a section declares; none if its groups are not an object."""
+    groups = section.get("groups")
+    return set(groups) if isinstance(groups, dict) else set()
 
 
 def load_bundle(source: dict | str | Path) -> ModelBundle:
@@ -475,43 +454,45 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
         elif (sec_version := section.get("schema_version", version)) != SCHEMA_VERSION:
             errs.error(name, f"schema_version {sec_version!r} does not match bundle")
 
-    def load(name, loader, default):
+    def load(name, loader):
         # a bad value anywhere in a section becomes one line naming it
-        return errs.run(name, loader, sections[name], errs, default=default)
+        return errs.run(name, loader, sections[name], errs)
 
-    calendar = errs.run("calendar", _load_calendar, raw, errs, default=SimCalendar())
-    plan, daily, profiles = load("batch_arrivals", _load_batch_arrivals, (None, {}, {}))
-    job_models = load("batch_jobs", _load_batch_jobs, {})
-    store, power_cfg = load("power_templates", _load_power_templates, (None, None))
-    rate_models = load("inference_arrivals", _load_inference_arrivals, {})
-    token_dists = load("tokens", _load_tokens, {})
-    templates, shares, tick = load("llm_templates", _load_llm_templates, ([], (), 10))
+    calendar = errs.run("calendar", _load_calendar, raw)
+    batch_arrivals = load("batch_arrivals", _load_batch_arrivals)
+    job_models = load("batch_jobs", _load_batch_jobs)
+    power_templates = load("power_templates", _load_power_templates)
+    rate_models = load("inference_arrivals", _load_inference_arrivals)
+    token_dists = load("tokens", _load_tokens)
+    llm_templates = load("llm_templates", _load_llm_templates)
     scenario_defaults = raw.get("scenario_defaults", {})
     if not isinstance(scenario_defaults, dict):
         errs.error("scenario_defaults", "must be a JSON object")
-
-    # cross references: every model family must agree on its group universe
-    if daily and job_models and set(daily) != set(job_models):
+    # cross references compare the group names each section declares, not the
+    # models that loaded, so a group failing its own checks is reported once
+    arrivals, jobs, requests, tokens = (
+        _declared(sections[name])
+        for name in ("batch_arrivals", "batch_jobs", "inference_arrivals", "tokens")
+    )
+    if arrivals and jobs and arrivals != jobs:
         errs.error(
             "bundle",
-            f"batch arrival groups {sorted(daily)} != job model groups "
-            f"{sorted(job_models)}",
+            f"batch arrival groups {sorted(arrivals)} != job model groups {sorted(jobs)}",
         )
-    if daily and profiles and set(daily) != set(profiles):
-        errs.error("bundle", "every batch group needs an intraday profile")
-    if job_models and store is not None:
-        for group in sorted(job_models):
-            if (group,) not in store.nodes:
-                errs.error(
-                    "power_templates", f"no group-level template for {group!r}"
-                )
-    if rate_models and token_dists and set(rate_models) != set(token_dists):
+    nodes = sections["power_templates"].get("nodes")
+    if power_templates is not None and nodes:
+        # a node without limit_s has a group-level key (see _node_key)
+        group_level = [n.get("group") for n in nodes if n.get("limit_s") is None]
+        for group in sorted(g for g in jobs if g not in group_level):
+            errs.error("power_templates", f"no group-level template for {group!r}")
+    if requests and tokens and requests != tokens:
         errs.error(
-            "bundle",
-            f"request groups {sorted(rate_models)} != token groups "
-            f"{sorted(token_dists)}",
+            "bundle", f"request groups {sorted(requests)} != token groups {sorted(tokens)}"
         )
     errs.finish()
+    plan, daily, profiles = batch_arrivals
+    store, power_cfg = power_templates
+    templates, shares, tick = llm_templates
     return ModelBundle(
         calendar=calendar,
         timezone_plan=plan,

@@ -127,12 +127,8 @@ class Scenario:
 
 def scenario_from_dict(doc: dict, defaults: dict | None = None) -> Scenario:
     """Merge a scenario document over bundle defaults into a Scenario."""
-    merged: dict = {}
-    for source in (defaults or {}), doc:
-        for key, value in source.items():
-            merged[key] = value
-    known = set(Scenario.__dataclass_fields__)
-    unknown = sorted(set(merged) - known)
+    merged = {**(defaults or {}), **doc}
+    unknown = sorted(set(merged) - set(Scenario.__dataclass_fields__))
     if unknown:
         raise ConfigurationError(f"unknown scenario keys: {', '.join(unknown)}")
     return Scenario(**merged)

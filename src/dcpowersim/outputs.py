@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -169,7 +170,7 @@ def write_manifest(
     config_hash: str,
     scenario_doc: dict,
     files: Sequence[str],
-) -> Path:
+) -> None:
     """Write manifest.json describing a finished run, with no timestamps."""
     from . import __version__
 
@@ -180,19 +181,23 @@ def write_manifest(
         "scenario": scenario_doc,
         "files": {name: file_sha256(out_dir / name) for name in sorted(files)},
     }
-    path = out_dir / "manifest.json"
+    write_json(out_dir / "manifest.json", manifest)
+
+
+def _json_safe(value):
+    """``value`` with every float JSON cannot hold (inf, nan) as its string."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """Write ``doc`` as strict JSON, keys sorted and indented; an infinite
+    float becomes the string ``"inf"``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    return path
-
-
-def scenario_doc(scenario) -> dict:
-    """JSON-safe dict of one scenario's parameters for the manifest."""
-    doc = {}
-    for name in sorted(scenario.__dataclass_fields__):
-        value = getattr(scenario, name)
-        if isinstance(value, float) and value == float("inf"):
-            value = "inf"
-        doc[name] = value
-    return doc

@@ -36,21 +36,23 @@ def expand_grid(sweep_doc: dict, defaults: dict) -> list[Scenario]:
     for key, field in zip(_GRID_AXES, ("share_target", "utilization_target", "seed")):
         values = sweep_doc.get(key)
         if values is None:
-            values = [base.get(field, defaults.get(field, getattr(Scenario, field)))]
-        elif not isinstance(values, list):
+            continue  # the scenario or the defaults supply this field
+        if not isinstance(values, list):
             raise ConfigurationError(f"sweep {key} must be a list, got {values!r}")
-        axes.append(values)
+        axes.append([(field, v) for v in values])
     scenarios = []
-    for share, util, seed in product(*axes):
+    for point in product(*axes):
         # Scenario checks the values before scenario_label formats them
-        doc = {**base, "share_target": share, "utilization_target": util, "seed": seed}
-        scenario = replace(
-            scenario_from_dict(doc, defaults),
-            scenario_id=scenario_label(share, util, seed),
-            share_target=float(share),
-            utilization_target=float(util),
+        scenario = scenario_from_dict({**base, **dict(point)}, defaults)
+        share, util = scenario.share_target, scenario.utilization_target
+        scenarios.append(
+            replace(
+                scenario,
+                scenario_id=scenario_label(share, util, scenario.seed),
+                share_target=float(share),
+                utilization_target=float(util),
+            )
         )
-        scenarios.append(scenario)
     scenarios.sort(key=lambda s: s.scenario_id)
     ids = [s.scenario_id for s in scenarios]
     if len(set(ids)) != len(ids):

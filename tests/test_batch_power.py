@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestRuntimeSampling:
         model = _model(math.log(10800.0))
         _, _, rt = sample_job(model, substream(2, "rt"))
         assert rt == pytest.approx(7200.0)
+
+    @pytest.mark.parametrize("level", ["time_limit", "group"])
+    def test_runtime_curve_backs_off_past_missing_levels(self, level):
+        # the only leaf curve is for 4 GPUs and every job draws 2
+        miss, hit = np.full(3, math.log(60.0)), np.full(3, math.log(1800.0))
+        model = replace(
+            _model(math.log(3600.0)),
+            leaf_quantiles={(7200, 4): miss},
+            tl_quantiles={7200: hit} if level == "time_limit" else {},
+            group_quantiles=miss if level == "time_limit" else hit,
+        )
+        _, gpus, rt = sample_job(model, substream(3, "rt"))
+        assert gpus == 2
+        assert rt == pytest.approx(1800.0)
 
     def test_add_alpha_pmf_hand_case(self):
         # counts 3 and 1 with add-alpha 1 over a 2-point support

@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from dcpowersim.config import canonical_hash, load_bundle
@@ -74,7 +75,77 @@ class TestLoadBundle:
         assert len(message.splitlines()) >= 4  # header plus one line each
 
 
+def _group_level_node(doc, group):
+    nodes = doc["power_templates"]["nodes"]
+    return next(n for n in nodes if n["group"] == group and "limit_s" not in n)
+
+
+# (edit to the default bundle, where its one problem is reported)
+SINGLE_PROBLEMS = {
+    "job-gpus-zero": (
+        lambda d: d["batch_jobs"]["groups"]["low"]["time_limits"][0]["gpus"][0]
+        .update(gpus=0),
+        "batch_jobs.groups.low: ",
+    ),
+    "job-gpu-count-negative": (
+        lambda d: d["batch_jobs"]["groups"]["low"]["time_limits"][0]["gpus"][0]
+        .update(count=-1),
+        "batch_jobs.groups.low: ",
+    ),
+    "job-limit-count-negative": (
+        lambda d: d["batch_jobs"]["groups"]["low"]["time_limits"][0].update(count=-1),
+        "batch_jobs.groups.low: ",
+    ),
+    "job-limit-no-gpus": (
+        lambda d: d["batch_jobs"]["groups"]["low"]["time_limits"][0].update(gpus=[]),
+        "batch_jobs.groups.low: ",
+    ),
+    "no-intraday": (
+        lambda d: d["batch_arrivals"]["groups"]["low"].pop("intraday"),
+        "batch_arrivals.groups.low: ",
+    ),
+    "token-support-zero": (
+        lambda d: d["tokens"]["groups"]["Code"].update(support_max=0),
+        "tokens.groups.Code: ",
+    ),
+    "request-dispersion-negative": (
+        lambda d: d["inference_arrivals"]["groups"]["Code"].update(dispersion=-1),
+        "inference_arrivals.groups.Code: ",
+    ),
+    "group-node-phi": (
+        lambda d: _group_level_node(d, "low").update(ar1_phi=2),
+        "power_templates.nodes[",
+    ),
+}
+
+
 class TestCrossReferences:
+    @pytest.mark.parametrize("case", sorted(SINGLE_PROBLEMS))
+    def test_failed_group_is_reported_once(self, case):
+        edit, where = SINGLE_PROBLEMS[case]
+        doc = default_bundle_doc()
+        edit(doc)
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        header, *problems = str(err.value).splitlines()
+        assert header == "invalid configuration:"
+        assert len(problems) == 1, problems
+        assert problems[0].startswith(where)
+
+    def test_mismatch_reported_next_to_unrelated_error(self):
+        doc = default_bundle_doc()
+        jobs = doc["batch_jobs"]["groups"]
+        jobs["other"] = jobs.pop("low")
+        doc["inference_arrivals"]["groups"]["Code"]["dispersion"] = -1
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [
+            "inference_arrivals.groups.Code: group 'Code': dispersion must be nonnegative",
+            "bundle: batch arrival groups ['high', 'low', 'med'] != "
+            "job model groups ['high', 'med', 'other']",
+            "power_templates: no group-level template for 'other'",
+        ]
+
     def test_arrival_and_job_groups_must_match(self):
         doc = tiny_doc()
         jobs_tiny = doc["batch_jobs"]["groups"].pop("tiny")
@@ -125,6 +196,46 @@ class TestFieldValidation:
         }
         with pytest.raises(ConfigurationError, match="support"):
             load_bundle(doc)
+
+    @pytest.mark.parametrize(
+        "shares", [[1.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0], [0.5] * 7], ids=["negative", "sum"]
+    )
+    def test_split_shares_must_be_a_distribution(self, shares):
+        doc = default_bundle_doc()  # seven templates
+        doc["llm_templates"]["split_shares"] = shares
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [
+            "llm_templates: split_shares must be nonnegative and sum to 1"
+        ]
+
+    def test_scalar_tpot_applies_to_every_speed_class(self):
+        doc = tiny_doc()
+        doc["llm_templates"]["templates"][0]["tpot_s"] = 2.0
+        (template,) = load_bundle(doc).llm_templates
+        assert template.tpot_s == {"F": 2.0, "M": 2.0, "S": 2.0}
+
+    def test_dense_histogram_loads_like_sparse(self):
+        doc = default_bundle_doc()
+        for g_doc in doc["tokens"]["groups"].values():
+            dense = [0] * g_doc["support_max"]
+            for token, count in g_doc["histogram"].items():
+                dense[int(token) - 1] = count
+            g_doc["histogram"] = dense
+        sparse = load_bundle(default_bundle_doc()).token_dists
+        loaded = load_bundle(doc).token_dists
+        assert sorted(loaded) == sorted(sparse)
+        for group, dist in sparse.items():
+            assert np.array_equal(loaded[group].pmf, dist.pmf)
+
+    def test_dense_histogram_length_must_match_support(self):
+        doc = tiny_doc()
+        doc["tokens"]["groups"]["req"] = {"support_max": 5, "histogram": [1, 2, 3]}
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [
+            "tokens.groups.req: dense histogram length must equal support_max"
+        ]
 
     def test_bad_calendar_epoch(self):
         doc = tiny_doc()

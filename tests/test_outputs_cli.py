@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,20 @@ class TestSimulateCommand:
         assert " GPUs in minute " in err[1]
         assert " over total_gpus 4" in err[1]
 
+    def test_infinite_checkpoints_write_strict_json(self, tmp_path, cfg_path):
+        rc, out = self.run(tmp_path, cfg_path, "nockpt", ckpt_seconds=float("inf"))
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        docs = {
+            name: json.loads((out / name).read_text(), parse_constant=reject)
+            for name in ("metrics.json", "manifest.json")
+        }
+        assert docs["metrics.json"]["ckpt_s"] == "inf"
+        assert docs["manifest.json"]["scenario"]["ckpt_seconds"] == "inf"
+
     def test_scenario_type_error_exit_code(self, tmp_path, cfg_path, capsys):
         scen = write_scenario(tmp_path, total_gpus="8", horizon_days=1.5)
         rc = main(["simulate", "--config", cfg_path, "--scenario", scen,
@@ -243,6 +258,21 @@ class TestSweepCommand:
         assert lines[0].startswith(",".join(SWEEP_COLUMNS[:3]))
         ids = [line.split(",")[0] for line in lines[1:]]
         assert ids == sorted(ids)
+
+    def test_seed_flag_fills_absent_seeds_axis(self, tmp_path, cfg_path):
+        doc = json.loads(Path(self.sweep_doc(tmp_path, shares=[0.5])).read_text())
+        del doc["seeds"]
+        path = tmp_path / "noseeds.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "seeded"
+        assert main(["sweep", "--config", cfg_path, "--scenario", str(path),
+                     "--out", str(out), "--seed", "7"]) == 0
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+            assert [row["scenario_id"] for row in csv.DictReader(fh)] == [
+                "sh0.5_ut0.25_seed7"
+            ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenario"]["sweep"]["seeds"] == [7]
 
     def test_bundle_loaded_once(self, tmp_path, cfg_path, monkeypatch):
         calls = []
