@@ -1,9 +1,11 @@
 """Configuration documents: loading, validation, and the model bundle.
 
 All calibrated model parameters arrive through one JSON bundle. The loader
-builds typed model objects for every section, collects every violation it
-finds (rather than stopping at the first), and stamps the bundle with a
-canonical content hash used by output manifests.
+builds typed model objects for every section and checks every entry (a
+group, a power template node, a bin-edges row, a serving template); each bad
+entry reports its first problem under its location, and all of them are
+raised together. The bundle is stamped with a canonical content hash used by
+output manifests.
 """
 
 from __future__ import annotations
@@ -114,13 +116,25 @@ class _Collector:
         self.problems.append(f"{where}: {message}")
 
     def run(self, where: str, fn, *args):
-        """Call ``fn``; on a bad input record the error and return None.
-
-        Nothing loaded after an error is used, since ``finish`` raises."""
+        """Call ``fn``; if a bad input makes it raise, record the problem under
+        ``where`` and return None (never used, since ``finish`` then raises)."""
         try:
             return fn(*args)
+        except KeyError as exc:
+            self.error(where, f"missing key {exc.args[0]!r}")
         except _INPUT_ERRORS as exc:
             self.error(where, str(exc))
+
+    def groups(self, section: str, doc: dict, fn, *args) -> dict:
+        """``fn(name, group_doc, *args)`` for each of the section's groups in
+        name order, keyed by name; a group that raises is left out."""
+        if not doc.get("groups"):
+            self.error(section, "no groups configured")
+        loaded = {
+            name: self.run(f"{section}.groups.{name}", fn, name, g_doc, *args)
+            for name, g_doc in sorted(doc.get("groups", {}).items())
+        }
+        return {name: value for name, value in loaded.items() if value is not None}
 
     def finish(self) -> None:
         if self.problems:
@@ -134,99 +148,79 @@ def _load_calendar(doc: dict) -> SimCalendar:
     return SimCalendar(date.fromisoformat(str(epoch)))
 
 
-def _load_batch_arrivals(doc: dict, errs: _Collector):
-    where = "batch_arrivals"
-    plan = errs.run(where + ".timezones", TimezonePlan.from_doc, doc.get("timezones", {}))
-    daily: dict[str, DailyCountModel] = {}
-    profiles: dict[str, IntradayProfile] = {}
-    groups = doc.get("groups")
-    if not groups:
-        raise ConfigurationError("no batch groups configured")
-    for group, g_doc in sorted(groups.items()):
-        g_where = f"{where}.groups.{group}"
-        wom = g_doc.get("week_of_month_log_effect", [0.0])
-        daily[group] = errs.run(
-            g_where,
-            DailyCountModel,
-            group,
-            dict(g_doc.get("daytype_log_mean", {})),
-            {i: float(v) for i, v in enumerate(wom)},
-            float(g_doc.get("dispersion", 0.0)),
-        )
-        intraday = g_doc.get("intraday")
-        if intraday is None:
-            errs.error(g_where, "missing intraday profile")
-            continue
-        profiles[group] = errs.run(
-            g_where + ".intraday",
-            IntradayProfile,
+def _arrival_group(group: str, g_doc: dict):
+    wom = g_doc.get("week_of_month_log_effect", [0.0])
+    daily = DailyCountModel(
+        group,
+        dict(g_doc.get("daytype_log_mean", {})),
+        {i: float(v) for i, v in enumerate(wom)},
+        float(g_doc.get("dispersion", 0.0)),
+    )
+    intraday = g_doc["intraday"]
+    try:
+        profile = IntradayProfile(
             intraday.get("alr_mean", ()),
             intraday.get("alr_var", ()),
             int(intraday.get("reference_hour", 0)),
         )
+    except _INPUT_ERRORS as exc:
+        raise ConfigurationError(f"intraday: {exc}") from None
+    return daily, profile
+
+
+def _load_batch_arrivals(doc: dict, errs: _Collector):
+    where = "batch_arrivals"
+    plan = errs.run(where + ".timezones", TimezonePlan.from_doc, doc.get("timezones", {}))
+    loaded = errs.groups(where, doc, _arrival_group)
+    daily = {group: models[0] for group, models in loaded.items()}
+    profiles = {group: models[1] for group, models in loaded.items()}
     return plan, daily, profiles
 
 
+def _job_group(group: str, g_doc: dict, add_alpha: float, grid: np.ndarray):
+    limits = g_doc.get("time_limits", [])
+    if not limits:
+        raise ConfigurationError("no time limits configured")
+    tl_support = [int(entry["limit_s"]) for entry in limits]
+    tl_counts = [float(entry.get("count", 0)) for entry in limits]
+    gpu_tables: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    for tl, entry in zip(tl_support, limits):
+        gpu_rows = entry.get("gpus", [])
+        if not gpu_rows:
+            raise ConfigurationError(f"time limit {tl}: no GPU counts")
+        support = tuple(int(r["gpus"]) for r in gpu_rows)
+        counts = [float(r.get("count", 0)) for r in gpu_rows]
+        gpu_tables[tl] = (support, add_alpha_pmf(counts, add_alpha))
+    q_doc = g_doc.get("runtime_log_quantiles", {})
+    leaf = {}
+    for key, curve in q_doc.get("by_limit_gpus", {}).items():
+        tl_s, gpus_s = key.split("|")
+        leaf[(int(tl_s), int(gpus_s))] = np.asarray(curve, dtype=float)
+    by_tl = {
+        int(k): np.asarray(v, dtype=float) for k, v in q_doc.get("by_limit", {}).items()
+    }
+    group_curve = q_doc.get("group")
+    return JobClassModel(
+        group,
+        tuple(tl_support),
+        add_alpha_pmf(tl_counts, add_alpha),
+        gpu_tables,
+        grid,
+        leaf,
+        by_tl,
+        np.asarray(group_curve, dtype=float) if group_curve is not None else None,
+    )
+
+
 def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
-    where = "batch_jobs"
     add_alpha = float(doc.get("add_alpha", 1.0))
     grid = np.asarray(
         doc.get("quantile_grid", (np.arange(1, 100) / 100.0).tolist()), dtype=float
     )
-    out: dict[str, JobClassModel] = {}
-    for group, g_doc in sorted(doc.get("groups", {}).items()):
-        g_where = f"{where}.groups.{group}"
-        reported = len(errs.problems)
-        limits = g_doc.get("time_limits", [])
-        if not limits:
-            errs.error(g_where, "no time limits configured")
-            continue
-        tl_support = []
-        tl_counts = []
-        gpu_tables: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-        for entry in limits:
-            tl = int(entry["limit_s"])
-            tl_support.append(tl)
-            tl_counts.append(float(entry.get("count", 0)))
-            gpu_rows = entry.get("gpus", [])
-            if not gpu_rows:
-                errs.error(g_where, f"time limit {tl}: no GPU counts")
-                continue
-            support = tuple(int(r["gpus"]) for r in gpu_rows)
-            counts = np.array([float(r.get("count", 0)) for r in gpu_rows])
-            pmf = errs.run(g_where, add_alpha_pmf, counts, add_alpha)
-            gpu_tables[tl] = (support, pmf)
-        tl_pmf = errs.run(g_where, add_alpha_pmf, np.array(tl_counts), add_alpha)
-        q_doc = g_doc.get("runtime_log_quantiles", {})
-        leaf = {}
-        for key, curve in q_doc.get("by_limit_gpus", {}).items():
-            tl_s, gpus_s = key.split("|")
-            leaf[(int(tl_s), int(gpus_s))] = np.asarray(curve, dtype=float)
-        by_tl = {
-            int(k): np.asarray(v, dtype=float)
-            for k, v in q_doc.get("by_limit", {}).items()
-        }
-        group_curve = q_doc.get("group")
-        if len(errs.problems) > reported:
-            continue  # the model's checks would restate what failed to load
-        out[group] = errs.run(
-            g_where,
-            JobClassModel,
-            group,
-            tuple(tl_support),
-            tl_pmf,
-            gpu_tables,
-            grid,
-            leaf,
-            by_tl,
-            np.asarray(group_curve, dtype=float) if group_curve is not None else None,
-        )
-    if not doc.get("groups"):
-        errs.error(where, "no batch job models configured")
-    return out
+    return errs.groups("batch_jobs", doc, _job_group, add_alpha, grid)
 
 
-def _node_key(node: dict, errs: _Collector, where: str) -> tuple | None:
+def _node_key(node: dict) -> tuple:
     parts = []
     for name in ("group", "limit_s", "gpus", "runtime_bin"):
         value = node.get(name)
@@ -234,154 +228,143 @@ def _node_key(node: dict, errs: _Collector, where: str) -> tuple | None:
             break
         parts.append(value if name == "group" else int(value))
     if not parts:
-        errs.error(where, "template node needs at least a group")
-        return None
+        raise ConfigurationError("template node needs at least a group")
     return tuple(parts)
+
+
+def _power_template(node: dict) -> PowerTemplate:
+    return PowerTemplate(
+        _node_key(node),
+        node.get("minute_mean", ()),
+        node.get("minute_std", ()),
+        node.get("minute_p5", ()),
+        node.get("minute_p95", ()),
+        float(node.get("ar1_phi", 0.0)),
+        int(node.get("support_count", 0)),
+    )
+
+
+def _bin_edges(row: dict) -> dict[tuple, np.ndarray]:
+    key = (str(row["group"]), int(row["limit_s"]), int(row["gpus"]))
+    edges = np.asarray(row["edges"], dtype=float)
+    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise ConfigurationError("edges must be ascending with 2+ points")
+    return {key: edges}
 
 
 def _load_power_templates(doc: dict, errs: _Collector):
     where = "power_templates"
-    cfg = errs.run(
-        where,
-        PowerSynthesisConfig,
+    nodes: dict[tuple, PowerTemplate] = {}
+    for i, node in enumerate(doc.get("nodes", [])):
+        n_where = f"{where}.nodes[{i}]"
+        template = errs.run(n_where, _power_template, node)
+        if template is None:
+            continue
+        if template.key in nodes:
+            errs.error(n_where, f"duplicate template key {template.key!r}")
+        nodes[template.key] = template
+    edges: dict[tuple, np.ndarray] = {}
+    for i, row in enumerate(doc.get("runtime_bin_edges_log", [])):
+        e_where = f"{where}.runtime_bin_edges_log[{i}]"
+        edges.update(errs.run(e_where, _bin_edges, row) or {})
+    if not doc.get("nodes"):
+        errs.error(where, "no power template nodes configured")
+    # read after the entries, so a bad value here hides none of them
+    cfg = PowerSynthesisConfig(
         float(doc.get("noise_factor", PowerSynthesisConfig.noise_factor)),
         float(doc.get("hw_factor", PowerSynthesisConfig.hw_factor)),
         int(doc.get("template_gate", DEFAULT_TEMPLATE_GATE)),
     )
-    nodes: dict[tuple, PowerTemplate] = {}
-    for i, node in enumerate(doc.get("nodes", [])):
-        n_where = f"{where}.nodes[{i}]"
-        key = _node_key(node, errs, n_where)
-        if key is None:
-            continue
-        template = errs.run(
-            n_where,
-            PowerTemplate,
-            key,
-            node.get("minute_mean", ()),
-            node.get("minute_std", ()),
-            node.get("minute_p5", ()),
-            node.get("minute_p95", ()),
-            float(node.get("ar1_phi", 0.0)),
-            int(node.get("support_count", 0)),
-        )
-        if template is None:
-            continue
-        if key in nodes:
-            errs.error(n_where, f"duplicate template key {key!r}")
-        nodes[key] = template
-    edges: dict[tuple, np.ndarray] = {}
-    for i, row in enumerate(doc.get("runtime_bin_edges_log", [])):
-        e_where = f"{where}.runtime_bin_edges_log[{i}]"
-        try:
-            key = (str(row["group"]), int(row["limit_s"]), int(row["gpus"]))
-            arr = np.asarray(row["edges"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            errs.error(e_where, str(exc))
-            continue
-        if len(arr) < 2 or np.any(np.diff(arr) <= 0):
-            errs.error(e_where, "edges must be ascending with 2+ points")
-            continue
-        edges[key] = arr
-    if not doc.get("nodes"):
-        errs.error(where, "no power template nodes configured")
     return TemplateStore(nodes, edges), cfg
 
 
+def _rate_model(group: str, g_doc: dict, kappa: float) -> MinuteRateModel:
+    weekday = np.asarray(g_doc.get("log_rate_weekday", ()), dtype=float)
+    weekend = np.asarray(g_doc.get("log_rate_weekend", ()), dtype=float)
+    same = weekday.shape == weekend.shape
+    table = np.column_stack([weekday, weekend]) if same else np.empty((0, 2))
+    return MinuteRateModel(group, table, float(g_doc.get("dispersion", 0.0)), kappa)
+
+
 def _load_inference_arrivals(doc: dict, errs: _Collector):
-    where = "inference_arrivals"
     kappa = float(doc.get("calibration_factor", MinuteRateModel.calibration))
-    out: dict[str, MinuteRateModel] = {}
-    for group, g_doc in sorted(doc.get("groups", {}).items()):
-        g_where = f"{where}.groups.{group}"
-        weekday = g_doc.get("log_rate_weekday", ())
-        weekend = g_doc.get("log_rate_weekend", ())
-        table = np.column_stack(
-            [np.asarray(weekday, dtype=float), np.asarray(weekend, dtype=float)]
-        ) if len(weekday) == len(weekend) else np.empty((0, 2))
-        out[group] = errs.run(
-            g_where,
-            MinuteRateModel,
-            group,
-            table,
-            float(g_doc.get("dispersion", 0.0)),
-            kappa,
-        )
-    if not doc.get("groups"):
-        errs.error(where, "no inference request groups configured")
-    return out
+    return errs.groups("inference_arrivals", doc, _rate_model, kappa)
 
 
-def _dense_histogram(spec, support_max: int, errs: _Collector, where: str):
+def _dense_histogram(spec, support_max: int) -> np.ndarray:
     """Accept a dense list or a sparse {token: count} mapping."""
     if isinstance(spec, dict):
         dense = np.zeros(support_max)
         for token_s, count in spec.items():
             token = int(token_s)
             if not 1 <= token <= support_max:
-                errs.error(where, f"token {token} outside support 1..{support_max}")
-                continue
+                raise ConfigurationError(
+                    f"token {token} outside support 1..{support_max}"
+                )
             dense[token - 1] = float(count)
-        return dense
-    dense = np.asarray(spec, dtype=float)
-    if dense.shape != (support_max,):
-        errs.error(where, "dense histogram length must equal support_max")
-        return None
+    else:
+        dense = np.asarray(spec, dtype=float)
+        if dense.shape != (support_max,):
+            raise ConfigurationError("dense histogram length must equal support_max")
+    if np.any(dense < 0):
+        raise ConfigurationError("histogram counts must be nonnegative")
     return dense
 
 
+def _token_group(group: str, g_doc: dict):
+    """The group's token distribution if it gives a pmf, else its dense
+    histogram, which becomes a distribution once its pool is fitted."""
+    support_max = int(g_doc.get("support_max", 0))
+    if support_max < 1:
+        raise ConfigurationError("support_max must be at least 1")
+    if "pmf" in g_doc:
+        return TokenDistribution(support_max, np.asarray(g_doc["pmf"], dtype=float))
+    if "histogram" in g_doc:
+        return _dense_histogram(g_doc["histogram"], support_max)
+    raise ConfigurationError("needs either a pmf or a histogram")
+
+
+def _pool_tokens(p_doc: dict, hists: dict[str, np.ndarray]):
+    """Member distributions: each histogram blended toward the smoothed pool sum."""
+    if len({len(h) for h in hists.values()}) > 1:
+        raise ConfigurationError("pool members must share one support_max")
+    bandwidth = int(p_doc.get("bandwidth", 0))
+    tau = float(p_doc.get("tau", 0.0))
+    pooled = smooth_histogram(np.sum(list(hists.values()), axis=0), bandwidth)
+    return {
+        group: TokenDistribution(len(h), fit_group_pmf(h, pooled, tau))
+        for group, h in hists.items()
+    }
+
+
 def _load_tokens(doc: dict, errs: _Collector) -> dict[str, TokenDistribution]:
-    where = "tokens"
-    pools = doc.get("pools", {})
-    groups = doc.get("groups", {})
-    if not groups:
-        raise ConfigurationError("no token groups configured")
-    hist_by_group: dict[str, np.ndarray] = {}
-    support_by_group: dict[str, int] = {}
     out: dict[str, TokenDistribution] = {}
-    for group, g_doc in sorted(groups.items()):
-        g_where = f"{where}.groups.{group}"
-        support_max = int(g_doc.get("support_max", 0))
-        if support_max < 1:
-            errs.error(g_where, "support_max must be at least 1")
-            continue
-        support_by_group[group] = support_max
-        if "pmf" in g_doc:
-            pmf = np.asarray(g_doc["pmf"], dtype=float)
-            out[group] = errs.run(g_where, TokenDistribution, support_max, pmf)
-        elif "histogram" in g_doc:
-            hist = _dense_histogram(g_doc["histogram"], support_max, errs, g_where)
-            if hist is not None:
-                hist_by_group[group] = hist
+    by_pool: dict[str, dict[str, np.ndarray]] = {}
+    for group, loaded in errs.groups("tokens", doc, _token_group).items():
+        if isinstance(loaded, TokenDistribution):
+            out[group] = loaded
         else:
-            errs.error(g_where, "needs either a pmf or a histogram")
-    by_pool: dict[str, list[str]] = {}
-    for group in hist_by_group:
-        pool = groups[group].get("pool", group)
-        by_pool.setdefault(pool, []).append(group)
-    for pool, members in sorted(by_pool.items()):
-        p_where = f"{where}.pools.{pool}"
-        supports = {support_by_group[g] for g in members}
-        if len(supports) > 1:
-            errs.error(p_where, "pool members must share one support_max")
-            continue
+            pool = doc["groups"][group].get("pool", group)
+            by_pool.setdefault(pool, {})[group] = loaded
+    pools = doc.get("pools", {})
+    for pool, hists in sorted(by_pool.items()):
         p_doc = pools.get(pool, {})
-        bandwidth = int(p_doc.get("bandwidth", 0))
-        tau = float(p_doc.get("tau", 0.0))
-        pooled_hist = np.sum([hist_by_group[g] for g in members], axis=0)
-        pooled = errs.run(p_where, smooth_histogram, pooled_hist, bandwidth)
-        if pooled is None:
-            continue
-        for group in members:
-            pmf = errs.run(
-                p_where, fit_group_pmf, hist_by_group[group], pooled, tau
-            )
-            if pmf is None:
-                continue
-            out[group] = errs.run(
-                f"{where}.groups.{group}", TokenDistribution, support_by_group[group], pmf
-            )
+        out.update(errs.run(f"tokens.pools.{pool}", _pool_tokens, p_doc, hists) or {})
     return out
+
+
+def _llm_template(i: int, t_doc: dict) -> LLMTemplate:
+    tpot = t_doc.get("tpot_s", {})
+    if not isinstance(tpot, dict):
+        tpot = dict.fromkeys(SPEED_CLASSES, tpot)
+    return LLMTemplate(
+        str(t_doc.get("template_id", f"T{i}")),
+        int(t_doc.get("gpus_per_instance", 0)),
+        int(t_doc.get("max_batch", 0)),
+        {k: float(v) for k, v in tpot.items()},
+        float(t_doc.get("rho_kw", 0.0)),
+        str(t_doc.get("speed_class", LLMTemplate.speed_class)),
+    )
 
 
 def _load_llm_templates(doc: dict, errs: _Collector):
@@ -393,27 +376,13 @@ def _load_llm_templates(doc: dict, errs: _Collector):
     if not t_docs:
         raise ConfigurationError("no serving templates configured")
     templates: list[LLMTemplate] = []
-    seen: set[str] = set()
     for i, t_doc in enumerate(t_docs):
         t_where = f"{where}.templates[{i}]"
-        tpot = t_doc.get("tpot_s", {})
-        if not isinstance(tpot, dict):
-            tpot = {cls: float(tpot) for cls in SPEED_CLASSES}
-        template = errs.run(
-            t_where,
-            LLMTemplate,
-            str(t_doc.get("template_id", f"T{i}")),
-            int(t_doc.get("gpus_per_instance", 0)),
-            int(t_doc.get("max_batch", 0)),
-            {k: float(v) for k, v in tpot.items()},
-            float(t_doc.get("rho_kw", 0.0)),
-            str(t_doc.get("speed_class", LLMTemplate.speed_class)),
-        )
+        template = errs.run(t_where, _llm_template, i, t_doc)
         if template is None:
             continue
-        if template.template_id in seen:
+        if template.template_id in {t.template_id for t in templates}:
             errs.error(t_where, f"duplicate template_id {template.template_id!r}")
-        seen.add(template.template_id)
         templates.append(template)
     shares = doc.get("split_shares")
     shares = equal_shares(len(t_docs)) if shares is None else tuple(map(float, shares))
@@ -433,8 +402,8 @@ def _declared(section: dict) -> set:
 def load_bundle(source: dict | str | Path) -> ModelBundle:
     """Build a validated :class:`ModelBundle` from a JSON document or path.
 
-    Every problem found anywhere in the document is reported in one
-    :class:`ConfigurationError`, one line per violation.
+    Every entry is checked, and each bad entry reports its first problem
+    on one line under its location, all in one :class:`ConfigurationError`.
     """
     raw = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
@@ -455,7 +424,7 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
             errs.error(name, f"schema_version {sec_version!r} does not match bundle")
 
     def load(name, loader):
-        # a bad value anywhere in a section becomes one line naming it
+        # a bad section-level value becomes one line naming the section
         return errs.run(name, loader, sections[name], errs)
 
     calendar = errs.run("calendar", _load_calendar, raw)
@@ -480,9 +449,10 @@ def load_bundle(source: dict | str | Path) -> ModelBundle:
             f"batch arrival groups {sorted(arrivals)} != job model groups {sorted(jobs)}",
         )
     nodes = sections["power_templates"].get("nodes")
-    if power_templates is not None and nodes:
+    if isinstance(nodes, list) and nodes:
         # a node without limit_s has a group-level key (see _node_key)
-        group_level = [n.get("group") for n in nodes if n.get("limit_s") is None]
+        declared = [n for n in nodes if isinstance(n, dict)]
+        group_level = [n.get("group") for n in declared if n.get("limit_s") is None]
         for group in sorted(g for g in jobs if g not in group_level):
             errs.error("power_templates", f"no group-level template for {group!r}")
     if requests and tokens and requests != tokens:

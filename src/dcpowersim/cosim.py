@@ -337,8 +337,8 @@ def generate_jobs(
         return [], np.empty(0)
     tz_doc = scenario.timezones
     plan = bundle.timezone_plan if tz_doc is None else TimezonePlan.from_doc(tz_doc)
-    rows: list[tuple[float, int, int, int, int, int, str]] = []
-    for g_index, group in enumerate(bundle.batch_groups):
+    rows: list[tuple[float, int, int, int, str]] = []
+    for group in bundle.batch_groups:
         arrivals = superpose_timezones(
             plan,
             bundle.daily_models[group],
@@ -350,13 +350,13 @@ def generate_jobs(
         )
         job_rng = substream(root_seed, "batch-jobs", group)
         model = bundle.job_models[group]
-        for k, ts in enumerate(arrivals):
+        for ts in arrivals:
             tl, gpus, runtime = sample_job(model, job_rng)
             runtime_s = max(1, min(int(round(runtime)), int(tl)))
-            rows.append((float(ts), g_index, k, runtime_s, int(tl), gpus, group))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+            rows.append((float(ts), runtime_s, int(tl), gpus, group))
+    rows.sort(key=lambda r: r[0])  # stable, so ties keep group, then arrival, order
     jobs = []
-    for job_id, (ts, _gi, _k, runtime_s, tl, gpus, group) in enumerate(rows):
+    for job_id, (ts, runtime_s, tl, gpus, group) in enumerate(rows):
         jobs.append(
             Job(
                 job_id=job_id,

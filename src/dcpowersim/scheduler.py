@@ -106,7 +106,6 @@ class PreemptionRecord:
     time_s: int
     job_id: int
     seg_index: int
-    started_s: int
 
 
 @dataclass(frozen=True)
@@ -332,10 +331,9 @@ class _Engine:
             for run_id, (seg, start) in self.running.items()
         ]
         for run_id in preempt_on_capacity_drop(active, self.usage, value):
-            seg_started = self.running[run_id][1]
             seg = self._finish_run(run_id, t, completed=False)
             self.trace.preemptions.append(
-                PreemptionRecord(t, seg.job.job_id, seg.seg_index, seg_started)
+                PreemptionRecord(t, seg.job.job_id, seg.seg_index)
             )
             self._enqueue(seg)
 

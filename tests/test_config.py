@@ -119,7 +119,89 @@ SINGLE_PROBLEMS = {
 }
 
 
+def _jobs_limit(doc, group):
+    return doc["batch_jobs"]["groups"][group]["time_limits"][0]
+
+
+def _no_edges_row(doc):
+    rows = doc["power_templates"]["runtime_bin_edges_log"]
+    rows.append({"group": "low", "limit_s": 3600, "gpus": 1})
+    assert len(rows) == 2
+
+
+# (edits to the default bundle, the problem lines they give: each entry is
+# checked and reports its first problem under its own location)
+PER_ENTRY_PROBLEMS = {
+    "A-batch-jobs": (
+        [
+            lambda d: _jobs_limit(d, "low").pop("limit_s"),
+            lambda d: _jobs_limit(d, "med")["gpus"][0].update(gpus=0),
+        ],
+        ["batch_jobs.groups.low: missing key 'limit_s'", "batch_jobs.groups.med: "],
+    ),
+    "B-inference-arrivals": (
+        [
+            lambda d: d["inference_arrivals"]["groups"]["Code"].update(dispersion="x"),
+            lambda d: d["inference_arrivals"]["groups"]["ConvQ1"].update(dispersion=-1),
+        ],
+        ["inference_arrivals.groups.Code: ", "inference_arrivals.groups.ConvQ1: "],
+    ),
+    "C-llm-templates": (
+        [
+            lambda d: d["llm_templates"]["templates"][0].update(max_batch="x"),
+            lambda d: d["llm_templates"]["templates"][1].update(rho_kw=-1),
+        ],
+        ["llm_templates.templates[0]: ", "llm_templates.templates[1]: "],
+    ),
+    "D-power-nodes": (
+        [
+            lambda d: d["power_templates"]["nodes"][0].update(ar1_phi="x"),
+            lambda d: d["power_templates"]["nodes"][1].update(ar1_phi=2),
+        ],
+        ["power_templates.nodes[0]: ", "power_templates.nodes[1]: "],
+    ),
+    "E-batch-arrivals": (
+        [
+            lambda d: d["batch_arrivals"]["groups"]["low"]["intraday"].update(
+                reference_hour="x"
+            ),
+            lambda d: d["batch_arrivals"]["groups"]["med"].update(dispersion=-1),
+        ],
+        ["batch_arrivals.groups.low: intraday: ", "batch_arrivals.groups.med: "],
+    ),
+    "F-tokens": (
+        [
+            lambda d: d["tokens"]["groups"]["Code"]["histogram"].update(x=1),
+            lambda d: d["tokens"]["groups"]["ConvQ1"].update(support_max=0),
+        ],
+        ["tokens.groups.Code: ", "tokens.groups.ConvQ1: "],
+    ),
+    "G-bin-edges": (
+        [_no_edges_row],
+        ["power_templates.runtime_bin_edges_log[1]: missing key 'edges'"],
+    ),
+    "two-tokens-outside-support": (
+        [lambda d: d["tokens"]["groups"]["Code"]["histogram"].update({"0": 1, "9999": 1})],
+        ["tokens.groups.Code: token "],
+    ),
+}
+
+
 class TestCrossReferences:
+    @pytest.mark.parametrize("case", sorted(PER_ENTRY_PROBLEMS))
+    def test_each_entry_reports_its_first_problem(self, case):
+        edits, starts = PER_ENTRY_PROBLEMS[case]
+        doc = default_bundle_doc()
+        for edit in edits:
+            edit(doc)
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        header, *problems = str(err.value).splitlines()
+        assert header == "invalid configuration:"
+        assert len(problems) == len(starts), problems
+        for problem, start in zip(problems, starts):
+            assert problem.startswith(start), problems
+
     @pytest.mark.parametrize("case", sorted(SINGLE_PROBLEMS))
     def test_failed_group_is_reported_once(self, case):
         edit, where = SINGLE_PROBLEMS[case]
@@ -235,6 +317,15 @@ class TestFieldValidation:
             load_bundle(doc)
         assert str(err.value).splitlines()[1:] == [
             "tokens.groups.req: dense histogram length must equal support_max"
+        ]
+
+    def test_negative_histogram_count_names_its_group(self):
+        doc = default_bundle_doc()
+        doc["tokens"]["groups"]["ConvQ1"]["histogram"]["5"] = -1
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [
+            "tokens.groups.ConvQ1: histogram counts must be nonnegative"
         ]
 
     def test_bad_calendar_epoch(self):
