@@ -3,18 +3,20 @@
 All calibrated model parameters arrive through one JSON bundle. The loader
 builds typed model objects for every section and checks every entry (a
 group, a power template node, a bin-edges row, a serving template); each bad
-entry reports its first problem under its location, and all of them are
-raised together. The bundle is stamped with a canonical content hash used by
-output manifests.
+entry reports its first problem under its location, as does each NaN, and
+all of them are raised together. The bundle is stamped with a canonical
+content hash used by output manifests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -109,8 +111,9 @@ _INPUT_ERRORS = (ConfigurationError, ValueError, KeyError, TypeError, AttributeE
 
 
 class _Collector:
-    def __init__(self) -> None:
-        self.problems: list[str] = []
+    def __init__(self, nan_paths: list[str]) -> None:
+        self.nan_paths = nan_paths
+        self.problems = [f"{where}: NaN is not allowed" for where in nan_paths]
 
     def error(self, where: str, message: str) -> None:
         self.problems.append(f"{where}: {message}")
@@ -121,9 +124,12 @@ class _Collector:
         try:
             return fn(*args)
         except KeyError as exc:
-            self.error(where, f"missing key {exc.args[0]!r}")
+            message = f"missing key {exc.args[0]!r}"
         except _INPUT_ERRORS as exc:
-            self.error(where, str(exc))
+            message = str(exc)
+        # a NaN inside ``where`` (int(nan) raises) has its own line already
+        if not any(p.startswith((f"{where}.", f"{where}[")) for p in self.nan_paths):
+            self.error(where, message)
 
     def groups(self, section: str, doc: dict, fn, *args) -> dict:
         """``fn(name, group_doc, *args)`` for each of the section's groups in
@@ -399,16 +405,38 @@ def _declared(section: dict) -> set:
     return set(groups) if isinstance(groups, dict) else set()
 
 
+def _nan_paths(doc: dict | list, where: str = "") -> Iterator[str]:
+    """The location of each NaN in ``doc``: json.load reads one from a bare
+    ``NaN``, and every range check would let it through."""
+    values = doc.values() if isinstance(doc, dict) else doc
+    try:
+        if not any(map(math.isnan, values)):
+            return  # all numbers, none NaN: the common case, checked in C
+    except (TypeError, OverflowError):
+        pass  # holds strings, containers or huge ints: look at each entry
+    entries = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in entries:
+        if isinstance(doc, list):
+            at = f"{where}[{key}]"
+        else:
+            at = f"{where}.{key}" if where else str(key)
+        if isinstance(value, (dict, list)):
+            yield from _nan_paths(value, at)
+        elif isinstance(value, float) and math.isnan(value):
+            yield at
+
+
 def load_bundle(source: dict | str | Path) -> ModelBundle:
     """Build a validated :class:`ModelBundle` from a JSON document or path.
 
     Every entry is checked, and each bad entry reports its first problem
-    on one line under its location, all in one :class:`ConfigurationError`.
+    on one line under its location; each NaN in the document is reported
+    under its own path. All of them go in one :class:`ConfigurationError`.
     """
     raw = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
         raise ConfigurationError("bundle: expected a JSON object")
-    errs = _Collector()
+    errs = _Collector(list(_nan_paths(raw)))
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         errs.error("bundle", f"schema_version must be {SCHEMA_VERSION}, got {version!r}")

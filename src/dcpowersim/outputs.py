@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -62,16 +63,53 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+# rows rendered and written per chunk, so memory stays flat as files grow
+_CHUNK_ROWS = 2048
+
+# how fmt renders a cell of each type, for columns of one type
+_RENDER_BY_TYPE = {bool: ("0", "1").__getitem__, int: str, float: FLOAT_FMT.__mod__}
+
+
+def _quote(text: str) -> str:
+    """``text`` as csv.writer writes it as one field of a row of several
+    (a row of one lone empty field would be written ``""`` instead)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _render(column: Sequence) -> Iterable[str]:
+    """Each cell of ``column`` as it appears in the file, rendered by ``fmt``."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    types = set(map(type, cells))
+    render = _RENDER_BY_TYPE.get(next(iter(types))) if len(types) == 1 else None
+    if render is not None:
+        return map(render, cells)
+    # labels and mixed cells: each distinct text is quoted once
+    texts = cells if types == {str} else [fmt(cell) for cell in cells]
+    quoted = {text: _quote(text) for text in set(texts)}
+    return map(quoted.__getitem__, texts)
+
+
+def _write_columns(
+    path: Path | str, header: Sequence[str], columns: Sequence[Sequence]
+) -> None:
+    """Write a CSV of equal-length ``columns`` (arrays, ranges or lists;
+    none for a file with no rows).
+
+    Cells come out as ``fmt`` and csv.writer would write them row by row;
+    every file here has at least two columns, so an empty cell is empty.
+    """
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(cell) for cell in row])
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [_render(col[start : start + _CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
-    rows = zip(
+    columns = (
         range(result.scenario.horizon_minutes),
         result.p_total_kw,
         result.p_batch_kw,
@@ -79,7 +117,7 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
         result.g_inf,
         result.busy_batch,
     )
-    write_rows(path, SERIES_COLUMNS, rows)
+    _write_columns(path, SERIES_COLUMNS, columns)
 
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
@@ -95,7 +133,7 @@ def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
 
 
 def write_arrivals_csv(path: Path | str, times: np.ndarray, groups: Sequence[str]) -> None:
-    write_rows(path, ARRIVALS_COLUMNS, zip(times, groups))
+    _write_columns(path, ARRIVALS_COLUMNS, (times, groups))
 
 
 def write_requests_csv(
@@ -105,38 +143,37 @@ def write_requests_csv(
     templates: Sequence[str],
     tokens: np.ndarray,
 ) -> None:
-    write_rows(path, REQUESTS_COLUMNS, zip(times, groups, templates, tokens))
+    _write_columns(path, REQUESTS_COLUMNS, (times, groups, templates, tokens))
+
+
+def _attributes(items: Sequence, names: Sequence[str]) -> list[list]:
+    """One column per attribute name, holding that attribute of every item."""
+    return [[getattr(item, name) for item in items] for name in names]
 
 
 def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:
-    rows = (
-        (j.job_id, j.arrival_s, j.gpu, j.runtime_s, j.time_limit_s, j.group)
-        for j in jobs
-    )
-    write_rows(path, JOBS_COLUMNS, rows)
+    names = ("job_id", "arrival_s", "gpu", "runtime_s", "time_limit_s", "group")
+    _write_columns(path, JOBS_COLUMNS, _attributes(jobs, names))
 
 
 def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:
-    rows = (
-        (r.seg_index, r.job_id, r.start_s, r.end_s, r.gpu, r.completed)
-        for r in trace.runs
-    )
-    write_rows(path, TRACE_COLUMNS, rows)
+    names = ("seg_index", "job_id", "start_s", "end_s", "gpu", "completed")
+    _write_columns(path, TRACE_COLUMNS, _attributes(trace.runs, names))
 
 
 def write_job_power_csv(
     path: Path | str, traces: Iterable[tuple[int, np.ndarray]]
 ) -> None:
-    rows = (
-        (job_id, minute, float(kw))
-        for job_id, series in traces
-        for minute, kw in enumerate(series)
-    )
-    write_rows(path, JOB_POWER_COLUMNS, rows)
+    pieces = [
+        (np.full(len(kw), job_id), np.arange(len(kw)), np.asarray(kw, dtype=float))
+        for job_id, kw in traces
+    ]
+    columns = [np.concatenate(col) for col in zip(*pieces)]
+    _write_columns(path, JOB_POWER_COLUMNS, columns)
 
 
 def write_busy_csv(path: Path | str, busy: np.ndarray) -> None:
-    write_rows(path, BUSY_COLUMNS, zip(range(len(busy)), busy))
+    _write_columns(path, BUSY_COLUMNS, (range(len(busy)), busy))
 
 
 def write_detail_csv(
@@ -145,16 +182,16 @@ def write_detail_csv(
     """Per-minute, per-template serving detail in minute-major order."""
     s = result.serving
     n_minutes = result.scenario.horizon_minutes
-    rows = zip(
+    columns = (
         np.repeat(np.arange(n_minutes), len(template_ids)),
         list(template_ids) * n_minutes,
         *(m.T.ravel() for m in (s.conc, s.conc_cap, s.gpus, s.power_kw, s.unmet)),
     )
-    write_rows(path, DETAIL_COLUMNS, rows)
+    _write_columns(path, DETAIL_COLUMNS, columns)
 
 
 def write_sweep_csv(path: Path | str, rows: Sequence[Sequence]) -> None:
-    write_rows(path, SWEEP_COLUMNS, rows)
+    _write_columns(path, SWEEP_COLUMNS, list(zip(*rows)))
 
 
 def file_sha256(path: Path | str) -> str:

@@ -8,12 +8,25 @@ No command of the package runs any of it.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from dcpowersim.outputs import (
+    ARRIVALS_COLUMNS,
+    BUSY_COLUMNS,
+    DETAIL_COLUMNS,
+    JOB_POWER_COLUMNS,
+    JOBS_COLUMNS,
+    REQUESTS_COLUMNS,
+    SERIES_COLUMNS,
+    SWEEP_COLUMNS,
+    TRACE_COLUMNS,
+    fmt,
+)
 from dcpowersim.scheduler import CapacityTimeline
 
 MINUTES_PER_DAY = 1_440
@@ -294,3 +307,94 @@ def ols_closed_form(xs, ys) -> tuple[float, float]:
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, my - slope * mx
+
+
+# The CSV writers as one csv.writer row per file row, with fmt on every cell:
+# the package's former writers, kept as the reference for its columnar one.
+
+
+def write_rows(path, header, rows) -> None:
+    """The per-row CSV writer: csv.writer, with ``fmt`` on every cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(cell) for cell in row])
+
+
+def rows_series_csv(path, result) -> None:
+    rows = zip(
+        range(result.scenario.horizon_minutes),
+        result.p_total_kw,
+        result.p_batch_kw,
+        result.p_inf_kw,
+        result.g_inf,
+        result.busy_batch,
+    )
+    write_rows(path, SERIES_COLUMNS, rows)
+
+
+def rows_arrivals_csv(path, times, groups) -> None:
+    write_rows(path, ARRIVALS_COLUMNS, zip(times, groups))
+
+
+def rows_requests_csv(path, times, groups, templates, tokens) -> None:
+    write_rows(path, REQUESTS_COLUMNS, zip(times, groups, templates, tokens))
+
+
+def rows_jobs_csv(path, jobs) -> None:
+    rows = (
+        (j.job_id, j.arrival_s, j.gpu, j.runtime_s, j.time_limit_s, j.group)
+        for j in jobs
+    )
+    write_rows(path, JOBS_COLUMNS, rows)
+
+
+def rows_trace_csv(path, trace) -> None:
+    rows = (
+        (r.seg_index, r.job_id, r.start_s, r.end_s, r.gpu, r.completed)
+        for r in trace.runs
+    )
+    write_rows(path, TRACE_COLUMNS, rows)
+
+
+def rows_job_power_csv(path, traces) -> None:
+    rows = (
+        (job_id, minute, float(kw))
+        for job_id, series in traces
+        for minute, kw in enumerate(series)
+    )
+    write_rows(path, JOB_POWER_COLUMNS, rows)
+
+
+def rows_busy_csv(path, busy) -> None:
+    write_rows(path, BUSY_COLUMNS, zip(range(len(busy)), busy))
+
+
+def rows_detail_csv(path, result, template_ids) -> None:
+    s = result.serving
+    n_minutes = result.scenario.horizon_minutes
+    rows = zip(
+        np.repeat(np.arange(n_minutes), len(template_ids)),
+        list(template_ids) * n_minutes,
+        *(m.T.ravel() for m in (s.conc, s.conc_cap, s.gpus, s.power_kw, s.unmet)),
+    )
+    write_rows(path, DETAIL_COLUMNS, rows)
+
+
+def rows_sweep_csv(path, rows) -> None:
+    write_rows(path, SWEEP_COLUMNS, rows)
+
+
+# each package CSV writer by name, as one csv.writer row per file row
+ROW_WRITERS = {
+    "write_series_csv": rows_series_csv,
+    "write_arrivals_csv": rows_arrivals_csv,
+    "write_requests_csv": rows_requests_csv,
+    "write_jobs_csv": rows_jobs_csv,
+    "write_trace_csv": rows_trace_csv,
+    "write_job_power_csv": rows_job_power_csv,
+    "write_busy_csv": rows_busy_csv,
+    "write_detail_csv": rows_detail_csv,
+    "write_sweep_csv": rows_sweep_csv,
+}

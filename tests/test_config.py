@@ -187,6 +187,64 @@ PER_ENTRY_PROBLEMS = {
 }
 
 
+NAN = float("nan")
+
+# a NaN (json.load reads a bare NaN) and the location it is reported under
+NAN_VALUES = {
+    "histogram-count": (
+        lambda d: d["tokens"]["groups"]["Code"]["histogram"].update({"40": NAN}),
+        "tokens.groups.Code.histogram.40",
+    ),
+    "dispersion": (
+        lambda d: d["inference_arrivals"]["groups"]["Code"].update(dispersion=NAN),
+        "inference_arrivals.groups.Code.dispersion",
+    ),
+    "rho-kw": (
+        lambda d: d["llm_templates"]["templates"][0].update(rho_kw=NAN),
+        "llm_templates.templates[0].rho_kw",
+    ),
+    # int(nan) raises in the group's loader; that is not a second line
+    "integer-limit": (
+        lambda d: d["batch_jobs"]["groups"]["low"]["time_limits"][0].update(limit_s=NAN),
+        "batch_jobs.groups.low.time_limits[0].limit_s",
+    ),
+}
+
+
+class TestNaN:
+    @pytest.mark.parametrize("case", sorted(NAN_VALUES))
+    def test_nan_is_reported_at_its_path(self, case):
+        edit, where = NAN_VALUES[case]
+        doc = default_bundle_doc()
+        edit(doc)
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [f"{where}: NaN is not allowed"]
+
+    def test_every_nan_and_every_other_problem_reported(self):
+        doc = default_bundle_doc()
+        for edit, _ in NAN_VALUES.values():
+            edit(doc)
+        doc["inference_arrivals"]["groups"]["ConvQ1"]["dispersion"] = -1
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        problems = str(err.value).splitlines()[1:]
+        assert sorted(problems) == sorted(
+            [f"{where}: NaN is not allowed" for _, where in NAN_VALUES.values()]
+            + ["inference_arrivals.groups.ConvQ1: group 'ConvQ1': "
+               "dispersion must be nonnegative"]
+        )
+
+    def test_nan_in_a_list_names_its_index(self):
+        doc = default_bundle_doc()
+        doc["power_templates"]["nodes"][0]["minute_mean"][3] = NAN
+        with pytest.raises(ConfigurationError) as err:
+            load_bundle(doc)
+        assert str(err.value).splitlines()[1:] == [
+            "power_templates.nodes[0].minute_mean[3]: NaN is not allowed"
+        ]
+
+
 class TestCrossReferences:
     @pytest.mark.parametrize("case", sorted(PER_ENTRY_PROBLEMS))
     def test_each_entry_reports_its_first_problem(self, case):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dcpowersim import cli, outputs, sweep
 from dcpowersim.cli import main
 from dcpowersim.config import canonical_hash, load_bundle
 from dcpowersim.cosim import run_hybrid
@@ -22,6 +23,7 @@ from dcpowersim.outputs import (
 )
 from dcpowersim.sweep import expand_grid, summarize
 
+from oracles import ROW_WRITERS
 from test_cosim import tiny_doc
 
 
@@ -175,6 +177,28 @@ class TestSimulateCommand:
         for name in ("series.csv", "busy.csv", "trace.csv", "jobs.csv",
                      "requests.csv", "detail.csv", "metrics.json", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_trace_rows_keyed_as_readme_says(self, tmp_path, cfg_path):
+        scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1,
+                              share_target=0.5, utilization_target=0.75)
+        out = tmp_path / "key"
+        assert main(["simulate", "--config", cfg_path, "--scenario", scen,
+                     "--out", str(out), "--seed", "5"]) == 0
+        with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
+            rows = [{k: int(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        runs: dict[tuple, list] = {}
+        for row in rows:
+            runs.setdefault((row["job_id"], row["segment_id"]), []).append(row)
+        assert len(runs) < len(rows)  # preempted segments ran again
+        keys = {(r["job_id"], r["segment_id"], r["start_s"]) for r in rows}
+        assert len(keys) == len(rows)
+        by_job: dict[int, set] = {}
+        for (job_id, segment_id), seg_runs in runs.items():
+            by_job.setdefault(job_id, set()).add(segment_id)
+            done = [r for r in seg_runs if r["completed"]]
+            last = max(seg_runs, key=lambda r: r["start_s"])
+            assert done in ([], [last])
+        assert all(ids == set(range(len(ids))) for ids in by_job.values())
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = tiny_doc()
@@ -363,6 +387,120 @@ class TestSweepCommand:
         assert cells["error"].startswith("ConfigurationError: cap_mode 'uncapped'")
         blank = set(header) - set(filled) - {"error"}
         assert {c: cells[c] for c in blank} == dict.fromkeys(blank, "")
+
+
+def awkward_names_doc() -> dict:
+    """The tiny bundle with a comma and a double quote in its group names and
+    template id, so csv quotes those cells."""
+    text = json.dumps(tiny_doc())
+    for old, new in (("tiny", 'ti,ny "b"'), ("req", 're"q,\nx'), ("T", 'T,"1"')):
+        text = text.replace(json.dumps(old), json.dumps(new))
+    return json.loads(text)
+
+
+def multi_line_failure(bundle, scenario):
+    """Stands in for run_hybrid: fails at share 0.5, with an error text that
+    spans lines and holds a comma and a double quote."""
+    if scenario.share_target == 0.5:
+        raise RuntimeError('first line, "quoted"\nsecond line')
+    return run_hybrid(bundle, scenario)
+
+
+def test_row_reference_covers_every_csv_writer():
+    names = {n for n in dir(outputs) if n.startswith("write_") and n.endswith("_csv")}
+    assert set(ROW_WRITERS) == names
+
+
+class TestWritersMatchRowReference:
+    """Every package CSV writer writes the bytes of the per-row reference in
+    oracles.py, over one chunk and over many."""
+
+    @pytest.fixture(params=[None, 3], ids=["one_chunk", "chunks_of_3"], autouse=True)
+    def chunk_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(outputs, "_CHUNK_ROWS", request.param)
+
+    def both(self, monkeypatch, tmp_path, argv) -> dict[str, bytes]:
+        """Run ``argv`` with the package writers and with the reference ones;
+        the two output trees must be equal, manifest.json included."""
+        trees = []
+        for name, writers in (("columnar", {}), ("reference", ROW_WRITERS)):
+            out = tmp_path / name
+            with monkeypatch.context() as m:
+                for attr, writer in writers.items():
+                    for module in (cli, sweep):
+                        if hasattr(module, attr):
+                            m.setattr(module, attr, writer)
+                main(argv + ["--out", str(out)])
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1]
+        return trees[0]
+
+    def simulate(self, monkeypatch, tmp_path, doc, share) -> dict[str, bytes]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        scen = write_scenario(
+            tmp_path, total_gpus=4, horizon_days=1, utilization_target=0.75,
+            share_target=share,
+        )
+        argv = ["simulate", "--config", str(cfg), "--scenario", scen, "--seed", "5"]
+        return self.both(monkeypatch, tmp_path, argv)
+
+    def test_simulate(self, monkeypatch, tmp_path):
+        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 0.5)
+        assert all(tree[name].count(b"\n") > 4 for name in tree if name.endswith(".csv"))
+        completed = {row.rsplit(b",", 1)[1] for row in tree["trace.csv"].splitlines()[1:]}
+        assert completed == {b"0", b"1"}
+
+    def test_share_zero_writes_no_requests(self, monkeypatch, tmp_path):
+        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 0.0)
+        assert tree["requests.csv"] == b"timestamp_s,group,template,tokens\n"
+
+    def test_share_one_writes_no_jobs(self, monkeypatch, tmp_path):
+        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 1.0)
+        assert tree["jobs.csv"].count(b"\n") == 1
+        assert tree["trace.csv"].count(b"\n") == 1
+
+    def test_quoted_names(self, monkeypatch, tmp_path):
+        tree = self.simulate(monkeypatch, tmp_path, awkward_names_doc(), 0.5)
+        assert b'"ti,ny ""b"""' in tree["jobs.csv"]
+        assert b'"re""q,\nx","T,""1"""' in tree["requests.csv"]
+
+    @pytest.mark.parametrize("days", [0, 1])
+    def test_generate_batch(self, monkeypatch, tmp_path, cfg_path, days):
+        scen = write_scenario(tmp_path, total_gpus=4, horizon_days=days)
+        argv = ["generate", "batch", "--config", cfg_path, "--scenario", scen,
+                "--seed", "1"]
+        tree = self.both(monkeypatch, tmp_path, argv)
+        names = ("arrivals.csv", "jobs.csv", "job_power.csv")
+        lines = [tree[name].count(b"\n") for name in names]
+        if days == 0:
+            assert lines == [1, 1, 1]  # header only
+        else:
+            assert min(lines) > 4
+
+    def test_empty_sweep(self, monkeypatch, tmp_path, cfg_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"shares": [], "seeds": [1]}))
+        argv = ["sweep", "--config", cfg_path, "--scenario", str(grid)]
+        tree = self.both(monkeypatch, tmp_path, argv)
+        assert tree["sweep.csv"] == (",".join(SWEEP_COLUMNS) + "\n").encode()
+
+    def test_sweep_with_empty_cells_and_multi_line_error(
+        self, monkeypatch, tmp_path, cfg_path
+    ):
+        monkeypatch.setattr(sweep, "run_hybrid", multi_line_failure)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "shares": [0.0, 0.5, 1.0], "seeds": [1],
+            "scenario": {"total_gpus": 4, "horizon_days": 1, "utilization_target": 0.25},
+        }))
+        argv = ["sweep", "--config", cfg_path, "--scenario", str(grid)]
+        tree = self.both(monkeypatch, tmp_path, argv)
+        reader = csv.DictReader(tree["sweep.csv"].decode().splitlines(True))
+        by_share = {row["share_target"]: row for row in reader}
+        assert by_share["0"]["cov_inf"] == ""
+        assert by_share["0.5"]["error"] == 'RuntimeError: first line, "quoted"\nsecond line'
 
 
 # stands for an input path that is a directory, not a file
