@@ -42,6 +42,7 @@ from .scheduler import (
     Job,
     ScheduleTrace,
     accumulate_intervals,
+    checkpoint_step,
     schedule,
 )
 from .seeds import derive_seed, substream
@@ -385,6 +386,11 @@ def job_power_trace(bundle: ModelBundle, job: Job, root_seed: int) -> np.ndarray
     )
 
 
+# job-minute pieces added up per accumulate_intervals call, so the
+# transient arrays stay small at cluster scale
+_CHUNK_PIECES = 8192
+
+
 def _batch_power_series(
     bundle: ModelBundle,
     scenario: Scenario,
@@ -397,31 +403,100 @@ def _batch_power_series(
     A job's power trajectory is indexed by job time. A segment run at
     index k resumes the trajectory at k full checkpoint intervals, so a
     preempted and rerun segment replays its own stretch of the curve.
+
+    Runs are added up in the order of their job in ``jobs``, then in their
+    order in ``trace.runs``, and every minute receives its additions in that
+    order; floating-point sums depend on it.
     """
-    n_minutes = scenario.horizon_minutes
-    out = np.zeros(n_minutes)
-    runs_by_job: dict[int, list] = {}
-    for run in trace.runs:
-        runs_by_job.setdefault(run.job_id, []).append(run)
-    step = 0 if math.isinf(scenario.ckpt_seconds) else int(scenario.ckpt_seconds)
-    for job in jobs:
-        runs = runs_by_job.get(job.job_id)
-        if not runs:
-            continue
-        series = job_power_trace(bundle, job, root_seed)
-        for run in runs:
-            offset = run.seg_index * step
-            span = run.end_s - run.start_s
-            if span <= 0:
-                continue
-            jt0, jt1 = offset, offset + span
-            first_edge = (jt0 // 60 + 1) * 60
-            inner = np.arange(first_edge, jt1, 60, dtype=np.int64)
-            edges = np.concatenate(([jt0], inner, [jt1]))
-            minute_idx = np.minimum(edges[:-1] // 60, len(series) - 1)
-            values = series[minute_idx]
-            wall = run.start_s + (edges - jt0)
-            accumulate_intervals(wall[:-1], wall[1:], values, n_minutes, out=out)
+    out = np.zeros(scenario.horizon_minutes)
+    if not trace.runs:
+        return out
+    position = {job.job_id: i for i, job in enumerate(jobs)}
+    run_pos = np.array([position[run.job_id] for run in trace.runs], dtype=np.int64)
+    order = np.argsort(run_pos, kind="stable")
+    with_runs = np.unique(run_pos)
+    traces = [job_power_trace(bundle, jobs[i], root_seed) for i in with_runs]
+    lengths = np.array([len(t) for t in traces], dtype=np.int64)
+
+    def column(attr: str) -> np.ndarray:
+        values = [getattr(run, attr) for run in trace.runs]
+        return np.array(values, dtype=np.int64)[order]
+
+    return _add_run_power(
+        np.concatenate(traces),
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.searchsorted(with_runs, run_pos[order]),
+        column("seg_index"),
+        column("start_s"),
+        column("end_s"),
+        checkpoint_step(scenario.ckpt_seconds),
+        out,
+    )
+
+
+def _add_run_power(
+    power: np.ndarray,
+    job_offset: np.ndarray,
+    job_len: np.ndarray,
+    run_job: np.ndarray,
+    run_seg: np.ndarray,
+    run_start: np.ndarray,
+    run_end: np.ndarray,
+    step: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Add each run's stretch of its job's power trace into ``out``.
+
+    Job ``j``'s trace is ``power[job_offset[j]:][:job_len[j]]``, one value
+    per started job minute. Run ``r`` plays job ``run_job[r]`` from job time
+    ``run_seg[r] * step`` over the wall seconds [run_start, run_end), with
+    ``run_start >= 0``; what lies past the end of ``out`` is dropped. Each
+    run is cut at job-minute edges into pieces of at most 60 s, and a piece
+    crossing a wall-minute edge is split into its two one-minute parts.
+    Per run, single-minute pieces come first, then first parts, then last
+    parts, runs in the given order: the order in which one multi-minute
+    ``accumulate_intervals`` call per run adds them.
+    """
+    n_minutes = len(out)
+    run_end = np.minimum(run_end, n_minutes * 60)
+    keep = run_end > run_start
+    run_job, run_seg, run_start, run_end = (
+        a[keep] for a in (run_job, run_seg, run_start, run_end)
+    )
+    jt0 = run_seg * step
+    jt1 = jt0 + (run_end - run_start)
+    first_edge = (jt0 // 60 + 1) * 60
+    n_pieces = np.maximum((jt1 - first_edge + 59) // 60, 0) + 1
+    first_piece = np.cumsum(n_pieces) - n_pieces
+    # a run larger than a chunk is a chunk of its own
+    starts = np.flatnonzero(np.diff(first_piece // _CHUNK_PIECES, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], len(first_piece)]):
+        run = np.repeat(np.arange(lo, hi), n_pieces[lo:hi])
+        piece = np.arange(len(run)) + first_piece[lo] - first_piece[run]
+        edge = first_edge[run] + 60 * (piece - 1)
+        edge0 = np.where(piece == 0, jt0[run], edge)
+        edge1 = np.where(piece == n_pieces[run] - 1, jt1[run], edge + 60)
+        job = run_job[run]
+        minute = np.minimum(jt0[run] // 60 + piece, job_len[job] - 1)
+        values = power[job_offset[job] + minute]
+        s = run_start[run] + (edge0 - jt0[run])
+        e = run_start[run] + (edge1 - jt0[run])
+        ms, me = s // 60, (e - 1) // 60
+        single = ms == me
+        multi = ~single
+        cut = me[multi] * 60
+        part_order = np.argsort(
+            np.concatenate((3 * run[single], 3 * run[multi] + 1, 3 * run[multi] + 2)),
+            kind="stable",
+        )
+        accumulate_intervals(
+            np.concatenate((s[single], s[multi], cut))[part_order],
+            np.concatenate((e[single], cut, e[multi]))[part_order],
+            np.concatenate((values[single], values[multi], values[multi]))[part_order],
+            n_minutes,
+            out=out,
+        )
     return out
 
 

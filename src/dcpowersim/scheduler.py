@@ -30,6 +30,12 @@ _EV_CAPACITY = 1
 _EV_ARRIVAL = 2
 
 
+def checkpoint_step(ckpt_s: float) -> int:
+    """Job seconds between the starts of consecutive segments, so segment k
+    resumes the job at ``k * step``; 0 when the job never checkpoints."""
+    return 0 if math.isinf(ckpt_s) else int(ckpt_s)
+
+
 def segment_job(runtime_s: int, ckpt_s: float) -> list[int]:
     """Split a realized runtime into checkpoint segments.
 
@@ -41,9 +47,9 @@ def segment_job(runtime_s: int, ckpt_s: float) -> list[int]:
         raise ValueError("runtime must be positive")
     if not ckpt_s >= 1:
         raise ValueError(f"checkpoint interval must be at least 1 second, got {ckpt_s}")
-    if math.isinf(ckpt_s) or ckpt_s >= runtime_s:
+    step = checkpoint_step(ckpt_s)
+    if step == 0 or step >= runtime_s:
         return [int(runtime_s)]
-    step = int(ckpt_s)
     n_full, rem = divmod(int(runtime_s), step)
     segments = [step] * n_full
     if rem:
@@ -185,7 +191,12 @@ def accumulate_intervals(
 ) -> np.ndarray:
     """Add ``value * overlap_seconds / 60`` of each [start, end) interval
     into a per-minute series of length ``n_minutes``, reusing ``out`` when
-    given."""
+    given.
+
+    ``out`` lets a caller add batches of intervals one after another into
+    the same cells, as batch power does per chunk of runs: summing each
+    batch into its own series and adding those would change the order of
+    the floating-point additions, and so the low bits."""
     if out is None:
         out = np.zeros(n_minutes)
     horizon = n_minutes * 60

@@ -27,7 +27,8 @@ from dcpowersim.outputs import (
     TRACE_COLUMNS,
     fmt,
 )
-from dcpowersim.scheduler import CapacityTimeline
+from dcpowersim.cosim import job_power_trace
+from dcpowersim.scheduler import CapacityTimeline, accumulate_intervals
 
 MINUTES_PER_DAY = 1_440
 
@@ -297,6 +298,56 @@ def service_window(
 def token_mean(dist) -> float:
     """Mean token count of a pmf on support {1..support_max}."""
     return sum((i + 1) * float(p) for i, p in enumerate(dist.pmf))
+
+
+# Batch power added up one segment run at a time: the package's former
+# loop, kept as the reference for its chunked pass over all runs.
+
+
+def add_one_run(series, jt0, start_s, end_s, n_minutes, out) -> None:
+    """Add one run, playing ``series`` from job second ``jt0`` over the wall
+    seconds [start_s, end_s), cut into pieces at job-minute edges."""
+    span = end_s - start_s
+    if span <= 0:
+        return
+    jt1 = jt0 + span
+    first_edge = (jt0 // 60 + 1) * 60
+    inner = np.arange(first_edge, jt1, 60, dtype=np.int64)
+    edges = np.concatenate(([jt0], inner, [jt1]))
+    minute_idx = np.minimum(edges[:-1] // 60, len(series) - 1)
+    values = series[minute_idx]
+    wall = start_s + (edges - jt0)
+    accumulate_intervals(wall[:-1], wall[1:], values, n_minutes, out=out)
+
+
+def batch_power_per_run(bundle, scenario, root_seed, jobs, trace) -> np.ndarray:
+    """``cosim._batch_power_series`` with one accumulate call per run."""
+    n_minutes = scenario.horizon_minutes
+    out = np.zeros(n_minutes)
+    runs_by_job: dict[int, list] = {}
+    for run in trace.runs:
+        runs_by_job.setdefault(run.job_id, []).append(run)
+    step = 0 if math.isinf(scenario.ckpt_seconds) else int(scenario.ckpt_seconds)
+    for job in jobs:
+        runs = runs_by_job.get(job.job_id)
+        if not runs:
+            continue
+        series = job_power_trace(bundle, job, root_seed)
+        for run in runs:
+            add_one_run(
+                series, run.seg_index * step, run.start_s, run.end_s, n_minutes, out
+            )
+    return out
+
+
+def add_run_power_per_run(
+    power, job_offset, job_len, run_job, run_seg, run_start, run_end, step, out
+) -> np.ndarray:
+    """``cosim._add_run_power`` with one accumulate call per run."""
+    for j, seg, start, end in zip(run_job, run_seg, run_start, run_end):
+        series = power[job_offset[j] : job_offset[j] + job_len[j]]
+        add_one_run(series, int(seg) * step, int(start), int(end), len(out), out)
+    return out
 
 
 def ols_closed_form(xs, ys) -> tuple[float, float]:

@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dcpowersim import cosim
 from dcpowersim.config import load_bundle
 from dcpowersim.cosim import (
     Scenario,
+    _add_run_power,
     _batch_power_series,
     _work_scales,
     flatten_requests,
@@ -16,7 +21,7 @@ from dcpowersim.cosim import (
     utilization,
 )
 from dcpowersim.errors import ConfigurationError
-from dcpowersim.scheduler import CapacityTimeline, schedule
+from dcpowersim.scheduler import CapacityTimeline, SegmentRun, schedule
 from dcpowersim.seeds import derive_seed
 from dcpowersim.serving import (
     allocate_budgets,
@@ -26,6 +31,8 @@ from dcpowersim.serving import (
     inference_power,
     service_windows,
 )
+
+from oracles import add_run_power_per_run, batch_power_per_run
 
 
 class TestWorkRatios:
@@ -438,3 +445,105 @@ class TestTinyCluster:
         assert sorted(res.trace.rejected_job_ids) == [j.job_id for j in res.jobs]
         assert not res.busy_batch.any()
         assert res.w_batch_offered_h == 0.0
+
+
+@pytest.fixture(scope="module")
+def ckpt_runs(bundle):
+    """Share 0.5 on 16 GPUs, so capacity drops preempt runs, per interval."""
+    runs = {}
+    for ckpt in (100.0, 900.0, math.inf):
+        scen = Scenario(
+            scenario_id="ckpt",
+            total_gpus=16,
+            horizon_days=3,
+            share_target=0.5,
+            utilization_target=0.75,
+            ckpt_seconds=ckpt,
+            seed=1,
+        )
+        runs[ckpt] = run_hybrid(bundle, scen)
+    return runs
+
+
+class TestBatchPowerMatchesPerRun:
+    """The chunked pass adds each minute's parts in the order of the per-run
+    loop in oracles.py, so the two agree to the bit, whatever the chunk."""
+
+    @pytest.fixture(
+        params=[None, 1, 3], ids=["default_chunk", "chunks_of_1", "chunks_of_3"],
+        autouse=True,
+    )
+    def chunk_pieces(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(cosim, "_CHUNK_PIECES", request.param)
+
+    def check(self, bundle, res, trace=None):
+        scen, jobs = res.scenario, res.jobs
+        trace = trace or res.trace
+        got = _batch_power_series(bundle, scen, scen.root_seed, jobs, trace)
+        want = batch_power_per_run(bundle, scen, scen.root_seed, jobs, trace)
+        assert got.any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_tiny_bundle(self, tiny_run):
+        bundle, _, res = tiny_run
+        self.check(bundle, res)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5])
+    def test_default_bundle(self, bundle, share_runs, share):
+        self.check(bundle, share_runs[share])
+
+    @pytest.mark.parametrize("ckpt", [100.0, 900.0, math.inf])
+    def test_checkpoint_interval(self, bundle, ckpt_runs, ckpt):
+        res = ckpt_runs[ckpt]
+        assert res.trace.preemptions
+        self.check(bundle, res)
+
+    def test_run_cut_at_horizon_and_empty_run(self, tiny_run):
+        bundle, scen, res = tiny_run
+        horizon = scen.horizon_minutes * 60
+        job = res.jobs[0]
+        extra = [
+            SegmentRun(job.job_id, 1, horizon - 90, horizon + 500, job.gpu, False),
+            SegmentRun(job.job_id, 0, 1234, 1234, job.gpu, False),
+        ]
+        self.check(bundle, res, replace(res.trace, runs=res.trace.runs + extra))
+
+
+@st.composite
+def run_tables(draw):
+    """Job traces and segment runs as plain arrays, starts off minute edges
+    and ends past the horizon included."""
+    n_minutes = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))
+    power = draw(st.lists(st.floats(0.0, 50.0), min_size=sum(lengths),
+                          max_size=sum(lengths)))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(lengths) - 1),
+                st.integers(0, 4),
+                st.integers(0, n_minutes * 60 + 120),
+                st.integers(0, 3000),
+            ),
+            max_size=12,
+        )
+    )
+    job, seg, start, span = np.array(runs, dtype=np.int64).reshape(-1, 4).T
+    lengths = np.array(lengths)
+    return (np.array(power), np.cumsum(lengths) - lengths, lengths, job, seg,
+            start, start + span, n_minutes)
+
+
+@given(
+    run_tables(),
+    st.sampled_from([0, 60, 100, 900, 3600]),
+    st.sampled_from([1, 3, 8192]),
+)
+@settings(max_examples=150, deadline=None)
+def test_add_run_power_matches_per_run(table, step, chunk):
+    *arrays, n_minutes = table
+    want = add_run_power_per_run(*arrays, step, np.zeros(n_minutes))
+    with mock.patch.object(cosim, "_CHUNK_PIECES", chunk):
+        got = _add_run_power(*arrays, step, np.zeros(n_minutes))
+    assert got.tobytes() == want.tobytes()

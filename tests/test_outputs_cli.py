@@ -200,6 +200,25 @@ class TestSimulateCommand:
             assert done in ([], [last])
         assert all(ids == set(range(len(ids))) for ids in by_job.values())
 
+    # series.csv digests recorded before batch power was added up in chunks;
+    # any change to the order of floating-point additions changes them
+    @pytest.mark.parametrize(
+        "ckpt, digest",
+        [
+            (100.0, "bd80451c90deef30c88471bb2ace13b4bec727a268fc1d20b2686a56d002431c"),
+            (float("inf"),
+             "b6b09f69b2735d79f4eae70e88f27dfa4fd5334c934d3d2c8e47ce7774991128"),
+        ],
+        ids=["ckpt_100", "ckpt_inf"],
+    )
+    def test_series_digest_pinned(self, tmp_path, cfg_path, ckpt, digest):
+        scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, share_target=0.5,
+                              utilization_target=0.75, ckpt_seconds=ckpt)
+        out = tmp_path / "pinned"
+        assert main(["simulate", "--config", cfg_path, "--scenario", scen,
+                     "--out", str(out), "--seed", "5"]) == 0
+        assert file_sha256(out / "series.csv") == digest
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = tiny_doc()
         doc["schema_version"] = 99
