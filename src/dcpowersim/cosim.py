@@ -26,7 +26,7 @@ from .batch_power import (
     synthesize_job_power,
 )
 from .config import ModelBundle
-from .distributions import sample_nb2
+from .distributions import CategoricalSampler, sample_nb2
 from .errors import ConfigurationError
 from .inference_arrivals import (
     MINUTES_PER_DAY,
@@ -276,8 +276,10 @@ def generate_requests(
     out: list[tuple[np.ndarray, np.ndarray, str, int]] = []
     if fi == 0.0:
         return out
-    dists = {
-        group: apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale)
+    samplers = {
+        group: CategoricalSampler(
+            apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
+        )
         for group in bundle.request_groups
     }
     for group in bundle.request_groups:
@@ -297,7 +299,7 @@ def generate_requests(
             counts = sample_nb2(mu_m, alpha_m, rng)
             times = place_in_minutes(counts, rng)
             tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
-            tokens = sample_tokens(dists[group], tokens_rng, size=times.size)
+            tokens = sample_tokens(samplers[group], tokens_rng, times.size)
             out.append((times, tokens, group, t_index))
     return out
 

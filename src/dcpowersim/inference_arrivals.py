@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_arrivals import SimCalendar
-from .distributions import sample_categorical
+from .distributions import CategoricalSampler
 from .errors import ConfigurationError
 
 MINUTES_PER_DAY = 1_440
@@ -223,7 +223,11 @@ def apply_verbosity(dist: TokenDistribution, scale: float) -> TokenDistribution:
 
 
 def sample_tokens(
-    dist: TokenDistribution, rng: np.random.Generator, size=None
+    sampler: CategoricalSampler, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Token counts drawn from the pmf (inverse CDF); values start at 1."""
-    return sample_categorical(dist.pmf, rng, size=size) + 1
+    """Token counts drawn through a token pmf's sampler; values start at 1.
+
+    Build the sampler once per ``TokenDistribution`` with
+    ``CategoricalSampler(dist.pmf)`` and reuse it for every draw.
+    """
+    return sampler.sample(rng, size) + 1

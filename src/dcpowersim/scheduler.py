@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,8 +261,11 @@ class _Engine:
     ) -> None:
         self.policy = policy
         self.trace = ScheduleTrace()
-        self.queue: list[tuple[tuple, _Segment]] = []
+        # (policy key, gpu, duration_s, segment), in key order
+        self.queue: list[tuple[tuple, int, int, _Segment]] = []
         self.running: dict[int, tuple[_Segment, int]] = {}  # serial -> (seg, start)
+        # (end, serial, gpu) of every running segment, in end order
+        self.ends: list[tuple[int, int, int]] = []
         self.usage = 0
         self.current_cap = capacity.value_at(0)
         self.serial = itertools.count()
@@ -285,36 +288,35 @@ class _Engine:
         heapq.heappush(self.heap, (time, kind, next(self.serial), payload))
 
     def _enqueue(self, seg: _Segment) -> None:
-        insort(self.queue, (_policy_key(self.policy, seg), seg))
+        key = _policy_key(self.policy, seg)
+        insort(self.queue, (key, seg.job.gpu, seg.duration_s, seg))
 
     def _start(self, seg: _Segment, t: int) -> None:
         run_id = next(self.serial)
+        end = t + seg.duration_s
         self.running[run_id] = (seg, t)
+        insort(self.ends, (end, run_id, seg.job.gpu))
         self.usage += seg.job.gpu
         self.trace.job_first_start.setdefault(seg.job.job_id, t)
-        self._push(t + seg.duration_s, _EV_COMPLETION, run_id)
+        self._push(end, _EV_COMPLETION, run_id)
 
     def _finish_run(self, run_id: int, end: int, completed: bool) -> _Segment:
         seg, start = self.running.pop(run_id)
+        del self.ends[bisect_left(self.ends, (start + seg.duration_s, run_id))]
         self.usage -= seg.job.gpu
         self.trace.runs.append(
             SegmentRun(seg.job.job_id, seg.seg_index, start, end, seg.job.gpu, completed)
         )
         return seg
 
-    def _reservation(self, t: int, gpu: int) -> float:
-        """Earliest start for a ``gpu``-wide segment under current capacity
-        and the known completion times of everything running."""
+    def _reservation(self, gpu: int) -> float:
+        """Earliest start for a ``gpu``-wide segment that does not fit now,
+        under current capacity and the known completion times of everything
+        running."""
         if gpu > self.current_cap:
             return math.inf
         free = self.current_cap - self.usage
-        if free >= gpu:
-            return t
-        ends = sorted(
-            (start + seg.duration_s, seg.job.gpu)
-            for seg, start in self.running.values()
-        )
-        for end, g in ends:
+        for end, _, g in self.ends:
             free += g
             if free >= gpu:
                 return end
@@ -349,31 +351,39 @@ class _Engine:
             self._enqueue(seg)
 
     def _pass(self, t: int) -> None:
-        while self.queue:
-            _, head = self.queue[0]
-            if head.job.gpu <= self.current_cap - self.usage:
-                self.queue.pop(0)
-                self._start(head, t)
-                continue
-            reservation = self._reservation(t, head.job.gpu)
-            i = 1
-            while i < len(self.queue):
-                _, seg = self.queue[i]
-                if (
-                    seg.job.gpu <= self.current_cap - self.usage
-                    and t + seg.duration_s <= reservation
-                ):
-                    self.queue.pop(i)
-                    self._start(seg, t)
-                    self.trace.backfills.append(
-                        BackfillRecord(
-                            t, seg.job.job_id, seg.seg_index,
-                            head.job.job_id, reservation,
-                        )
-                    )
-                else:
-                    i += 1
+        queue = self.queue
+        while queue and queue[0][1] <= self.current_cap - self.usage:
+            self._start(queue.pop(0)[3], t)
+        free = self.current_cap - self.usage
+        if not queue or free == 0:
             return
+        # The head is blocked, so it is wider than ``free`` and the scan
+        # passes over it. Later segments that fit now and end by the head's
+        # reservation start now, in queue order. Every segment needs at
+        # least one GPU, so the scan stops when none is left.
+        reservation = None
+        picks = []
+        for i, (_, gpu, duration, _) in enumerate(queue):
+            if gpu > free:
+                continue
+            if reservation is None:
+                reservation = self._reservation(queue[0][1])
+            if t + duration <= reservation:
+                picks.append(i)
+                free -= gpu
+                if free == 0:
+                    break
+        head = queue[0][3]
+        started = [queue[i][3] for i in picks]
+        for i in reversed(picks):
+            del queue[i]
+        for seg in started:
+            self._start(seg, t)
+            self.trace.backfills.append(
+                BackfillRecord(
+                    t, seg.job.job_id, seg.seg_index, head.job.job_id, reservation
+                )
+            )
 
     def run(self) -> ScheduleTrace:
         heap = self.heap

@@ -129,8 +129,10 @@ def run_sweep(
     bundle = load_bundle(raw_doc)
     scenarios = expand_grid(sweep_doc, dict(bundle.scenario_defaults))
     tasks = [(bundle, s, str(out_dir)) for s in scenarios]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # a fork-based pool starts every worker at the first submit
+    workers = min(parallel, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]

@@ -9,8 +9,11 @@ No command of the package runs any of it.
 from __future__ import annotations
 
 import csv
+import heapq
+import itertools
 import math
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,16 @@ from dcpowersim.outputs import (
     fmt,
 )
 from dcpowersim.cosim import job_power_trace
-from dcpowersim.scheduler import CapacityTimeline, accumulate_intervals
+from dcpowersim.scheduler import (
+    BackfillRecord,
+    CapacityTimeline,
+    PreemptionRecord,
+    ScheduleTrace,
+    SegmentRun,
+    accumulate_intervals,
+    preempt_on_capacity_drop,
+    segment_job,
+)
 
 MINUTES_PER_DAY = 1_440
 
@@ -209,6 +221,184 @@ def enumerate_admissible(
         if a not in deduped:
             deduped.append(a)
     return deduped
+
+
+# The scheduler with a full queue rescan and a fresh sort of the running
+# segments for each blocked head: the package's former engine, kept as the
+# reference whose every ScheduleTrace field ``scheduler.schedule`` must equal.
+
+
+@dataclass
+class _RefSegment:
+    job: object
+    seg_index: int
+    duration_s: int
+    is_last: bool
+
+
+def _segment_key(policy: str, seg: _RefSegment) -> tuple:
+    job = seg.job
+    if policy == "FCFS_BACKFILL":
+        return (job.arrival_s, job.job_id, seg.seg_index)
+    return (job.gpu, job.runtime_s, job.arrival_s, job.job_id, seg.seg_index)
+
+
+class _ReferenceEngine:
+    """Event loop over (time, kind, serial) with kinds completion, capacity
+    change, arrival; a full queue rescan and a fresh sort of every running
+    segment for each blocked head."""
+
+    def __init__(self, jobs, capacity: CapacityTimeline, policy: str, ckpt_s: float):
+        self.policy = policy
+        self.trace = ScheduleTrace()
+        self.queue: list[tuple[tuple, _RefSegment]] = []
+        self.running: dict[int, tuple[_RefSegment, int]] = {}
+        self.usage = 0
+        self.current_cap = capacity.value_at(0)
+        self.serial = itertools.count()
+        self.heap: list = []
+        self.segments_of: dict[int, list[int]] = {}
+        for job in jobs:
+            if job.gpu > capacity.max_value:
+                self.trace.rejected_job_ids.append(job.job_id)
+                continue
+            durations = segment_job(job.runtime_s, ckpt_s)
+            self.segments_of[job.job_id] = durations
+            first = _RefSegment(job, 0, durations[0], len(durations) == 1)
+            self._push(job.arrival_s, 2, first)
+        for t, value in capacity.change_points():
+            self._push(t, 1, value)
+
+    def _push(self, time: int, kind: int, payload) -> None:
+        heapq.heappush(self.heap, (time, kind, next(self.serial), payload))
+
+    def _enqueue(self, seg: _RefSegment) -> None:
+        insort(self.queue, (_segment_key(self.policy, seg), seg))
+
+    def _start(self, seg: _RefSegment, t: int) -> None:
+        run_id = next(self.serial)
+        self.running[run_id] = (seg, t)
+        self.usage += seg.job.gpu
+        self.trace.job_first_start.setdefault(seg.job.job_id, t)
+        self._push(t + seg.duration_s, 0, run_id)
+
+    def _finish_run(self, run_id: int, end: int, completed: bool) -> _RefSegment:
+        seg, start = self.running.pop(run_id)
+        self.usage -= seg.job.gpu
+        self.trace.runs.append(
+            SegmentRun(seg.job.job_id, seg.seg_index, start, end, seg.job.gpu, completed)
+        )
+        return seg
+
+    def _reservation(self, t: int, gpu: int) -> float:
+        if gpu > self.current_cap:
+            return math.inf
+        free = self.current_cap - self.usage
+        if free >= gpu:
+            return t
+        for end, g in sorted(
+            (start + seg.duration_s, seg.job.gpu) for seg, start in self.running.values()
+        ):
+            free += g
+            if free >= gpu:
+                return end
+        return math.inf
+
+    def _on_completion(self, run_id: int, t: int) -> None:
+        if run_id not in self.running:
+            return  # stale event for a preempted run
+        seg = self._finish_run(run_id, t, completed=True)
+        durations = self.segments_of[seg.job.job_id]
+        if seg.is_last:
+            self.trace.job_completion[seg.job.job_id] = t
+        else:
+            nxt = seg.seg_index + 1
+            self._enqueue(
+                _RefSegment(seg.job, nxt, durations[nxt], nxt == len(durations) - 1)
+            )
+
+    def _on_capacity(self, value: int, t: int) -> None:
+        self.current_cap = value
+        if self.usage <= value:
+            return
+        active = [
+            (start, seg.job.job_id, seg.seg_index, seg.job.gpu, run_id)
+            for run_id, (seg, start) in self.running.items()
+        ]
+        for run_id in preempt_on_capacity_drop(active, self.usage, value):
+            seg = self._finish_run(run_id, t, completed=False)
+            self.trace.preemptions.append(
+                PreemptionRecord(t, seg.job.job_id, seg.seg_index)
+            )
+            self._enqueue(seg)
+
+    def _pass(self, t: int) -> None:
+        while self.queue:
+            _, head = self.queue[0]
+            if head.job.gpu <= self.current_cap - self.usage:
+                self.queue.pop(0)
+                self._start(head, t)
+                continue
+            reservation = self._reservation(t, head.job.gpu)
+            i = 1
+            while i < len(self.queue):
+                _, seg = self.queue[i]
+                if (
+                    seg.job.gpu <= self.current_cap - self.usage
+                    and t + seg.duration_s <= reservation
+                ):
+                    self.queue.pop(i)
+                    self._start(seg, t)
+                    self.trace.backfills.append(
+                        BackfillRecord(
+                            t, seg.job.job_id, seg.seg_index,
+                            head.job.job_id, reservation,
+                        )
+                    )
+                else:
+                    i += 1
+            return
+
+    def run(self) -> ScheduleTrace:
+        while self.heap:
+            t = self.heap[0][0]
+            while self.heap and self.heap[0][0] == t:
+                _, kind, _, payload = heapq.heappop(self.heap)
+                if kind == 0:
+                    self._on_completion(payload, t)
+                elif kind == 1:
+                    self._on_capacity(payload, t)
+                else:
+                    self._enqueue(payload)
+            self._pass(t)
+        return self.trace
+
+
+def schedule_reference(
+    jobs,
+    capacity: CapacityTimeline,
+    policy: str = "FCFS_BACKFILL",
+    ckpt_s: float = math.inf,
+) -> ScheduleTrace:
+    """``scheduler.schedule`` with a full rescan and sort per blocked head."""
+    trace = _ReferenceEngine(jobs, capacity, policy, ckpt_s).run()
+    arrivals = {j.job_id: j.arrival_s for j in jobs}
+    trace.queue_delays = {
+        job_id: start - arrivals[job_id]
+        for job_id, start in trace.job_first_start.items()
+    }
+    return trace
+
+
+def sample_categorical(pmf, rng: np.random.Generator, size=None):
+    """Indices drawn from a pmf by binary search on the normalized cumulative
+    sum: the reference for ``distributions.CategoricalSampler``."""
+    cdf = np.cumsum(np.asarray(pmf, dtype=float))
+    if cdf[-1] <= 0:
+        raise ValueError("pmf has no mass")
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    return np.searchsorted(cdf, u, side="right")
 
 
 def brute_concurrency(

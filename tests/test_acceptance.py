@@ -17,7 +17,7 @@ from dcpowersim.batch_power import ar1_residuals
 from dcpowersim.cli import main
 from dcpowersim.config import load_bundle
 from dcpowersim.cosim import Scenario, inference_share, run_hybrid
-from dcpowersim.distributions import sample_nb2
+from dcpowersim.distributions import CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import apply_verbosity, sample_tokens
 from dcpowersim.metrics import cov, ramp_rate
 from dcpowersim.scheduler import Job, schedule, segment_job
@@ -354,7 +354,9 @@ def test_10_verbosity_identity(bundle, gate):
     unscaled = apply_verbosity(dist, 1.0)
     identity = np.array_equal(unscaled.pmf, dist.pmf)
     doubled = apply_verbosity(dist, 2.0)
-    draws = sample_tokens(doubled, substream(11, "acc-verbosity"), 10**6)
+    draws = sample_tokens(
+        CategoricalSampler(doubled.pmf), substream(11, "acc-verbosity"), 10**6
+    )
     target = 2.0 * token_mean(dist)
     rel = abs(float(draws.mean()) - target) / target
     gate(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcpowersim.batch_arrivals import SimCalendar
-from dcpowersim.distributions import sample_categorical, sample_nb2
+from dcpowersim.distributions import GUIDE_BUCKETS, CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import (
     MinuteRateModel,
     TokenDistribution,
@@ -19,7 +19,7 @@ from dcpowersim.inference_arrivals import (
 )
 from dcpowersim.seeds import substream
 
-from oracles import token_mean
+from oracles import sample_categorical, token_mean
 
 
 def _rate_model(table):
@@ -171,7 +171,8 @@ class TestVerbosity:
         dist = bundle.token_dists["ConvQ2"]
         for scale in (1.5, 2.0):
             scaled = apply_verbosity(dist, scale)
-            draws = sample_tokens(scaled, substream(8, "verb", str(scale)), 10**6)
+            sampler = CategoricalSampler(scaled.pmf)
+            draws = sample_tokens(sampler, substream(8, "verb", str(scale)), 10**6)
             assert draws.mean() == pytest.approx(scale * token_mean(dist), rel=0.05)
 
 
@@ -179,12 +180,12 @@ class TestTokenSampling:
     def test_point_mass(self):
         pmf = np.zeros(500)
         pmf[499] = 1.0
-        draws = sample_tokens(TokenDistribution(500, pmf), substream(1, "pm"), 100)
+        draws = sample_tokens(CategoricalSampler(pmf), substream(1, "pm"), 100)
         assert np.all(draws == 500)
 
     def test_uniform_frequencies(self):
-        dist = TokenDistribution(4, np.full(4, 0.25))
-        draws = sample_tokens(dist, substream(2, "uni"), 10**6)
+        sampler = CategoricalSampler(np.full(4, 0.25))
+        draws = sample_tokens(sampler, substream(2, "uni"), 10**6)
         counts = np.bincount(draws, minlength=5)[1:]
         sigma = math.sqrt(10**6 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 250_000) <= 4 * sigma)
@@ -195,3 +196,55 @@ class TestTokenSampling:
         ones = (draws == 0).sum()
         sigma = math.sqrt(10**6 * 0.625 * 0.375)
         assert abs(ones - 625_000) <= 4 * sigma
+
+
+class _Uniforms:
+    """Stands in for a Generator whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@st.composite
+def pmfs(draw):
+    """Token-like pmfs: up to 6000 points, with zero runs, heavy tails or
+    all mass on one point."""
+    n = draw(st.integers(min_value=1, max_value=6000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "heavy_tail", "point_mass", "sparse"]))
+    if kind == "point_mass":
+        pmf = np.zeros(n)
+        pmf[rng.integers(n)] = 1.0
+    elif kind == "heavy_tail":
+        pmf = rng.pareto(1.1, n)
+    else:
+        pmf = rng.random(n)
+    if kind == "sparse":
+        pmf[rng.random(n) < 0.7] = 0.0
+        pmf[rng.integers(n)] += 1.0
+    return pmf
+
+
+@given(pmfs())
+@settings(max_examples=60, deadline=None)
+def test_guide_table_matches_binary_search(pmf):
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS,
+            inner,
+            np.nextafter(inner, 0.0),
+            np.nextafter(inner, 1.0),
+        ]
+    )
+    got = CategoricalSampler(pmf).sample(_Uniforms(u), u.size)
+    want = sample_categorical(pmf, _Uniforms(u), u.size)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -212,12 +212,35 @@ class TestSimulateCommand:
         ids=["ckpt_100", "ckpt_inf"],
     )
     def test_series_digest_pinned(self, tmp_path, cfg_path, ckpt, digest):
+        out = self.pinned_run(tmp_path, cfg_path, ckpt)
+        assert file_sha256(out / "series.csv") == digest
+
+    # trace.csv pins every scheduler decision and requests.csv every token
+    # draw; recorded before the backfill scan kept running segments in end
+    # order and before token draws went through a guide table
+    @pytest.mark.parametrize(
+        "ckpt, name, digest",
+        [
+            (100.0, "trace.csv",
+             "890d6e3cf4ffa8456c3a59085db78c07688d6a18c975dc55b8ea8d8782e1dd1d"),
+            (float("inf"), "trace.csv",
+             "983eba0297154ad302ffc6de4242d17e4a0b31e4b397d488c43a57631c5ac635"),
+            (100.0, "requests.csv",
+             "b885005574e1375ed73a4171f791a724456fd67f959e18df71921d020560521d"),
+        ],
+        ids=["trace_ckpt_100", "trace_ckpt_inf", "requests"],
+    )
+    def test_trace_and_requests_digest_pinned(self, tmp_path, cfg_path, ckpt, name, digest):
+        out = self.pinned_run(tmp_path, cfg_path, ckpt)
+        assert file_sha256(out / name) == digest
+
+    def pinned_run(self, tmp_path, cfg_path, ckpt) -> Path:
         scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, share_target=0.5,
                               utilization_target=0.75, ckpt_seconds=ckpt)
         out = tmp_path / "pinned"
         assert main(["simulate", "--config", cfg_path, "--scenario", scen,
                      "--out", str(out), "--seed", "5"]) == 0
-        assert file_sha256(out / "series.csv") == digest
+        return out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = tiny_doc()
@@ -344,6 +367,29 @@ class TestSweepCommand:
         assert (out_serial / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
         for series in sorted(p.name for p in out_serial.glob("series_*.csv")):
             assert (out_serial / series).read_bytes() == (out_par / series).read_bytes()
+
+    def test_parallel_workers_capped_at_grid_size(self, tmp_path, cfg_path, monkeypatch):
+        widths = []
+
+        class InlineExecutor:
+            """Records the pool width and runs each task in this process."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+        assert main(["sweep", "--config", cfg_path, "--scenario", self.sweep_doc(tmp_path),
+                     "--out", str(tmp_path / "capped"), "--parallel", "8"]) == 0
+        assert widths == [3]
 
     def test_failing_row_populates_error_and_exit_two(self, tmp_path, cfg_path):
         doc = self.sweep_doc(

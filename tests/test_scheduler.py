@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcpowersim import cosim
+from dcpowersim.config import load_bundle
 from dcpowersim.scheduler import (
+    POLICIES,
     CapacityTimeline,
     Job,
+    ScheduleTrace,
     preempt_on_capacity_drop,
     schedule,
     segment_job,
@@ -17,8 +22,10 @@ from oracles import (
     flat_capacity,
     plain_fcfs_starts,
     revealed_capacity,
+    schedule_reference,
     usage_step,
 )
+from test_cosim import tiny_doc
 
 
 class TestSegmenting:
@@ -235,3 +242,77 @@ class TestSchedulerProperties:
         )
         assert trace.rejected_job_ids == [0]
         assert trace.runs == []
+
+
+def assert_same_trace(got: ScheduleTrace, want: ScheduleTrace) -> None:
+    """Every field equal, lists and dict items in the same order."""
+    for f in dataclasses.fields(ScheduleTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, dict):
+            a, b = list(a.items()), list(b.items())
+        assert a == b, f.name
+
+
+@st.composite
+def _stepped_instances(draw):
+    """Jobs on a stepped capacity timeline whose drops preempt, with a
+    checkpoint interval and a policy."""
+    ckpt = draw(st.sampled_from([1.0, 100.0, 3600.0, math.inf]))
+    # one-second checkpoints make a segment per second: keep runtimes short
+    max_runtime = 300 if ckpt == 1.0 else 8000
+    jobs = [
+        Job(
+            job_id=i,
+            arrival_s=draw(st.integers(0, 4000)),
+            gpu=draw(st.integers(1, 8)),
+            runtime_s=draw(st.integers(1, max_runtime)),
+        )
+        for i in range(draw(st.integers(1, 20)))
+    ]
+    steps = draw(
+        st.lists(st.tuples(st.integers(1, 1500), st.integers(0, 10)), min_size=1, max_size=8)
+    )
+    times = np.cumsum([0] + [dt for dt, _ in steps])
+    values = [draw(st.integers(4, 10))] + [v for _, v in steps]
+    policy = draw(st.sampled_from(POLICIES))
+    return jobs, CapacityTimeline(times, values), policy, ckpt
+
+
+class TestScheduleReference:
+    """The scheduler against the full-rescan engine in oracles.py: every
+    ScheduleTrace field, in order."""
+
+    @given(_stepped_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_random_stepped_capacity(self, instance):
+        jobs, capacity, policy, ckpt = instance
+        assert_same_trace(
+            schedule(jobs, capacity, policy, ckpt),
+            schedule_reference(jobs, capacity, policy, ckpt),
+        )
+
+    @pytest.mark.parametrize(
+        "tiny, fields",
+        [
+            (True, {"total_gpus": 4, "horizon_days": 2, "ckpt_seconds": 100.0}),
+            (False, {}),
+            (False, {"policy": "SWF"}),
+        ],
+        ids=["tiny_bundle", "default_bundle", "default_bundle_swf"],
+    )
+    def test_run_batch_inputs(self, bundle, monkeypatch, tiny, fields):
+        if tiny:
+            bundle = load_bundle(tiny_doc())
+        calls = []
+
+        def recording_schedule(*args, **kwargs):
+            calls.append((args, kwargs))
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(cosim, "schedule", recording_schedule)
+        scenario = cosim.Scenario(share_target=0.5, utilization_target=0.75, seed=3, **fields)
+        res = cosim.run_hybrid(bundle, scenario)
+        assert len(calls) == 1
+        assert res.trace.preemptions
+        args, kwargs = calls[0]
+        assert_same_trace(res.trace, schedule_reference(*args, **kwargs))
