@@ -419,19 +419,15 @@ def _batch_power_series(
     with_runs = np.unique(run_pos)
     traces = [job_power_trace(bundle, jobs[i], root_seed) for i in with_runs]
     lengths = np.array([len(t) for t in traces], dtype=np.int64)
-
-    def column(attr: str) -> np.ndarray:
-        values = [getattr(run, attr) for run in trace.runs]
-        return np.array(values, dtype=np.int64)[order]
-
+    runs = trace.run_columns()[order]
     return _add_run_power(
         np.concatenate(traces),
         np.cumsum(lengths) - lengths,
         lengths,
         np.searchsorted(with_runs, run_pos[order]),
-        column("seg_index"),
-        column("start_s"),
-        column("end_s"),
+        runs["seg_index"],
+        runs["start_s"],
+        runs["end_s"],
         checkpoint_step(scenario.ckpt_seconds),
         out,
     )

@@ -98,12 +98,7 @@ class TransmissionResult:
 
     slope: float
     intercept: float
-    dx: np.ndarray
-    dy: np.ndarray
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.dx)
+    n_pairs: int
 
 
 def zscore(series: np.ndarray) -> np.ndarray:
@@ -162,5 +157,5 @@ def transmission_diagnostic(
     dx = np.diff(block_means(zscore(x), delta_minutes))
     dy = np.diff(block_means(zscore(y), delta_minutes))
     slope, intercept = ols_fit(dx, dy)
-    return TransmissionResult(slope, intercept, dx, dy)
+    return TransmissionResult(slope, intercept, len(dx))
 

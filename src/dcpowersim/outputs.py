@@ -152,13 +152,13 @@ def _attributes(items: Sequence, names: Sequence[str]) -> list[list]:
 
 
 def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:
-    names = ("job_id", "arrival_s", "gpu", "runtime_s", "time_limit_s", "group")
-    _write_columns(path, JOBS_COLUMNS, _attributes(jobs, names))
+    _write_columns(path, JOBS_COLUMNS, _attributes(jobs, JOBS_COLUMNS))
 
 
 def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:
+    runs = trace.run_columns()
     names = ("seg_index", "job_id", "start_s", "end_s", "gpu", "completed")
-    _write_columns(path, TRACE_COLUMNS, _attributes(trace.runs, names))
+    _write_columns(path, TRACE_COLUMNS, [runs[name] for name in names])
 
 
 def write_job_power_csv(

@@ -20,6 +20,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,11 +81,9 @@ class _Segment:
     job: Job
     seg_index: int
     duration_s: int
-    is_last: bool
 
 
-@dataclass(frozen=True)
-class SegmentRun:
+class SegmentRun(NamedTuple):
     """One executed stretch of a segment; ``completed`` is False when the
     run was cut short by preemption."""
 
@@ -96,6 +95,12 @@ class SegmentRun:
     completed: bool
 
 
+# one column per SegmentRun field, in field order
+_RUN_DTYPE = np.dtype(
+    [(name, bool if name == "completed" else np.int64) for name in SegmentRun._fields]
+)
+
+
 @dataclass(frozen=True)
 class BackfillRecord:
     """Audit record for one backfill decision."""
@@ -105,13 +110,6 @@ class BackfillRecord:
     seg_index: int
     head_job_id: int
     head_reservation_s: float
-
-
-@dataclass(frozen=True)
-class PreemptionRecord:
-    time_s: int
-    job_id: int
-    seg_index: int
 
 
 @dataclass(frozen=True)
@@ -162,24 +160,33 @@ class CapacityTimeline:
 
 @dataclass
 class ScheduleTrace:
-    """Everything observable about one scheduling run."""
+    """Everything observable about one scheduling run.
+
+    ``runs`` lists every executed segment run, in the order the runs ended;
+    ``preemptions`` holds the runs among them cut short by a capacity drop,
+    in the same order. ``backfills`` records each backfill decision,
+    ``rejected_job_ids`` the jobs wider than any capacity, and
+    ``job_first_start`` and ``queue_delays`` each started job's first start
+    and its wait from arrival to that start.
+    """
 
     runs: list[SegmentRun] = field(default_factory=list)
     backfills: list[BackfillRecord] = field(default_factory=list)
-    preemptions: list[PreemptionRecord] = field(default_factory=list)
+    preemptions: list[SegmentRun] = field(default_factory=list)
     rejected_job_ids: list[int] = field(default_factory=list)
     job_first_start: dict[int, int] = field(default_factory=dict)
-    job_completion: dict[int, int] = field(default_factory=dict)
     queue_delays: dict[int, int] = field(default_factory=dict)
+
+    def run_columns(self) -> np.ndarray:
+        """``runs`` as one structured array with a column per field."""
+        return np.array(self.runs, dtype=_RUN_DTYPE)
 
     def busy_minutes(self, n_minutes: int) -> np.ndarray:
         """Time-weighted mean of occupied GPUs for each simulation minute."""
-        if not self.runs:
-            return np.zeros(n_minutes)
-        starts = np.array([r.start_s for r in self.runs], dtype=np.int64)
-        ends = np.array([r.end_s for r in self.runs], dtype=np.int64)
-        gpus = np.array([r.gpu for r in self.runs], dtype=float)
-        return accumulate_intervals(starts, ends, gpus, n_minutes)
+        runs = self.run_columns()
+        return accumulate_intervals(
+            runs["start_s"], runs["end_s"], runs["gpu"], n_minutes
+        )
 
 
 def accumulate_intervals(
@@ -279,7 +286,7 @@ class _Engine:
                 continue
             durations = segment_job(job.runtime_s, ckpt_s)
             self.segments_of[job.job_id] = durations
-            first = _Segment(job, 0, durations[0], len(durations) == 1)
+            first = _Segment(job, 0, durations[0])
             self._push(job.arrival_s, _EV_ARRIVAL, first)
         for t, value in capacity.change_points():
             self._push(t, _EV_CAPACITY, value)
@@ -327,13 +334,9 @@ class _Engine:
             return  # stale event for a preempted run
         seg = self._finish_run(run_id, t, completed=True)
         durations = self.segments_of[seg.job.job_id]
-        if seg.is_last:
-            self.trace.job_completion[seg.job.job_id] = t
-        else:
-            nxt = seg.seg_index + 1
-            self._enqueue(
-                _Segment(seg.job, nxt, durations[nxt], nxt == len(durations) - 1)
-            )
+        nxt = seg.seg_index + 1
+        if nxt < len(durations):
+            self._enqueue(_Segment(seg.job, nxt, durations[nxt]))
 
     def _on_capacity(self, value: int, t: int) -> None:
         self.current_cap = value
@@ -345,9 +348,7 @@ class _Engine:
         ]
         for run_id in preempt_on_capacity_drop(active, self.usage, value):
             seg = self._finish_run(run_id, t, completed=False)
-            self.trace.preemptions.append(
-                PreemptionRecord(t, seg.job.job_id, seg.seg_index)
-            )
+            self.trace.preemptions.append(self.trace.runs[-1])
             self._enqueue(seg)
 
     def _pass(self, t: int) -> None:
@@ -411,9 +412,9 @@ def schedule(
 
     Jobs whose GPU request exceeds the maximum capacity ever available are
     rejected up front and listed in ``rejected_job_ids``. The returned trace
-    records every executed segment run, each backfill decision with the
-    head reservation it honored, preemptions, and per-job first-start and
-    completion times.
+    records every executed segment run, the runs among them that were
+    preempted, each backfill decision with the head reservation it honored,
+    and each started job's first start and queue delay.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")

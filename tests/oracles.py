@@ -34,7 +34,6 @@ from dcpowersim.cosim import job_power_trace
 from dcpowersim.scheduler import (
     BackfillRecord,
     CapacityTimeline,
-    PreemptionRecord,
     ScheduleTrace,
     SegmentRun,
     accumulate_intervals,
@@ -309,9 +308,7 @@ class _ReferenceEngine:
             return  # stale event for a preempted run
         seg = self._finish_run(run_id, t, completed=True)
         durations = self.segments_of[seg.job.job_id]
-        if seg.is_last:
-            self.trace.job_completion[seg.job.job_id] = t
-        else:
+        if not seg.is_last:
             nxt = seg.seg_index + 1
             self._enqueue(
                 _RefSegment(seg.job, nxt, durations[nxt], nxt == len(durations) - 1)
@@ -327,9 +324,7 @@ class _ReferenceEngine:
         ]
         for run_id in preempt_on_capacity_drop(active, self.usage, value):
             seg = self._finish_run(run_id, t, completed=False)
-            self.trace.preemptions.append(
-                PreemptionRecord(t, seg.job.job_id, seg.seg_index)
-            )
+            self.trace.preemptions.append(self.trace.runs[-1])
             self._enqueue(seg)
 
     def _pass(self, t: int) -> None:

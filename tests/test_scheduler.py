@@ -12,6 +12,7 @@ from dcpowersim.scheduler import (
     CapacityTimeline,
     Job,
     ScheduleTrace,
+    SegmentRun,
     preempt_on_capacity_drop,
     schedule,
     segment_job,
@@ -115,13 +116,12 @@ class TestPreemption:
         )
         trace = schedule(jobs, capacity, ckpt_s=math.inf)
         assert [p.job_id for p in trace.preemptions] == [1]
-        assert trace.preemptions[0].time_s == 120
+        assert trace.preemptions[0].end_s == 120
         # preempted segment reruns in full once capacity returns
         runs = [r for r in trace.runs if r.job_id == 1 and r.completed]
         assert len(runs) == 1
         assert runs[0].start_s == 300
         assert runs[0].end_s == 900
-        assert trace.job_completion[1] == 900
 
 
 class TestRevealedCapacity:
@@ -316,3 +316,33 @@ class TestScheduleReference:
         assert res.trace.preemptions
         args, kwargs = calls[0]
         assert_same_trace(res.trace, schedule_reference(*args, **kwargs))
+        # the preemptions are exactly the cut runs, each cut at a capacity change
+        cut = [r for r in res.trace.runs if not r.completed]
+        assert res.trace.preemptions == cut
+        assert {r.end_s for r in cut} <= set(args[1].times.tolist())
+        assert_run_columns(res.trace)
+
+
+_RUN_COLUMN_DTYPES = {
+    "job_id": np.int64,
+    "seg_index": np.int64,
+    "start_s": np.int64,
+    "end_s": np.int64,
+    "gpu": np.int64,
+    "completed": np.bool_,
+}
+
+
+def assert_run_columns(trace: ScheduleTrace) -> None:
+    """``run_columns`` holds, per SegmentRun field in field order, the array
+    of that attribute over ``runs``."""
+    columns = trace.run_columns()
+    assert columns.dtype.names == SegmentRun._fields
+    for name, dtype in _RUN_COLUMN_DTYPES.items():
+        want = np.array([getattr(r, name) for r in trace.runs], dtype=dtype)
+        assert columns[name].dtype == want.dtype, name
+        np.testing.assert_array_equal(columns[name], want)
+
+
+def test_run_columns_of_empty_trace():
+    assert_run_columns(ScheduleTrace())
