@@ -171,7 +171,7 @@ def cmd_generate(args) -> int:
         files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
     else:
         parts = generate_requests(bundle, scenario, root_seed, 1.0)
-        write_requests_csv(out / "requests.csv", *cosim.flatten_requests(bundle, parts))
+        write_requests_csv(out / "requests.csv", *cosim.flatten_requests(parts))
         files = ["requests.csv"]
     write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
     return 0
@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
     write_trace_csv(out / "trace.csv", result.trace)
     write_jobs_csv(out / "jobs.csv", result.jobs)
     write_requests_csv(
-        out / "requests.csv", *cosim.flatten_requests(bundle, result.request_parts)
+        out / "requests.csv", *cosim.flatten_requests(result.request_parts)
     )
     write_detail_csv(
         out / "detail.csv", result, [t.template_id for t in bundle.llm_templates]
@@ -234,8 +234,10 @@ def _series_columns(path: str, columns: list[str]) -> list:
         series = read_series_csv(path)
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read: {exc}") from None
-    except (ValueError, IndexError, StopIteration):
-        raise ConfigurationError(f"{path}: not a numeric CSV with a header row") from None
+    except StopIteration:
+        raise ConfigurationError(f"{path}: no header row") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not a numeric CSV: {exc}") from None
     for column in columns:
         if column not in series:
             raise ConfigurationError(f"{path}: column {column!r} not in {sorted(series)}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +152,16 @@ class Serving:
         return self.conc - self.conc_cap
 
 
+class RequestPart(NamedTuple):
+    """The requests of one (group, template) pair: arrival times in seconds
+    and token counts, one entry per request, in arrival order."""
+
+    times: np.ndarray
+    tokens: np.ndarray
+    group: str
+    template_id: str
+
+
 @dataclass
 class HybridResult:
     """Everything produced by one scenario run, on the minute grid."""
@@ -169,7 +180,7 @@ class HybridResult:
     utilization_realized: float
     jobs: list[Job] = field(repr=False)
     trace: ScheduleTrace = field(repr=False)
-    request_parts: list[tuple[np.ndarray, np.ndarray, str, int]] = field(repr=False)
+    request_parts: list[RequestPart] = field(repr=False)
 
     @property
     def unmet_work_frac(self) -> float:
@@ -266,16 +277,14 @@ def _work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]
 
 def generate_requests(
     bundle: ModelBundle, scenario: Scenario, root_seed: int, fi: float
-) -> list[tuple[np.ndarray, np.ndarray, str, int]]:
+) -> list[RequestPart]:
     """Per (group, template) arrival times and token counts.
 
-    Returns one entry per pair in deterministic (group, template) order,
+    Returns one part per pair in deterministic (group, template) order,
     even when a pair produced no requests. ``fi`` scales every group's
-    mean arrival rate; zero skips generation entirely.
+    mean arrival rate.
     """
-    out: list[tuple[np.ndarray, np.ndarray, str, int]] = []
-    if fi == 0.0:
-        return out
+    out: list[RequestPart] = []
     samplers = {
         group: CategoricalSampler(
             apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
@@ -288,44 +297,31 @@ def generate_requests(
         parts = split_across_templates(
             base_mu * fi, model.effective_dispersion, bundle.split_shares
         )
-        for t_index, (mu_m, alpha_m) in enumerate(parts):
-            template_id = bundle.llm_templates[t_index].template_id
-            if not np.any(mu_m > 0.0):
-                out.append(
-                    (np.empty(0), np.empty(0, dtype=np.int64), group, t_index)
-                )
-                continue
-            rng = substream(root_seed, "inference-arrivals", group, template_id)
-            counts = sample_nb2(mu_m, alpha_m, rng)
-            times = place_in_minutes(counts, rng)
-            tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
-            tokens = sample_tokens(samplers[group], tokens_rng, times.size)
-            out.append((times, tokens, group, t_index))
+        for template, (mu_m, alpha_m) in zip(bundle.llm_templates, parts):
+            template_id = template.template_id
+            times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
+            if np.any(mu_m > 0.0):
+                rng = substream(root_seed, "inference-arrivals", group, template_id)
+                counts = sample_nb2(mu_m, alpha_m, rng)
+                times = place_in_minutes(counts, rng)
+                tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
+                tokens = sample_tokens(samplers[group], tokens_rng, times.size)
+            out.append(RequestPart(times, tokens, group, template_id))
     return out
 
 
 def flatten_requests(
-    bundle: ModelBundle,
-    parts: list[tuple[np.ndarray, np.ndarray, str, int]],
-) -> tuple[np.ndarray, list[str], list[str], np.ndarray]:
-    """Merge per-(group, template) request parts into one time-ordered log."""
-    if not parts:
-        return np.empty(0), [], [], np.empty(0, dtype=np.int64)
-    all_times = np.concatenate([p[0] for p in parts])
-    all_tokens = np.concatenate([p[1] for p in parts])
-    groups_flat: list[str] = []
-    templates_flat: list[str] = []
-    for times, _tokens, group, t_index in parts:
-        template_id = bundle.llm_templates[t_index].template_id
-        groups_flat.extend([group] * times.size)
-        templates_flat.extend([template_id] * times.size)
-    order = np.argsort(all_times, kind="stable")
-    return (
-        all_times[order],
-        [groups_flat[i] for i in order],
-        [templates_flat[i] for i in order],
-        all_tokens[order],
-    )
+    parts: list[RequestPart],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge request parts into one time-ordered log of times, group
+    labels, template labels and token counts."""
+    times = np.concatenate([p.times for p in parts])
+    order = np.argsort(times, kind="stable")
+    part = np.repeat(np.arange(len(parts)), [p.times.size for p in parts])[order]
+    groups = np.array([p.group for p in parts], dtype=object)
+    templates = np.array([p.template_id for p in parts], dtype=object)
+    tokens = np.concatenate([p.tokens for p in parts])
+    return times[order], groups[part], templates[part], tokens[order]
 
 
 def generate_jobs(
@@ -334,10 +330,8 @@ def generate_jobs(
     """Batch jobs over the horizon with their raw arrival timestamps.
 
     Job ids are assigned in arrival order; ``fb`` scales every group's
-    mean daily count, and zero skips generation entirely.
+    mean daily count.
     """
-    if fb == 0.0:
-        return [], np.empty(0)
     tz_doc = scenario.timezones
     plan = bundle.timezone_plan if tz_doc is None else TimezonePlan.from_doc(tz_doc)
     rows: list[tuple[float, int, int, int, str]] = []
@@ -501,21 +495,20 @@ def _add_run_power(
 def serve_inference(
     bundle: ModelBundle,
     scenario: Scenario,
-    request_parts: list[tuple[np.ndarray, np.ndarray, str, int]],
+    request_parts: list[RequestPart],
 ) -> tuple[Serving, float, float]:
     """Serve the requests under per-template budgets; also returns the
     offered and the unmet inference GPU-hours."""
     n_minutes = scenario.horizon_minutes
     templates = bundle.llm_templates
-    empty = [(np.empty(0), np.empty(0, dtype=np.int64))]
     conc = np.zeros((len(templates), n_minutes))
     offered = np.zeros(len(templates))
     # one template's service windows at a time keeps peak memory low
     for t_index, template in enumerate(templates):
-        parts = [p for p in request_parts if p[3] == t_index] or empty
+        parts = [p for p in request_parts if p.template_id == template.template_id]
         win_starts, win_durs = service_windows(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
+            np.concatenate([p.times for p in parts]),
+            np.concatenate([p.tokens for p in parts]),
             template.tpot(scenario.speed_class),
             bundle.grid_tick_s,
         )

@@ -127,6 +127,10 @@ def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
         header = next(reader)
         columns: list[list[float]] = [[] for _ in header]
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num} has {len(row)} cells, the header {len(header)}"
+                )
             for i, cell in enumerate(row):
                 columns[i].append(float(cell))
     return {name: np.asarray(col) for name, col in zip(header, columns)}

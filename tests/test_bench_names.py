@@ -36,7 +36,8 @@ def test_tracer_installs_on_current_names():
 def test_tracer_counts_a_simulate_run(tmp_path):
     """The scheduler counters read the trace's shape: every run either
     completed or was preempted, and this small run both preempts and
-    backfills."""
+    backfills. The request counter reads the request parts' layout, so
+    it must count the rows of the run's request log."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"total_gpus": 12, "horizon_days": 1}))
     out_json = tmp_path / "trace.json"
@@ -50,3 +51,5 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     assert counts["segment_runs"] == counts["completed_runs"] + counts["preemptions"]
     assert counts["backfills"] > 0
     assert counts["preemptions"] > 0
+    requests_csv = (tmp_path / "out" / "requests.csv").read_bytes()
+    assert counts["requests"] == requests_csv.count(b"\n") - 1

@@ -15,6 +15,7 @@ from dcpowersim.cosim import (
     _work_scales,
     flatten_requests,
     generate_jobs,
+    generate_requests,
     inference_share,
     run_hybrid,
     scenario_from_dict,
@@ -118,7 +119,7 @@ def share_runs(bundle):
 class TestShareEndpoints:
     def test_share_zero_has_no_inference(self, bundle, share_runs):
         res = share_runs[0.0]
-        times, *_ = flatten_requests(bundle, res.request_parts)
+        times, *_ = flatten_requests(res.request_parts)
         assert times.size == 0
         assert not res.p_inf_kw.any()
         assert not res.g_inf.any()
@@ -169,6 +170,46 @@ class TestShareEndpoints:
         assert type(res.w_batch_offered_h) is float
         assert res.share_realized == 1.0
         assert np.array_equal(res.p_total_kw, res.p_inf_kw)
+
+
+class TestRequestParts:
+    """generate_requests returns one part per (group, template) pair at any
+    scale, and flatten_requests labels each request by its own part."""
+
+    def parts(self, bundle, fi):
+        scen = Scenario(total_gpus=12, horizon_days=1, seed=1)
+        return generate_requests(bundle, scen, scen.root_seed, fi)
+
+    @pytest.mark.parametrize("fi", [0.0, 0.01])
+    def test_one_part_per_pair_in_order(self, bundle, fi):
+        parts = self.parts(bundle, fi)
+        assert len(parts) == len(bundle.request_groups) * len(bundle.llm_templates)
+        assert [(p.group, p.template_id) for p in parts] == [
+            (group, t.template_id)
+            for group in bundle.request_groups
+            for t in bundle.llm_templates
+        ]
+        sizes = [p.times.size for p in parts]
+        assert [p.tokens.size for p in parts] == sizes
+        if fi == 0.0:
+            assert not any(sizes)
+        else:
+            assert all(sizes)
+
+    def test_zero_scale_flattens_to_empty_arrays(self, bundle):
+        times, groups, templates, tokens = flatten_requests(self.parts(bundle, 0.0))
+        assert times.size == groups.size == templates.size == tokens.size == 0
+        assert times.dtype == np.float64
+        assert tokens.dtype == np.int64
+
+    def test_each_request_keeps_its_parts_labels(self, bundle):
+        parts = self.parts(bundle, 0.01)
+        times, groups, templates, tokens = flatten_requests(parts)
+        assert np.all(np.diff(times) >= 0)
+        for part in parts:
+            mine = (groups == part.group) & (templates == part.template_id)
+            assert np.array_equal(times[mine], part.times)
+            assert np.array_equal(tokens[mine], part.tokens)
 
 
 class TestCalibration:
@@ -362,20 +403,20 @@ class TestTinyCluster:
 
     def test_population_nonempty(self, tiny_run):
         bundle, _, res = tiny_run
-        times, *_ = flatten_requests(bundle, res.request_parts)
+        times, *_ = flatten_requests(res.request_parts)
         assert times.size > 0
         assert len(res.jobs) > 0
 
     def test_every_window_is_ten_seconds(self, tiny_run):
         bundle, _, res = tiny_run
-        times, _, _, tokens = flatten_requests(bundle, res.request_parts)
+        times, _, _, tokens = flatten_requests(res.request_parts)
         assert np.all(tokens == 5)
         _, durs = service_windows(times, tokens, 2.0, 10)
         assert np.all(durs == 10.0)
 
     def test_inference_chain_recomputes(self, tiny_run):
         bundle, scen, res = tiny_run
-        times, _, _, tokens = flatten_requests(bundle, res.request_parts)
+        times, _, _, tokens = flatten_requests(res.request_parts)
         starts, durs = service_windows(times, tokens, 2.0, 10)
         conc = concurrency(starts, durs, scen.horizon_minutes, 10)
         assert np.allclose(conc, res.serving.conc[0], atol=1e-12)

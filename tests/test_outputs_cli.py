@@ -234,6 +234,21 @@ class TestSimulateCommand:
         out = self.pinned_run(tmp_path, cfg_path, ckpt)
         assert file_sha256(out / name) == digest
 
+    # the tiny bundle has one group and one template; this run's 13191
+    # requests span all 35 (group, template) pairs of the default bundle
+    def test_requests_digest_pinned_across_parts(self, tmp_path):
+        scen = write_scenario(tmp_path, total_gpus=12, horizon_days=1)
+        out = tmp_path / "parts"
+        assert main(["simulate", "--config", "default", "--scenario", scen,
+                     "--out", str(out), "--seed", "1"]) == 0
+        with open(out / "requests.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 13191
+        assert len({(r["group"], r["template"]) for r in rows}) == 35
+        assert file_sha256(out / "requests.csv") == (
+            "10b3e7c607f8bf5164106985bb096f2708119542c95c0ee79a1ad702cdd456ea"
+        )
+
     def pinned_run(self, tmp_path, cfg_path, ckpt) -> Path:
         scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, share_target=0.5,
                               utilization_target=0.75, ckpt_seconds=ckpt)
@@ -701,6 +716,8 @@ class TestMetricsCommands:
             (["diagnose", "{series}", "--delta-minutes", "0"], "--delta-minutes"),
             (["diagnose", "{series}", "--delta-minutes", "100000"], "{series}"),
             (["diagnose", "{header_only}"], "{header_only}"),
+            (["metrics", "{torn}"], "{torn}"),
+            (["diagnose", "{torn}"], "{torn}"),
         ],
     )
     def test_bad_input_is_one_line_configuration_error(
@@ -708,7 +725,12 @@ class TestMetricsCommands:
     ):
         header_only = tmp_path / "header_only.csv"
         header_only.write_text(",".join(SERIES_COLUMNS) + "\n")
-        paths = {"series": series_path, "header_only": str(header_only)}
+        # one row cut short: its columns would come out shorter than the rest
+        lines = Path(series_path).read_text().splitlines()
+        lines[701] = ",".join(lines[701].split(",")[:4])
+        torn = tmp_path / "torn.csv"
+        torn.write_text("\n".join(lines) + "\n")
+        paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn)}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1
