@@ -8,12 +8,19 @@ minute-indexed templates keyed by (group, time limit, gpus, runtime bin)
 with a count-gated hard backoff chain; synthesis adds AR(1) noise around the
 template mean, clips to the template's empirical band, then scales by GPU
 count and a hardware adjustment factor.
+
+The traces of all jobs are synthesized in one pass and returned as one
+flat array. Each job still draws its shocks from its own generator, and
+the AR(1) recursion steps through job minutes with one vector operation
+per minute over the jobs running that long, so every value is computed by
+the same floating-point operations as a loop over that job's minutes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -261,51 +268,102 @@ class PowerSynthesisConfig:
             raise ConfigurationError("invalid power synthesis configuration")
 
 
-def ar1_residuals(phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary AR(1) residual path with unit marginal variance.
-
-    eps[0] ~ N(0, 1); eps[t] = phi * eps[t-1] + sqrt(1 - phi^2) * N(0, 1),
-    so every marginal has variance 1 and lag-1 autocorrelation phi.
-    """
-    if not -1.0 < phi < 1.0:
-        raise ValueError("phi must lie strictly inside (-1, 1)")
-    shocks = rng.standard_normal(n)
-    if n == 0 or phi == 0.0:
-        return shocks
-    out = np.empty(n)
-    out[0] = shocks[0]
-    c = math.sqrt(1.0 - phi * phi)
-    for t in range(1, n):
-        out[t] = phi * out[t - 1] + c * shocks[t]
-    return out
+# job minutes handled per vector pass of the template step, so the
+# transient arrays stay small at cluster scale
+_CHUNK_MINUTES = 1 << 16
 
 
-def synthesize_job_power(
-    template: PowerTemplate,
-    runtime_s: float,
-    gpu_count: int,
+def synthesize_power(
+    templates: Sequence[PowerTemplate],
+    runtimes_s: Sequence[float],
+    gpu_counts: Sequence[int],
     cfg: PowerSynthesisConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Whole-job power trace in kW, one value per started job minute.
+    rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-job power traces in kW, one value per started job minute.
 
-    raw(t) = mean(t) + noise_factor * std(t) * eps(t) with AR(1) residuals,
-    clipped to [p5(t), p95(t)] before scaling, then multiplied by the GPU
-    count and the hardware factor. The trace has ceil(runtime / 60) entries;
-    integration over wall-clock windows weights the final minute by its
-    fractional occupancy.
+    Job i has ``templates[i]``, ``runtimes_s[i]``, ``gpu_counts[i]`` and
+    the i-th generator of ``rngs``; its trace has ceil(runtime / 60)
+    entries. Returns all traces as one flat array, job after job, and each
+    trace's length. Integration over wall-clock windows weights a job's
+    final minute by its fractional occupancy.
+
+    raw(t) = mean(t) + noise_factor * std(t) * eps(t), clipped to
+    [p5(t), p95(t)] before scaling, then multiplied by the GPU count and
+    the hardware factor; minutes past the template's end use its last
+    minute. eps is a stationary AR(1) path with unit marginal variance and
+    lag-1 autocorrelation phi = ``ar1_phi``: eps[0] = z[0] and
+    eps[t] = phi * eps[t-1] + sqrt(1 - phi^2) * z[t], where z holds the
+    job's standard normal shocks, drawn by one call on its generator.
     """
-    if runtime_s <= 0:
-        raise ValueError("runtime must be positive")
-    if gpu_count <= 0:
-        raise ValueError("gpu_count must be positive")
-    n = int(math.ceil(runtime_s / 60.0))
-    idx = np.minimum(np.arange(n), template.n_minutes - 1)
-    mean = template.minute_mean[idx]
-    std = template.minute_std[idx]
-    p5 = template.minute_p5[idx]
-    p95 = template.minute_p95[idx]
-    eps = ar1_residuals(template.ar1_phi, n, rng)
-    raw = mean + cfg.noise_factor * std * eps
-    clipped = np.clip(raw, p5, p95)
-    return cfg.hw_factor * gpu_count * clipped
+    lengths = np.ceil(np.asarray(runtimes_s, dtype=float) / 60.0).astype(np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    # each job's stretch of power holds its shocks, then its AR(1) path,
+    # then its trace
+    power = np.empty(int(lengths.sum()))
+    if not templates:
+        return power, lengths
+    for rng, start, n in zip(rngs, offsets.tolist(), lengths.tolist()):
+        rng.standard_normal(out=power[start : start + n])
+    phi = np.array([t.ar1_phi for t in templates])
+    _ar1_in_place(power, offsets, lengths, phi)
+
+    # the distinct templates' minute statistics, one after another
+    unique = list({id(t): t for t in templates}.values())
+    tpl_len = np.array([t.n_minutes for t in unique])
+    tpl_start = np.cumsum(tpl_len) - tpl_len
+    row = {id(t): i for i, t in enumerate(unique)}
+    tpl = np.array([row[id(t)] for t in templates])
+    mean, std, p5, p95 = (
+        np.concatenate([getattr(t, name) for t in unique])
+        for name in ("minute_mean", "minute_std", "minute_p5", "minute_p95")
+    )
+    # flat position p of job j's minute t reads statistics row
+    # min(p + first[j], last[j])
+    first = tpl_start[tpl] - offsets
+    last = tpl_start[tpl] + tpl_len[tpl] - 1
+    scale = cfg.hw_factor * np.asarray(gpu_counts)
+    for lo in range(0, len(power), _CHUNK_MINUTES):
+        part = power[lo : lo + _CHUNK_MINUTES]
+        pos = np.arange(lo, lo + len(part))
+        job = np.searchsorted(offsets, pos, side="right") - 1
+        stat = np.minimum(pos + first[job], last[job])
+        raw = std[stat]
+        raw *= cfg.noise_factor
+        raw *= part
+        raw += mean[stat]
+        np.clip(raw, p5[stat], p95[stat], out=part)
+        part *= scale[job]
+    return power, lengths
+
+
+def _ar1_in_place(
+    eps: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, phi: np.ndarray
+) -> None:
+    """Turn each job's shocks in ``eps`` into its AR(1) path, in place.
+
+    One vector step per job minute t >= 1 updates every job still running
+    at t; ordered longest first, those jobs are a prefix of the order. Each
+    value gets phi * previous and sqrt(1 - phi^2) * shock as two rounded
+    products and then their rounded sum, as the per-minute recursion does.
+    Jobs with phi == 0 keep their shocks.
+    """
+    ar = np.flatnonzero(phi != 0.0)
+    ar = ar[np.argsort(-lengths[ar], kind="stable")]
+    if len(ar) == 0:
+        return
+    start, n = offsets[ar], lengths[ar]
+    job_phi = phi[ar]
+    c = np.sqrt(1.0 - job_phi * job_phi)
+    # running[t - 1]: how many of the jobs last more than t minutes
+    running = np.searchsorted(-n, -np.arange(1, n[0]), side="left")
+    prev = eps[start]
+    for t, k in enumerate(running.tolist(), start=1):
+        pos = start[:k] + t
+        cur = eps[pos]
+        cur *= c[:k]
+        prev = prev[:k]
+        prev *= job_phi[:k]
+        cur += prev
+        eps[pos] = cur
+        prev = cur

@@ -164,9 +164,9 @@ def cmd_generate(args) -> int:
         jobs, times = generate_jobs(bundle, scenario, root_seed, 1.0)
         write_arrivals_csv(out / "arrivals.csv", times, [j.group for j in jobs])
         write_jobs_csv(out / "jobs.csv", jobs)
+        power, lengths = job_power_trace(bundle, jobs, root_seed)
         write_job_power_csv(
-            out / "job_power.csv",
-            ((j.job_id, job_power_trace(bundle, j, root_seed)) for j in jobs),
+            out / "job_power.csv", [j.job_id for j in jobs], power, lengths
         )
         files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
     else:

@@ -24,7 +24,7 @@ from .batch_power import (
     expected_gpu_runtime_hours,
     sample_job,
     select_template,
-    synthesize_job_power,
+    synthesize_power,
 )
 from .config import ModelBundle
 from .distributions import CategoricalSampler, sample_nb2
@@ -367,18 +367,28 @@ def generate_jobs(
     return jobs, np.array([r[0] for r in rows])
 
 
-def job_power_trace(bundle: ModelBundle, job: Job, root_seed: int) -> np.ndarray:
-    """One job's power trace in kW, one entry per started job minute."""
+def job_power_trace(
+    bundle: ModelBundle, jobs: list[Job], root_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The power traces of ``jobs`` in kW, one entry per started job minute,
+    as one flat array, job after job, and each trace's length.
+
+    A job's template and noise depend on that job alone: its shocks come
+    from its own substream, so a job's trace is the same in any job list.
+    """
     store = bundle.template_store
-    key_bin = store.runtime_bin(job.group, job.time_limit_s, job.gpu, job.runtime_s)
-    key = (job.group, job.time_limit_s, job.gpu, key_bin)
-    template = select_template(store, key, bundle.power_cfg.template_gate)
-    return synthesize_job_power(
-        template,
-        job.runtime_s,
-        job.gpu,
+    gate = bundle.power_cfg.template_gate
+    templates = []
+    for job in jobs:
+        key_bin = store.runtime_bin(job.group, job.time_limit_s, job.gpu, job.runtime_s)
+        key = (job.group, job.time_limit_s, job.gpu, key_bin)
+        templates.append(select_template(store, key, gate))
+    return synthesize_power(
+        templates,
+        np.array([job.runtime_s for job in jobs]),
+        np.array([job.gpu for job in jobs]),
         bundle.power_cfg,
-        substream(root_seed, "job-power", str(job.job_id)),
+        (substream(root_seed, "job-power", str(job.job_id)) for job in jobs),
     )
 
 
@@ -411,11 +421,10 @@ def _batch_power_series(
     run_pos = np.array([position[run.job_id] for run in trace.runs], dtype=np.int64)
     order = np.argsort(run_pos, kind="stable")
     with_runs = np.unique(run_pos)
-    traces = [job_power_trace(bundle, jobs[i], root_seed) for i in with_runs]
-    lengths = np.array([len(t) for t in traces], dtype=np.int64)
+    power, lengths = job_power_trace(bundle, [jobs[i] for i in with_runs], root_seed)
     runs = trace.run_columns()[order]
     return _add_run_power(
-        np.concatenate(traces),
+        power,
         np.cumsum(lengths) - lengths,
         lengths,
         np.searchsorted(with_runs, run_pos[order]),

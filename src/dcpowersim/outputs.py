@@ -121,11 +121,13 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
 
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
-    """Load a series file back into float arrays keyed by column name."""
+    """Load a series file back into float arrays keyed by column name; a
+    torn row or a non-finite cell raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         columns: list[list[float]] = [[] for _ in header]
+        line_of_row = []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(
@@ -133,7 +135,12 @@ def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
                 )
             for i, cell in enumerate(row):
                 columns[i].append(float(cell))
-    return {name: np.asarray(col) for name, col in zip(header, columns)}
+            line_of_row.append(reader.line_num)
+    series = {name: np.asarray(col) for name, col in zip(header, columns)}
+    bad_rows = [i for col in series.values() for i in np.flatnonzero(~np.isfinite(col))[:1]]
+    if bad_rows:
+        raise ValueError(f"line {line_of_row[min(bad_rows)]} has a non-finite cell")
+    return series
 
 
 def write_arrivals_csv(path: Path | str, times: np.ndarray, groups: Sequence[str]) -> None:
@@ -166,13 +173,16 @@ def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:
 
 
 def write_job_power_csv(
-    path: Path | str, traces: Iterable[tuple[int, np.ndarray]]
+    path: Path | str, job_ids: Sequence[int], power: np.ndarray, lengths: np.ndarray
 ) -> None:
-    pieces = [
-        (np.full(len(kw), job_id), np.arange(len(kw)), np.asarray(kw, dtype=float))
-        for job_id, kw in traces
-    ]
-    columns = [np.concatenate(col) for col in zip(*pieces)]
+    """One row per job minute; job ``job_ids[i]``'s ``lengths[i]`` values
+    follow those of the jobs before it in ``power``."""
+    starts = np.cumsum(lengths) - lengths
+    columns = (
+        np.repeat(job_ids, lengths),
+        np.arange(len(power)) - np.repeat(starts, lengths),
+        power,
+    )
     _write_columns(path, JOB_POWER_COLUMNS, columns)
 
 

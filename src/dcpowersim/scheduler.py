@@ -176,10 +176,17 @@ class ScheduleTrace:
     rejected_job_ids: list[int] = field(default_factory=list)
     job_first_start: dict[int, int] = field(default_factory=dict)
     queue_delays: dict[int, int] = field(default_factory=dict)
+    # run_columns' cache; unannotated, so not a field: equality, repr and
+    # dataclasses.replace leave it out
+    _columns = None
 
     def run_columns(self) -> np.ndarray:
-        """``runs`` as one structured array with a column per field."""
-        return np.array(self.runs, dtype=_RUN_DTYPE)
+        """``runs`` as one structured array with a column per field, built
+        once and shared by every reader; runs only ever get appended, so a
+        longer list means it is rebuilt."""
+        if self._columns is None or len(self._columns) != len(self.runs):
+            self._columns = np.array(self.runs, dtype=_RUN_DTYPE)
+        return self._columns
 
     def busy_minutes(self, n_minutes: int) -> np.ndarray:
         """Time-weighted mean of occupied GPUs for each simulation minute."""

@@ -18,6 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dcpowersim.batch_power import (
+    PowerSynthesisConfig,
+    PowerTemplate,
+    select_template,
+    synthesize_power,
+)
 from dcpowersim.outputs import (
     ARRIVALS_COLUMNS,
     BUSY_COLUMNS,
@@ -30,7 +36,6 @@ from dcpowersim.outputs import (
     TRACE_COLUMNS,
     fmt,
 )
-from dcpowersim.cosim import job_power_trace
 from dcpowersim.scheduler import (
     BackfillRecord,
     CapacityTimeline,
@@ -40,6 +45,7 @@ from dcpowersim.scheduler import (
     preempt_on_capacity_drop,
     segment_job,
 )
+from dcpowersim.seeds import substream
 
 MINUTES_PER_DAY = 1_440
 
@@ -505,6 +511,81 @@ def add_one_run(series, jt0, start_s, end_s, n_minutes, out) -> None:
     accumulate_intervals(wall[:-1], wall[1:], values, n_minutes, out=out)
 
 
+# Per-job power synthesis with the AR(1) recursion as a loop over minutes:
+# the package's former path, kept as the reference for its all-jobs pass.
+
+
+def ar1_residuals(phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stationary AR(1) residual path with unit marginal variance.
+
+    eps[0] ~ N(0, 1); eps[t] = phi * eps[t-1] + sqrt(1 - phi^2) * N(0, 1),
+    so every marginal has variance 1 and lag-1 autocorrelation phi.
+    """
+    if not -1.0 < phi < 1.0:
+        raise ValueError("phi must lie strictly inside (-1, 1)")
+    shocks = rng.standard_normal(n)
+    if n == 0 or phi == 0.0:
+        return shocks
+    out = np.empty(n)
+    out[0] = shocks[0]
+    c = math.sqrt(1.0 - phi * phi)
+    for t in range(1, n):
+        out[t] = phi * out[t - 1] + c * shocks[t]
+    return out
+
+
+def synthesize_job_power(template, runtime_s, gpu_count, cfg, rng) -> np.ndarray:
+    """One job's power trace in kW, one value per started job minute:
+    mean + noise_factor * std * AR(1) residuals, clipped to [p5, p95],
+    times the GPU count and the hardware factor."""
+    if runtime_s <= 0:
+        raise ValueError("runtime must be positive")
+    if gpu_count <= 0:
+        raise ValueError("gpu_count must be positive")
+    n = int(math.ceil(runtime_s / 60.0))
+    idx = np.minimum(np.arange(n), template.n_minutes - 1)
+    mean = template.minute_mean[idx]
+    std = template.minute_std[idx]
+    p5 = template.minute_p5[idx]
+    p95 = template.minute_p95[idx]
+    eps = ar1_residuals(template.ar1_phi, n, rng)
+    raw = mean + cfg.noise_factor * std * eps
+    clipped = np.clip(raw, p5, p95)
+    return cfg.hw_factor * gpu_count * clipped
+
+
+def job_power_trace_per_job(bundle, job, root_seed) -> np.ndarray:
+    """``cosim.job_power_trace`` for one job, synthesized on its own."""
+    store = bundle.template_store
+    key_bin = store.runtime_bin(job.group, job.time_limit_s, job.gpu, job.runtime_s)
+    key = (job.group, job.time_limit_s, job.gpu, key_bin)
+    template = select_template(store, key, bundle.power_cfg.template_gate)
+    return synthesize_job_power(
+        template,
+        job.runtime_s,
+        job.gpu,
+        bundle.power_cfg,
+        substream(root_seed, "job-power", str(job.job_id)),
+    )
+
+
+def residual_path(phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` minutes of AR(1) residuals with lag-1 autocorrelation ``phi``,
+    from the package's all-jobs pass on one job: a one-GPU job whose
+    template has mean 0, std 1 and no band, so its trace is the path."""
+    template = PowerTemplate(
+        key=("residuals",),
+        minute_mean=[0.0],
+        minute_std=[1.0],
+        minute_p5=[-math.inf],
+        minute_p95=[math.inf],
+        ar1_phi=phi,
+        support_count=0,
+    )
+    power, _ = synthesize_power([template], [60 * n], [1], PowerSynthesisConfig(), [rng])
+    return power
+
+
 def batch_power_per_run(bundle, scenario, root_seed, jobs, trace) -> np.ndarray:
     """``cosim._batch_power_series`` with one accumulate call per run."""
     n_minutes = scenario.horizon_minutes
@@ -517,7 +598,7 @@ def batch_power_per_run(bundle, scenario, root_seed, jobs, trace) -> np.ndarray:
         runs = runs_by_job.get(job.job_id)
         if not runs:
             continue
-        series = job_power_trace(bundle, job, root_seed)
+        series = job_power_trace_per_job(bundle, job, root_seed)
         for run in runs:
             add_one_run(
                 series, run.seg_index * step, run.start_s, run.end_s, n_minutes, out
@@ -594,11 +675,12 @@ def rows_trace_csv(path, trace) -> None:
     write_rows(path, TRACE_COLUMNS, rows)
 
 
-def rows_job_power_csv(path, traces) -> None:
+def rows_job_power_csv(path, job_ids, power, lengths) -> None:
+    starts = np.cumsum(lengths) - lengths
     rows = (
         (job_id, minute, float(kw))
-        for job_id, series in traces
-        for minute, kw in enumerate(series)
+        for job_id, start, n in zip(job_ids, starts, lengths)
+        for minute, kw in enumerate(power[start : start + n])
     )
     write_rows(path, JOB_POWER_COLUMNS, rows)
 

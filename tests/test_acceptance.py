@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from dcpowersim.batch_power import ar1_residuals
 from dcpowersim.cli import main
 from dcpowersim.config import load_bundle
 from dcpowersim.cosim import Scenario, inference_share, run_hybrid
@@ -29,6 +28,7 @@ from oracles import (
     enumerate_admissible,
     flat_capacity,
     plain_fcfs_starts,
+    residual_path,
     revealed_capacity,
     token_mean,
 )
@@ -238,7 +238,7 @@ def test_06_sampler_moments(gate):
         checks.append(abs(draws.var() - var_target) <= 0.05 * var_target)
     lags = []
     for i, phi in enumerate((0.0, 0.8, -0.5)):
-        path = ar1_residuals(phi, 10**5, substream(200 + i, "acc-ar1"))
+        path = residual_path(phi, 10**5, substream(200 + i, "acc-ar1"))
         lag1 = float(np.corrcoef(path[:-1], path[1:])[0, 1])
         lags.append(lag1)
         checks.append(abs(lag1 - phi) <= 0.02)

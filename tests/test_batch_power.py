@@ -1,24 +1,27 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcpowersim import batch_power
 from dcpowersim.batch_power import (
     JobClassModel,
     PowerSynthesisConfig,
     PowerTemplate,
     TemplateStore,
     add_alpha_pmf,
-    ar1_residuals,
     expected_gpu_runtime_hours,
     sample_job,
     select_template,
-    synthesize_job_power,
+    synthesize_power,
 )
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.seeds import substream
+
+from oracles import residual_path, synthesize_job_power
 
 
 def _model(leaf_log_level, tl=7200, gpus=2):
@@ -157,11 +160,18 @@ def _ramp_template(n=10):
     )
 
 
+def _one_job(tpl, runtime_s, gpus, cfg, rng):
+    """The trace of a single job, from the all-jobs pass."""
+    power, lengths = synthesize_power([tpl], [runtime_s], [gpus], cfg, [rng])
+    assert lengths.tolist() == [len(power)]
+    return power
+
+
 def _mean_trace(tpl, minutes):
-    """synthesize_job_power without noise on one GPU: the template mean,
-    minute by minute, for a job running ``minutes`` minutes."""
+    """One job without noise on one GPU: the template mean, minute by
+    minute, for a job running ``minutes`` minutes."""
     cfg = PowerSynthesisConfig(noise_factor=0.0, hw_factor=1.0)
-    return synthesize_job_power(tpl, 60.0 * minutes, 1, cfg, substream(1, "mean"))
+    return _one_job(tpl, 60.0 * minutes, 1, cfg, substream(1, "mean"))
 
 
 class TestMinuteStats:
@@ -181,19 +191,19 @@ class TestMinuteStats:
 
 class TestResiduals:
     def test_white_noise_autocorrelation_near_zero(self):
-        eps = ar1_residuals(0.0, 10**5, substream(1, "white"))
+        eps = residual_path(0.0, 10**5, substream(1, "white"))
         r = np.corrcoef(eps[:-1], eps[1:])[0, 1]
         assert abs(r) <= 0.02
 
     def test_ar1_autocorrelation_matches_phi(self):
-        eps = ar1_residuals(0.8, 10**5, substream(2, "ar"))
+        eps = residual_path(0.8, 10**5, substream(2, "ar"))
         r = np.corrcoef(eps[:-1], eps[1:])[0, 1]
         assert abs(r - 0.8) <= 0.02
 
     @given(st.floats(min_value=-0.95, max_value=0.95))
     @settings(max_examples=20, deadline=None)
     def test_residuals_unit_stationary_variance(self, phi):
-        eps = ar1_residuals(phi, 30_000, substream(3, "var", str(phi)))
+        eps = residual_path(phi, 30_000, substream(3, "var", str(phi)))
         assert eps.var() == pytest.approx(1.0, abs=0.1)
 
 
@@ -210,18 +220,70 @@ class TestSynthesis:
             support_count=50,
         )
         cfg = PowerSynthesisConfig(noise_factor=0.0, hw_factor=2.0, template_gate=0)
-        out = synthesize_job_power(tpl, 180.0, 4, cfg, substream(4, "noiseless"))
+        out = _one_job(tpl, 180.0, 4, cfg, substream(4, "noiseless"))
         assert np.allclose(out, 2.0 * 4 * means)
 
     def test_trace_length_is_ceil_of_runtime_minutes(self):
         tpl = _template(("g",), n=3)
         cfg = PowerSynthesisConfig(noise_factor=0.0, hw_factor=1.0, template_gate=0)
-        assert len(synthesize_job_power(tpl, 61.0, 1, cfg, substream(5, "len"))) == 2
-        assert len(synthesize_job_power(tpl, 60.0, 1, cfg, substream(5, "len"))) == 1
+        assert len(_one_job(tpl, 61.0, 1, cfg, substream(5, "len"))) == 2
+        assert len(_one_job(tpl, 60.0, 1, cfg, substream(5, "len"))) == 1
 
     def test_output_respects_clip_band(self):
         tpl = _template(("g",), n=50, mean=0.5)
         cfg = PowerSynthesisConfig(noise_factor=5.0, hw_factor=1.0, template_gate=0)
-        out = synthesize_job_power(tpl, 3000.0, 1, cfg, substream(6, "clip"))
+        out = _one_job(tpl, 3000.0, 1, cfg, substream(6, "clip"))
         assert np.all(out >= 0.4 - 1e-12)
         assert np.all(out <= 0.6 + 1e-12)
+
+
+@st.composite
+def power_templates(draw):
+    """A template of 1-6 minutes; ``ar1_phi`` is 0, negative or positive."""
+    n = draw(st.integers(1, 6))
+    stat = st.floats(0.0, 2.0)
+    mean = np.array(draw(st.lists(stat, min_size=n, max_size=n)))
+    below = np.array(draw(st.lists(stat, min_size=n, max_size=n)))
+    above = np.array(draw(st.lists(stat, min_size=n, max_size=n)))
+    return PowerTemplate(
+        key=("g",),
+        minute_mean=mean,
+        minute_std=np.array(draw(st.lists(stat, min_size=n, max_size=n))),
+        minute_p5=mean - below,
+        minute_p95=mean + above,
+        ar1_phi=draw(st.sampled_from([0.0, -0.6, 0.9]) | st.floats(-0.99, 0.99)),
+        support_count=1,
+    )
+
+
+class TestAllJobsPassMatchesPerJob:
+    """The all-jobs pass gives each job the bits of the per-job loop in
+    oracles.py: same shocks, and the same rounded operations per value."""
+
+    @given(
+        templates=st.lists(power_templates(), min_size=1, max_size=3),
+        # runtimes of 1-8 minutes, so lengths of 1 and ties are common
+        jobs=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 480), st.integers(1, 8)),
+            min_size=1,
+            max_size=12,
+        ),
+        noise_factor=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0),
+        hw_factor=st.sampled_from([1.0, 0.7]) | st.floats(0.1, 3.0),
+        chunk=st.sampled_from([1, 3, 1 << 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_job_sets(self, templates, jobs, noise_factor, hw_factor, chunk):
+        job_templates = [templates[t % len(templates)] for t, _, _ in jobs]
+        runtimes = [runtime for _, runtime, _ in jobs]
+        gpus = [g for _, _, g in jobs]
+        cfg = PowerSynthesisConfig(noise_factor=noise_factor, hw_factor=hw_factor)
+        rngs = [substream(7, "job", str(i)) for i in range(len(jobs))]
+        with mock.patch.object(batch_power, "_CHUNK_MINUTES", chunk):
+            power, lengths = synthesize_power(job_templates, runtimes, gpus, cfg, rngs)
+        want = [
+            synthesize_job_power(tpl, runtime, g, cfg, substream(7, "job", str(i)))
+            for i, (tpl, runtime, g) in enumerate(zip(job_templates, runtimes, gpus))
+        ]
+        assert lengths.tolist() == [len(w) for w in want]
+        assert power.tobytes() == np.concatenate(want).tobytes()

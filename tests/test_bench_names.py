@@ -37,7 +37,8 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     """The scheduler counters read the trace's shape: every run either
     completed or was preempted, and this small run both preempts and
     backfills. The request counter reads the request parts' layout, so
-    it must count the rows of the run's request log."""
+    it must count the rows of the run's request log. Power synthesis for
+    every job of the run is one timed call inside the run's span."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"total_gpus": 12, "horizon_days": 1}))
     out_json = tmp_path / "trace.json"
@@ -47,9 +48,17 @@ def test_tracer_counts_a_simulate_run(tmp_path):
         "--scenario", str(scenario), "--out", str(tmp_path / "out"),
     ])
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(out_json.read_text())["counts"]
+    doc = json.loads(out_json.read_text())
+    counts, spans = doc["counts"], doc["spans"]
     assert counts["segment_runs"] == counts["completed_runs"] + counts["preemptions"]
     assert counts["backfills"] > 0
     assert counts["preemptions"] > 0
     requests_csv = (tmp_path / "out" / "requests.csv").read_bytes()
     assert counts["requests"] == requests_csv.count(b"\n") - 1
+    synthesis = [span for span in spans if span[0] == "batch_power.job_power_trace"]
+    assert len(synthesis) == 1
+    _, start, end, parent = synthesis[0]
+    assert end > start
+    hybrid_name, hybrid_start, hybrid_end, _ = spans[parent]
+    assert hybrid_name == "cosim.run_hybrid"
+    assert hybrid_start <= start and end <= hybrid_end

@@ -17,6 +17,7 @@ from dcpowersim.cosim import (
     generate_jobs,
     generate_requests,
     inference_share,
+    job_power_trace,
     run_hybrid,
     scenario_from_dict,
     utilization,
@@ -33,7 +34,7 @@ from dcpowersim.serving import (
     service_windows,
 )
 
-from oracles import add_run_power_per_run, batch_power_per_run
+from oracles import add_run_power_per_run, batch_power_per_run, job_power_trace_per_job
 
 
 class TestWorkRatios:
@@ -549,6 +550,25 @@ class TestBatchPowerMatchesPerRun:
             SegmentRun(job.job_id, 0, 1234, 1234, job.gpu, False),
         ]
         self.check(bundle, res, replace(res.trace, runs=res.trace.runs + extra))
+
+
+class TestJobPowerTraceMatchesPerJob:
+    """One pass over all jobs gives each job the bits of its own synthesis
+    in oracles.py."""
+
+    def check(self, bundle, jobs, root_seed):
+        power, lengths = job_power_trace(bundle, jobs, root_seed)
+        want = [job_power_trace_per_job(bundle, job, root_seed) for job in jobs]
+        assert lengths.tolist() == [len(w) for w in want]
+        assert power.tobytes() == np.concatenate(want).tobytes()
+
+    def test_tiny_bundle(self, tiny_run):
+        bundle, scen, res = tiny_run
+        self.check(bundle, res.jobs, scen.root_seed)
+
+    def test_default_bundle(self, bundle, share_runs):
+        res = share_runs[0.0]
+        self.check(bundle, res.jobs, res.scenario.root_seed)
 
 
 @st.composite

@@ -65,7 +65,7 @@ class TestSeriesFile:
 
     def test_job_power_rows(self, tmp_path):
         path = tmp_path / "job_power.csv"
-        write_job_power_csv(path, [(3, np.array([0.5, 0.25])), (4, np.array([1.0]))])
+        write_job_power_csv(path, [3, 4], np.array([0.5, 0.25, 1.0]), np.array([2, 1]))
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(JOB_POWER_COLUMNS)
         assert lines[1:] == ["3,0,0.5", "3,1,0.25", "4,0,1"]
@@ -124,6 +124,19 @@ class TestGenerateCommand:
         mean = 6.0 * 7  # Poisson counts: dispersion 0 in the tiny config
         sigma = mean**0.5
         assert abs(n_jobs - mean) <= 4 * sigma
+
+    # job_power.csv pins every job's power trace, template choice, shocks
+    # and AR(1) arithmetic; recorded before the traces of all jobs were
+    # synthesized in one pass
+    def test_job_power_digest_pinned(self, tmp_path):
+        scen = write_scenario(tmp_path, horizon_days=3)
+        out = tmp_path / "pinned"
+        assert main(["generate", "batch", "--config", "default",
+                     "--scenario", scen, "--out", str(out), "--seed", "1"]) == 0
+        assert (out / "jobs.csv").read_text().count("\n") == 401
+        assert file_sha256(out / "job_power.csv") == (
+            "8ad5d48834c426c9fcbd20e1f0d48da69dd4d1b9f9c8ba3e4235a1ad8a715dce"
+        )
 
     def test_manifest_contents(self, tmp_path, cfg_path):
         scen = write_scenario(tmp_path, horizon_days=1, total_gpus=4)
@@ -718,6 +731,8 @@ class TestMetricsCommands:
             (["diagnose", "{header_only}"], "{header_only}"),
             (["metrics", "{torn}"], "{torn}"),
             (["diagnose", "{torn}"], "{torn}"),
+            (["metrics", "{nan}"], "{nan}: not a numeric CSV: line 501 has a non-finite cell"),
+            (["diagnose", "{nan}"], "{nan}: not a numeric CSV: line 501 has a non-finite cell"),
         ],
     )
     def test_bad_input_is_one_line_configuration_error(
@@ -725,12 +740,18 @@ class TestMetricsCommands:
     ):
         header_only = tmp_path / "header_only.csv"
         header_only.write_text(",".join(SERIES_COLUMNS) + "\n")
-        # one row cut short: its columns would come out shorter than the rest
         lines = Path(series_path).read_text().splitlines()
+        # a p_total_kw cell on line 501 that parses as a float but is not a number
+        nan = tmp_path / "nan.csv"
+        cells = lines[500].split(",")
+        nan.write_text("\n".join([*lines[:500], ",".join([cells[0], "nan", *cells[2:]]),
+                                  *lines[501:]]) + "\n")
+        # one row cut short: its columns would come out shorter than the rest
         lines[701] = ",".join(lines[701].split(",")[:4])
         torn = tmp_path / "torn.csv"
         torn.write_text("\n".join(lines) + "\n")
-        paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn)}
+        paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn),
+                 "nan": str(nan)}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1
