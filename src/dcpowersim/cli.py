@@ -20,7 +20,7 @@ from pathlib import Path
 # flatten_requests is looked up on cosim at call time, so a wrapper installed
 # there (bench/tracer.py) sees every call
 from . import cosim
-from .config import canonical_hash, load_bundle, load_json
+from .config import load_bundle, load_json
 from .cosim import (
     Scenario,
     generate_jobs,
@@ -31,7 +31,7 @@ from .cosim import (
 )
 from .defaults import default_bundle_doc
 from .errors import ConfigurationError
-from .metrics import cov, ramp_rate, transmission_diagnostic
+from .metrics import RAMP_HORIZONS, cov, ramp_rate, transmission_diagnostic
 from .outputs import (
     fmt,
     read_series_csv,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("series", help="series CSV path")
     p_met.add_argument(
         "--ramp-horizons",
-        default="1,5,15",
+        default=",".join(map(str, RAMP_HORIZONS)),
         help="comma-separated ramp horizons in minutes",
     )
     p_met.add_argument(
@@ -159,18 +159,17 @@ def cmd_generate(args) -> int:
     bundle = load_bundle(raw)
     scenario = _build_scenario(bundle, args, "generate")
     out = _out_dir(args)
-    root_seed = scenario.root_seed
     if args.kind == "batch":
-        jobs, times = generate_jobs(bundle, scenario, root_seed, 1.0)
+        jobs, times = generate_jobs(bundle, scenario, 1.0)
         write_arrivals_csv(out / "arrivals.csv", times, [j.group for j in jobs])
         write_jobs_csv(out / "jobs.csv", jobs)
-        power, lengths = job_power_trace(bundle, jobs, root_seed)
+        power, lengths = job_power_trace(bundle, jobs, scenario.root_seed)
         write_job_power_csv(
             out / "job_power.csv", [j.job_id for j in jobs], power, lengths
         )
         files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
     else:
-        parts = generate_requests(bundle, scenario, root_seed, 1.0)
+        parts = generate_requests(bundle, scenario, 1.0)
         write_requests_csv(out / "requests.csv", *cosim.flatten_requests(parts))
         files = ["requests.csv"]
     write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
@@ -215,15 +214,12 @@ def cmd_sweep(args) -> int:
     if args.seed is not None and "seeds" not in sweep_doc:
         sweep_doc["seeds"] = [args.seed]
     out = _out_dir(args)
-    rows, series_files, failures = run_sweep(
+    rows, series_files, failures, config_hash = run_sweep(
         raw, sweep_doc, out, parallel=max(1, args.parallel)
     )
     write_sweep_csv(out / "sweep.csv", rows)
     write_manifest(
-        out,
-        canonical_hash(raw),
-        {"sweep": sweep_doc},
-        ["sweep.csv"] + series_files,
+        out, config_hash, {"sweep": sweep_doc}, ["sweep.csv"] + series_files
     )
     return 2 if failures else 0
 

@@ -202,25 +202,21 @@ def utilization(work_gpu_hours: float, total_gpus: int, horizon_days: int) -> fl
     return work_gpu_hours / (total_gpus * horizon_days * 24.0)
 
 
-def expected_batch_work_gpu_hours(bundle: ModelBundle, horizon_days: int) -> float:
+def expected_batch_work_gpu_hours(bundle: ModelBundle, scenario: Scenario) -> float:
     """Mean offered batch GPU-hours at unit scale over the horizon."""
     total = 0.0
     for group in bundle.batch_groups:
         per_job = expected_gpu_runtime_hours(bundle.job_models[group])
         model = bundle.daily_models[group]
         mu_days = sum(
-            daily_mean(model, day, bundle.calendar) for day in range(horizon_days)
+            daily_mean(model, day, bundle.calendar)
+            for day in range(scenario.horizon_days)
         )
         total += mu_days * per_job
     return total
 
 
-def expected_inference_work_gpu_hours(
-    bundle: ModelBundle,
-    horizon_days: int,
-    verbosity_scale: float = 1.0,
-    speed_class: str | None = None,
-) -> float:
+def expected_inference_work_gpu_hours(bundle: ModelBundle, scenario: Scenario) -> float:
     """Mean offered inference GPU-hours at unit scale over the horizon.
 
     Window durations include the service-grid tick rounding, so this is
@@ -228,55 +224,52 @@ def expected_inference_work_gpu_hours(
     """
     total = 0.0
     for group in bundle.request_groups:
-        dist = apply_verbosity(bundle.token_dists[group], verbosity_scale)
+        dist = apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale)
         per_request = 0.0
         for share, template in zip(bundle.split_shares, bundle.llm_templates):
             mean_dur = expected_window_seconds(
-                dist.pmf, template.tpot(speed_class), bundle.grid_tick_s
+                dist.pmf, template.tpot(scenario.speed_class), bundle.grid_tick_s
             )
             per_request += template.gpu_hours(share * mean_dur)
-        mu = minute_mean_series(bundle.rate_models[group], horizon_days, bundle.calendar)
+        mu = minute_mean_series(
+            bundle.rate_models[group], scenario.horizon_days, bundle.calendar
+        )
         total += float(mu.sum()) * per_request
     return total
 
 
 def _work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]:
-    """Mean-scale factors that hit the share and utilization targets."""
+    """Mean-scale factors (batch, inference) that hit the share and
+    utilization targets: each side's target GPU-hours over its expected
+    GPU-hours at unit scale."""
     target_total = (
         scenario.utilization_target
         * scenario.total_gpus
         * scenario.horizon_days
         * 24.0
     )
-    w_batch_target = (1.0 - scenario.share_target) * target_total
-    w_inf_target = scenario.share_target * target_total
+    scales = []
     problems = []
-    fb = 0.0
-    if w_batch_target > 0.0:
-        base = expected_batch_work_gpu_hours(bundle, scenario.horizon_days)
-        if base <= 0.0:
-            problems.append("batch work targeted but expected base work is zero")
-        else:
-            fb = w_batch_target / base
-    fi = 0.0
-    if w_inf_target > 0.0:
-        base = expected_inference_work_gpu_hours(
-            bundle,
-            scenario.horizon_days,
-            scenario.verbosity_scale,
-            scenario.speed_class,
-        )
-        if base <= 0.0:
-            problems.append("inference work targeted but expected base work is zero")
-        else:
-            fi = w_inf_target / base
+    for side, share, expected in (
+        ("batch", 1.0 - scenario.share_target, expected_batch_work_gpu_hours),
+        ("inference", scenario.share_target, expected_inference_work_gpu_hours),
+    ):
+        target = share * target_total
+        scale = 0.0
+        if target > 0.0:
+            base = expected(bundle, scenario)
+            if base <= 0.0:
+                problems.append(f"{side} work targeted but expected base work is zero")
+            else:
+                scale = target / base
+        scales.append(scale)
     if problems:
         raise ConfigurationError("\n".join(problems))
-    return fb, fi
+    return scales[0], scales[1]
 
 
 def generate_requests(
-    bundle: ModelBundle, scenario: Scenario, root_seed: int, fi: float
+    bundle: ModelBundle, scenario: Scenario, fi: float
 ) -> list[RequestPart]:
     """Per (group, template) arrival times and token counts.
 
@@ -284,6 +277,7 @@ def generate_requests(
     even when a pair produced no requests. ``fi`` scales every group's
     mean arrival rate.
     """
+    root_seed = scenario.root_seed
     out: list[RequestPart] = []
     samplers = {
         group: CategoricalSampler(
@@ -325,7 +319,7 @@ def flatten_requests(
 
 
 def generate_jobs(
-    bundle: ModelBundle, scenario: Scenario, root_seed: int, fb: float
+    bundle: ModelBundle, scenario: Scenario, fb: float
 ) -> tuple[list[Job], np.ndarray]:
     """Batch jobs over the horizon with their raw arrival timestamps.
 
@@ -334,6 +328,7 @@ def generate_jobs(
     """
     tz_doc = scenario.timezones
     plan = bundle.timezone_plan if tz_doc is None else TimezonePlan.from_doc(tz_doc)
+    root_seed = scenario.root_seed
     rows: list[tuple[float, int, int, int, str]] = []
     for group in bundle.batch_groups:
         arrivals = superpose_timezones(
@@ -400,7 +395,6 @@ _CHUNK_PIECES = 8192
 def _batch_power_series(
     bundle: ModelBundle,
     scenario: Scenario,
-    root_seed: int,
     jobs: list[Job],
     trace: ScheduleTrace,
 ) -> np.ndarray:
@@ -421,7 +415,9 @@ def _batch_power_series(
     run_pos = np.array([position[run.job_id] for run in trace.runs], dtype=np.int64)
     order = np.argsort(run_pos, kind="stable")
     with_runs = np.unique(run_pos)
-    power, lengths = job_power_trace(bundle, [jobs[i] for i in with_runs], root_seed)
+    power, lengths = job_power_trace(
+        bundle, [jobs[i] for i in with_runs], scenario.root_seed
+    )
     runs = trace.run_columns()[order]
     return _add_run_power(
         power,
@@ -559,7 +555,7 @@ def run_batch(
     capacity = CapacityTimeline.from_minute_series(
         np.concatenate([scenario.total_gpus - g_inf, [scenario.total_gpus]])
     )
-    jobs, _ = generate_jobs(bundle, scenario, scenario.root_seed, fb)
+    jobs, _ = generate_jobs(bundle, scenario, fb)
     trace = schedule(jobs, capacity, scenario.policy, ckpt_s=scenario.ckpt_seconds)
     return jobs, trace
 
@@ -567,7 +563,7 @@ def run_batch(
 def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
     """Run one scenario end to end and return the minute-level result."""
     fb, fi = _work_scales(bundle, scenario)
-    request_parts = generate_requests(bundle, scenario, scenario.root_seed, fi)
+    request_parts = generate_requests(bundle, scenario, fi)
     serving, w_inf_offered, unmet_work_h = serve_inference(
         bundle, scenario, request_parts
     )
@@ -575,7 +571,7 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
     p_inf = serving.power_kw.sum(axis=0)
     jobs, trace = run_batch(bundle, scenario, fb, g_inf)
     busy_batch = trace.busy_minutes(scenario.horizon_minutes)
-    p_batch = _batch_power_series(bundle, scenario, scenario.root_seed, jobs, trace)
+    p_batch = _batch_power_series(bundle, scenario, jobs, trace)
 
     # the residual-capacity construction makes this hold by arithmetic;
     # fail loudly if scheduling ever breaks it

@@ -12,6 +12,9 @@ MINUTES_PER_HOUR = 60
 
 PROFILE_QUANTILES = (5, 25, 50, 75, 95)
 
+# horizons in minutes at which runs and sweeps report the median ramp rate
+RAMP_HORIZONS = (1, 5, 15)
+
 
 def cov(series: np.ndarray) -> float:
     """Coefficient of variation: population standard deviation over mean."""

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cosim import HybridResult
+from .metrics import RAMP_HORIZONS
 from .scheduler import Job, ScheduleTrace
 
 FLOAT_FMT = "%.9g"
@@ -39,9 +40,7 @@ SWEEP_COLUMNS = (
     "policy",
     "ckpt_s",
     "cov",
-    "ramp1_med",
-    "ramp5_med",
-    "ramp15_med",
+    *(f"ramp{delta}_med" for delta in RAMP_HORIZONS),
     "unmet_frac",
     "cov_batch",
     "cov_inf",
@@ -168,7 +167,8 @@ def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:
 
 def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:
     runs = trace.run_columns()
-    names = ("seg_index", "job_id", "start_s", "end_s", "gpu", "completed")
+    # segment_id is the run's segment index within its job
+    names = ["seg_index", *TRACE_COLUMNS[1:]]
     _write_columns(path, TRACE_COLUMNS, [runs[name] for name in names])
 
 
@@ -199,7 +199,7 @@ def write_detail_csv(
     columns = (
         np.repeat(np.arange(n_minutes), len(template_ids)),
         list(template_ids) * n_minutes,
-        *(m.T.ravel() for m in (s.conc, s.conc_cap, s.gpus, s.power_kw, s.unmet)),
+        *(getattr(s, name).T.ravel() for name in DETAIL_COLUMNS[2:]),
     )
     _write_columns(path, DETAIL_COLUMNS, columns)
 

@@ -166,15 +166,14 @@ class ScheduleTrace:
     ``preemptions`` holds the runs among them cut short by a capacity drop,
     in the same order. ``backfills`` records each backfill decision,
     ``rejected_job_ids`` the jobs wider than any capacity, and
-    ``job_first_start`` and ``queue_delays`` each started job's first start
-    and its wait from arrival to that start.
+    ``queue_delays`` each started job's wait from arrival to its first
+    start, in the order the jobs first started.
     """
 
     runs: list[SegmentRun] = field(default_factory=list)
     backfills: list[BackfillRecord] = field(default_factory=list)
     preemptions: list[SegmentRun] = field(default_factory=list)
     rejected_job_ids: list[int] = field(default_factory=list)
-    job_first_start: dict[int, int] = field(default_factory=dict)
     queue_delays: dict[int, int] = field(default_factory=dict)
     # run_columns' cache; unannotated, so not a field: equality, repr and
     # dataclasses.replace leave it out
@@ -311,7 +310,7 @@ class _Engine:
         self.running[run_id] = (seg, t)
         insort(self.ends, (end, run_id, seg.job.gpu))
         self.usage += seg.job.gpu
-        self.trace.job_first_start.setdefault(seg.job.job_id, t)
+        self.trace.queue_delays.setdefault(seg.job.job_id, t - seg.job.arrival_s)
         self._push(end, _EV_COMPLETION, run_id)
 
     def _finish_run(self, run_id: int, end: int, completed: bool) -> _Segment:
@@ -421,15 +420,8 @@ def schedule(
     rejected up front and listed in ``rejected_job_ids``. The returned trace
     records every executed segment run, the runs among them that were
     preempted, each backfill decision with the head reservation it honored,
-    and each started job's first start and queue delay.
+    and each started job's queue delay.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    engine = _Engine(jobs, capacity, policy, ckpt_s)
-    trace = engine.run()
-    arrivals = {j.job_id: j.arrival_s for j in jobs}
-    trace.queue_delays = {
-        job_id: start - arrivals[job_id]
-        for job_id, start in trace.job_first_start.items()
-    }
-    return trace
+    return _Engine(jobs, capacity, policy, ckpt_s).run()

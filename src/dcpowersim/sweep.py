@@ -16,10 +16,9 @@ from pathlib import Path
 from .config import load_bundle
 from .cosim import HybridResult, Scenario, run_hybrid, scenario_from_dict
 from .errors import ConfigurationError
-from .metrics import cov, ramp_rate
+from .metrics import RAMP_HORIZONS, cov, ramp_rate
 from .outputs import SWEEP_COLUMNS, write_series_csv
 
-RAMP_HORIZONS = (1, 5, 15)
 _GRID_AXES = ("shares", "utilizations", "seeds")
 
 
@@ -119,8 +118,9 @@ def run_sweep(
     sweep_doc: dict,
     out_dir: str | Path,
     parallel: int = 1,
-) -> tuple[list[list], list[str], int]:
-    """Run every grid point; returns (rows, series files, failure count).
+) -> tuple[list[list], list[str], int, str]:
+    """Run every grid point; returns (rows, series files, failure count,
+    bundle config hash).
 
     The bundle is loaded once and handed to every run. Rows come back in
     scenario_id order, one cell per column of ``SWEEP_COLUMNS``; cells a row
@@ -139,4 +139,4 @@ def run_sweep(
     rows = [[row.get(c, "") for c in SWEEP_COLUMNS] for row, _ in outcomes]
     series_files = [name for _, name in outcomes if name]
     failures = sum(1 for row, _ in outcomes if "error" in row)
-    return rows, series_files, failures
+    return rows, series_files, failures, bundle.config_hash

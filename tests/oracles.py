@@ -284,7 +284,7 @@ class _ReferenceEngine:
         run_id = next(self.serial)
         self.running[run_id] = (seg, t)
         self.usage += seg.job.gpu
-        self.trace.job_first_start.setdefault(seg.job.job_id, t)
+        self.trace.queue_delays.setdefault(seg.job.job_id, t - seg.job.arrival_s)
         self._push(t + seg.duration_s, 0, run_id)
 
     def _finish_run(self, run_id: int, end: int, completed: bool) -> _RefSegment:
@@ -382,13 +382,13 @@ def schedule_reference(
     ckpt_s: float = math.inf,
 ) -> ScheduleTrace:
     """``scheduler.schedule`` with a full rescan and sort per blocked head."""
-    trace = _ReferenceEngine(jobs, capacity, policy, ckpt_s).run()
-    arrivals = {j.job_id: j.arrival_s for j in jobs}
-    trace.queue_delays = {
-        job_id: start - arrivals[job_id]
-        for job_id, start in trace.job_first_start.items()
-    }
-    return trace
+    return _ReferenceEngine(jobs, capacity, policy, ckpt_s).run()
+
+
+def first_starts(trace: ScheduleTrace, jobs) -> dict[int, int]:
+    """Each started job's first start: its arrival plus its queue delay."""
+    arrivals = {job.job_id: job.arrival_s for job in jobs}
+    return {job_id: arrivals[job_id] + d for job_id, d in trace.queue_delays.items()}
 
 
 def sample_categorical(pmf, rng: np.random.Generator, size=None):
@@ -586,7 +586,7 @@ def residual_path(phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return power
 
 
-def batch_power_per_run(bundle, scenario, root_seed, jobs, trace) -> np.ndarray:
+def batch_power_per_run(bundle, scenario, jobs, trace) -> np.ndarray:
     """``cosim._batch_power_series`` with one accumulate call per run."""
     n_minutes = scenario.horizon_minutes
     out = np.zeros(n_minutes)
@@ -598,7 +598,7 @@ def batch_power_per_run(bundle, scenario, root_seed, jobs, trace) -> np.ndarray:
         runs = runs_by_job.get(job.job_id)
         if not runs:
             continue
-        series = job_power_trace_per_job(bundle, job, root_seed)
+        series = job_power_trace_per_job(bundle, job, scenario.root_seed)
         for run in runs:
             add_one_run(
                 series, run.seg_index * step, run.start_s, run.end_s, n_minutes, out

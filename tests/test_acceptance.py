@@ -26,6 +26,7 @@ from dcpowersim.serving import cap_concurrency, gpu_use, inference_power
 from oracles import (
     TinyJob,
     enumerate_admissible,
+    first_starts,
     flat_capacity,
     plain_fcfs_starts,
     residual_path,
@@ -169,19 +170,20 @@ def test_04_backfill_honors_fcfs_reservations(gate):
         trace = schedule(
             jobs, flat_capacity(cap), "FCFS_BACKFILL", ckpt_s=math.inf
         )
+        starts = first_starts(trace, jobs)
         oracle = plain_fcfs_starts(
             [TinyJob(j.job_id, j.arrival_s, j.gpu, j.runtime_s) for j in jobs], cap
         )
         for job in jobs:
             if oracle[job.job_id] == job.arrival_s:
-                assert trace.job_first_start[job.job_id] == job.arrival_s
+                assert starts[job.job_id] == job.arrival_s
         waiting = sorted(
-            (j for j in jobs if trace.job_first_start[j.job_id] > j.arrival_s),
+            (j for j in jobs if starts[j.job_id] > j.arrival_s),
             key=lambda j: (j.arrival_s, j.job_id),
         )
         if waiting:
             head = waiting[0]
-            assert trace.job_first_start[head.job_id] == oracle[head.job_id]
+            assert starts[head.job_id] == oracle[head.job_id]
             checked_heads += 1
         runtimes = {j.job_id: j.runtime_s for j in jobs}
         for record in trace.backfills:
@@ -213,13 +215,9 @@ def test_05_traces_match_exhaustive_search(gate):
         ]
         tiny = [TinyJob(i, a, g, r) for i, (a, g, r) in enumerate(spec)]
         for policy in ("FCFS_BACKFILL", "SWF"):
-            trace = schedule(
-                _engine_jobs(spec),
-                flat_capacity(cap),
-                policy,
-                ckpt_s=math.inf,
-            )
-            engine = dict(trace.job_first_start)
+            jobs = _engine_jobs(spec)
+            trace = schedule(jobs, flat_capacity(cap), policy, ckpt_s=math.inf)
+            engine = first_starts(trace, jobs)
             admissible = enumerate_admissible(tiny, cap, policy)
             assert len(admissible) == 1, (spec, cap, policy, admissible)
             assert admissible[0] == engine, (spec, cap, policy)

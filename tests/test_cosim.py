@@ -138,10 +138,10 @@ class TestShareEndpoints:
         )
         res = run_hybrid(bundle, scen)
 
-        root = derive_seed(scen.seed, "run", scen.scenario_id)
+        assert scen.root_seed == derive_seed(scen.seed, "run", scen.scenario_id)
         fb, fi = _work_scales(bundle, scen)
         assert fi == 0.0
-        jobs, _ = generate_jobs(bundle, scen, root, fb)
+        jobs, _ = generate_jobs(bundle, scen, fb)
         capacity = CapacityTimeline.from_minute_series(
             np.full(scen.horizon_minutes + 1, scen.total_gpus, dtype=np.int64)
         )
@@ -151,7 +151,7 @@ class TestShareEndpoints:
             scen.policy,
             ckpt_s=scen.ckpt_seconds,
         )
-        p_batch = _batch_power_series(bundle, scen, root, jobs, trace)
+        p_batch = _batch_power_series(bundle, scen, jobs, trace)
 
         assert [j.job_id for j in res.jobs] == [j.job_id for j in jobs]
         assert [(j.arrival_s, j.gpu, j.runtime_s) for j in res.jobs] == [
@@ -179,7 +179,7 @@ class TestRequestParts:
 
     def parts(self, bundle, fi):
         scen = Scenario(total_gpus=12, horizon_days=1, seed=1)
-        return generate_requests(bundle, scen, scen.root_seed, fi)
+        return generate_requests(bundle, scen, fi)
 
     @pytest.mark.parametrize("fi", [0.0, 0.01])
     def test_one_part_per_pair_in_order(self, bundle, fi):
@@ -522,8 +522,8 @@ class TestBatchPowerMatchesPerRun:
     def check(self, bundle, res, trace=None):
         scen, jobs = res.scenario, res.jobs
         trace = trace or res.trace
-        got = _batch_power_series(bundle, scen, scen.root_seed, jobs, trace)
-        want = batch_power_per_run(bundle, scen, scen.root_seed, jobs, trace)
+        got = _batch_power_series(bundle, scen, jobs, trace)
+        want = batch_power_per_run(bundle, scen, jobs, trace)
         assert got.any()
         assert got.tobytes() == want.tobytes()
 

@@ -600,6 +600,21 @@ class TestWritersMatchRowReference:
 DIRECTORY = object()
 
 
+def zero_rate_bundle() -> str:
+    """The default bundle as JSON with every batch and inference log rate at
+    -1000, so each side's expected work underflows to zero."""
+    doc = default_bundle_doc()
+    for group in doc["batch_arrivals"]["groups"].values():
+        group["daytype_log_mean"] = dict.fromkeys(group["daytype_log_mean"], -1000.0)
+    for group in doc["inference_arrivals"]["groups"].values():
+        for key in ("log_rate_weekday", "log_rate_weekend"):
+            group[key] = [-1000.0] * len(group[key])
+    return json.dumps(doc)
+
+
+ZERO_RATES = zero_rate_bundle()
+
+
 class TestBadInputFiles:
     """Malformed or wrong-typed input files end in one configuration error."""
 
@@ -636,6 +651,7 @@ class TestBadInputFiles:
             ("simulate", "--config", b"\xff\xfe{\x00}\x00"),
             ("simulate", "--config",
              ("batch_jobs", "groups", "low", "time_limits", 0, "gpus", 0, "gpus", 0)),
+            ("simulate --share 0.5", "--config", ZERO_RATES),
         ],
         ids=[
             "malformed-json",
@@ -653,6 +669,7 @@ class TestBadInputFiles:
             "series-directory",
             "config-utf16-bytes",
             "gpu-count-zero",
+            "zero-expected-work",
         ],
     )
     def test_bad_file_is_configuration_error(
@@ -671,7 +688,7 @@ class TestBadInputFiles:
             argv = [command, str(path)]
         else:
             config = str(path) if flag == "--config" else "default"
-            argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+            argv = command.split() + ["--config", config, "--out", str(tmp_path / "out")]
         if flag == "--scenario":
             argv += ["--scenario", str(path)]
         rc = main(argv)
@@ -681,6 +698,11 @@ class TestBadInputFiles:
         assert "Traceback" not in err
         if content is DIRECTORY or isinstance(content, bytes):
             assert str(path) in err
+        if content is ZERO_RATES:
+            assert err.splitlines()[1:] == [
+                "batch work targeted but expected base work is zero",
+                "inference work targeted but expected base work is zero",
+            ]
 
 
 class TestMetricsCommands:

@@ -20,6 +20,7 @@ from dcpowersim.scheduler import (
 
 from oracles import (
     TinyJob,
+    first_starts,
     flat_capacity,
     plain_fcfs_starts,
     revealed_capacity,
@@ -66,7 +67,7 @@ class TestBackfillHandCase:
 
     def test_backfill_fills_around_reservation(self):
         trace = schedule(self._jobs(), flat_capacity(4))
-        starts = trace.job_first_start
+        starts = first_starts(trace, self._jobs())
         assert starts[0] == 0
         assert starts[2] == 2  # ends at 7, before the head reservation at 10
         assert starts[1] == 10
@@ -77,16 +78,14 @@ class TestBackfillHandCase:
         assert bf.head_reservation_s == 10
 
     def test_single_job_starts_at_arrival(self):
-        trace = schedule(
-            [Job(job_id=5, arrival_s=42, gpu=2, runtime_s=100)],
-            flat_capacity(4),
-        )
-        assert trace.job_first_start[5] == 42
+        jobs = [Job(job_id=5, arrival_s=42, gpu=2, runtime_s=100)]
+        trace = schedule(jobs, flat_capacity(4))
+        assert first_starts(trace, jobs)[5] == 42
         assert trace.queue_delays[5] == 0
 
     def test_swf_orders_by_gpu_then_runtime(self):
         trace = schedule(self._jobs(), flat_capacity(4), policy="SWF")
-        starts = trace.job_first_start
+        starts = first_starts(trace, self._jobs())
         # A occupies 3 GPUs on [0, 10); C (1 GPU) fits beside it at 2
         assert starts[0] == 0
         assert starts[2] == 2
@@ -205,12 +204,13 @@ class TestSchedulerProperties:
     def test_never_waiting_jobs_start_at_arrival(self, instance):
         jobs, cap = instance
         trace = schedule(_tiny_jobs(jobs), flat_capacity(cap))
+        starts = first_starts(trace, _tiny_jobs(jobs))
         oracle = plain_fcfs_starts(
             [TinyJob(i, a, g, r) for i, (a, g, r) in enumerate(jobs)], cap
         )
         for i, (arrival, gpu, runtime) in enumerate(jobs):
             if oracle[i] == arrival:
-                assert trace.job_first_start[i] == arrival
+                assert starts[i] == arrival
 
     @given(_instances(), st.integers(min_value=30, max_value=200))
     @settings(max_examples=80, deadline=None)
