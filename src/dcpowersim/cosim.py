@@ -66,10 +66,12 @@ _NUMBER_RULES = (
     ("total_gpus", numbers.Integral, lambda v: v >= 1, "must be positive"),
     ("horizon_days", numbers.Integral, lambda v: v >= 0, "must be nonnegative"),
     ("share_target", numbers.Real, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    ("utilization_target", numbers.Real, lambda v: v > 0.0, "must be positive"),
+    ("utilization_target", numbers.Real, lambda v: 0 < v < math.inf,
+     "must be positive and finite"),
     ("ckpt_seconds", numbers.Real, lambda v: v >= 1, "must be at least 1 second"),
     ("cap_fraction", numbers.Real, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    ("verbosity_scale", numbers.Real, lambda v: v > 0, "must be positive"),
+    ("verbosity_scale", numbers.Real, lambda v: 0 < v < math.inf,
+     "must be positive and finite"),
     ("seed", numbers.Integral, lambda v: True, ""),
 )
 

@@ -2,12 +2,14 @@
 
 Jobs are split into fixed-length checkpoint segments that must run in
 order; each segment occupies its job's full GPU request. The scheduler is
-event-driven over integer seconds: queue-head segments start as soon as
-they fit, a blocked head gets the single committed reservation, and later
-segments may start early only when they fit now and complete before that
-reservation. Only the head holds a reservation, so this is EASY-style
-backfilling (Mu'alem & Feitelson, IEEE TPDS 2001): the head is never
-delayed, but other queued segments may be.
+event-driven over integer seconds. It merges three streams already in time
+order: at each second it handles segment completions (in start order), then
+the capacity change, then job arrivals (in list order), then one pass. In a
+pass queue-head segments start as soon as they fit, a blocked head gets the
+single committed reservation, and later segments may start early only when
+they fit now and complete before that reservation. Only the head holds a
+reservation, so this is EASY-style backfilling (Mu'alem & Feitelson, IEEE
+TPDS 2001): the head is never delayed, but other queued segments may be.
 Capacity is observed causally from a step timeline; on a capacity drop the
 most recently started segments are preempted first and re-enter the queue
 with their full duration.
@@ -15,7 +17,6 @@ with their full duration.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from bisect import bisect_left, insort
@@ -26,15 +27,12 @@ import numpy as np
 
 POLICIES = ("FCFS_BACKFILL", "SWF")
 
-_EV_COMPLETION = 0
-_EV_CAPACITY = 1
-_EV_ARRIVAL = 2
-
 
 def checkpoint_step(ckpt_s: float) -> int:
     """Job seconds between the starts of consecutive segments, so segment k
-    resumes the job at ``k * step``; 0 when the job never checkpoints."""
-    return 0 if math.isinf(ckpt_s) else int(ckpt_s)
+    resumes the job at ``k * step``; 0 when the job never checkpoints. No
+    int64 runtime reaches 2**63 s, so a longer interval never checkpoints."""
+    return 0 if ckpt_s >= 2**63 else int(ckpt_s)
 
 
 def segment_job(runtime_s: int, ckpt_s: float) -> list[int]:
@@ -276,49 +274,42 @@ class _Engine:
         self.trace = ScheduleTrace()
         # (policy key, gpu, duration_s, segment), in key order
         self.queue: list[tuple[tuple, int, int, _Segment]] = []
-        self.running: dict[int, tuple[_Segment, int]] = {}  # serial -> (seg, start)
-        # (end, serial, gpu) of every running segment, in end order
-        self.ends: list[tuple[int, int, int]] = []
+        # (end, serial, gpu, segment, start) of every running segment, in
+        # end order and, among equal ends, in start order
+        self.running: list[tuple[int, int, int, _Segment, int]] = []
         self.usage = 0
         self.current_cap = capacity.value_at(0)
         self.serial = itertools.count()
-        self.heap: list[tuple[int, int, int, object]] = []
+        self.changes = capacity.change_points()
         self.segments_of: dict[int, list[int]] = {}
 
         max_cap = capacity.max_value
+        firsts = []
         for job in jobs:
             if job.gpu > max_cap:
                 self.trace.rejected_job_ids.append(job.job_id)
                 continue
             durations = segment_job(job.runtime_s, ckpt_s)
             self.segments_of[job.job_id] = durations
-            first = _Segment(job, 0, durations[0])
-            self._push(job.arrival_s, _EV_ARRIVAL, first)
-        for t, value in capacity.change_points():
-            self._push(t, _EV_CAPACITY, value)
-
-    def _push(self, time: int, kind: int, payload: object) -> None:
-        heapq.heappush(self.heap, (time, kind, next(self.serial), payload))
+            firsts.append(_Segment(job, 0, durations[0]))
+        # a stable sort, so jobs arriving together keep their list order
+        self.arrivals = sorted(firsts, key=lambda seg: seg.job.arrival_s)
 
     def _enqueue(self, seg: _Segment) -> None:
         key = _policy_key(self.policy, seg)
         insort(self.queue, (key, seg.job.gpu, seg.duration_s, seg))
 
     def _start(self, seg: _Segment, t: int) -> None:
-        run_id = next(self.serial)
-        end = t + seg.duration_s
-        self.running[run_id] = (seg, t)
-        insort(self.ends, (end, run_id, seg.job.gpu))
+        insort(self.running, (t + seg.duration_s, next(self.serial), seg.job.gpu, seg, t))
         self.usage += seg.job.gpu
         self.trace.queue_delays.setdefault(seg.job.job_id, t - seg.job.arrival_s)
-        self._push(end, _EV_COMPLETION, run_id)
 
-    def _finish_run(self, run_id: int, end: int, completed: bool) -> _Segment:
-        seg, start = self.running.pop(run_id)
-        del self.ends[bisect_left(self.ends, (start + seg.duration_s, run_id))]
-        self.usage -= seg.job.gpu
+    def _finish_run(self, run: tuple, t: int, completed: bool) -> _Segment:
+        """Record a run that left ``running`` at ``t``."""
+        _, _, gpu, seg, start = run
+        self.usage -= gpu
         self.trace.runs.append(
-            SegmentRun(seg.job.job_id, seg.seg_index, start, end, seg.job.gpu, completed)
+            SegmentRun(seg.job.job_id, seg.seg_index, start, t, gpu, completed)
         )
         return seg
 
@@ -329,31 +320,33 @@ class _Engine:
         if gpu > self.current_cap:
             return math.inf
         free = self.current_cap - self.usage
-        for end, _, g in self.ends:
+        for end, _, g, _, _ in self.running:
             free += g
             if free >= gpu:
                 return end
         return math.inf
 
-    def _on_completion(self, run_id: int, t: int) -> None:
-        if run_id not in self.running:
-            return  # stale event for a preempted run
-        seg = self._finish_run(run_id, t, completed=True)
-        durations = self.segments_of[seg.job.job_id]
-        nxt = seg.seg_index + 1
-        if nxt < len(durations):
-            self._enqueue(_Segment(seg.job, nxt, durations[nxt]))
+    def _on_completions(self, t: int) -> None:
+        running = self.running
+        while running and running[0][0] == t:
+            seg = self._finish_run(running.pop(0), t, completed=True)
+            durations = self.segments_of[seg.job.job_id]
+            nxt = seg.seg_index + 1
+            if nxt < len(durations):
+                self._enqueue(_Segment(seg.job, nxt, durations[nxt]))
 
     def _on_capacity(self, value: int, t: int) -> None:
         self.current_cap = value
         if self.usage <= value:
             return
+        running = self.running
         active = [
-            (start, seg.job.job_id, seg.seg_index, seg.job.gpu, run_id)
-            for run_id, (seg, start) in self.running.items()
+            (start, seg.job.job_id, seg.seg_index, gpu, (end, serial))
+            for end, serial, gpu, seg, start in running
         ]
-        for run_id in preempt_on_capacity_drop(active, self.usage, value):
-            seg = self._finish_run(run_id, t, completed=False)
+        for key in preempt_on_capacity_drop(active, self.usage, value):
+            run = running.pop(bisect_left(running, key))
+            seg = self._finish_run(run, t, completed=False)
             self.trace.preemptions.append(self.trace.runs[-1])
             self._enqueue(seg)
 
@@ -393,19 +386,23 @@ class _Engine:
             )
 
     def run(self) -> ScheduleTrace:
-        heap = self.heap
-        while heap:
-            t = heap[0][0]
-            while heap and heap[0][0] == t:
-                _, kind, _, payload = heapq.heappop(heap)
-                if kind == _EV_COMPLETION:
-                    self._on_completion(payload, t)
-                elif kind == _EV_CAPACITY:
-                    self._on_capacity(payload, t)
-                else:
-                    self._enqueue(payload)
+        running, arrivals = self.running, self.arrivals
+        # both fixed streams end in a sentinel at infinity
+        changes = self.changes + [(math.inf, 0)]
+        arrival_s = [seg.job.arrival_s for seg in arrivals] + [math.inf]
+        c = a = 0
+        while True:
+            t = min(running[0][0] if running else math.inf, changes[c][0], arrival_s[a])
+            if t == math.inf:
+                return self.trace
+            self._on_completions(t)
+            if changes[c][0] == t:
+                self._on_capacity(changes[c][1], t)
+                c += 1
+            while arrival_s[a] == t:
+                self._enqueue(arrivals[a])
+                a += 1
             self._pass(t)
-        return self.trace
 
 
 def schedule(

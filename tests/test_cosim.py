@@ -89,6 +89,8 @@ class TestScenarioFromDict:
             {"horizon_days": 1.5},
             {"seed": "x"},
             {"ckpt_seconds": 0.5},
+            {"utilization_target": math.inf},
+            {"verbosity_scale": math.inf},
             {"timezones": {"offsets_hours": "x"}},
         ]
         for bad in cases:

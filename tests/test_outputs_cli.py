@@ -317,6 +317,21 @@ class TestSimulateCommand:
         assert docs["metrics.json"]["ckpt_s"] == "inf"
         assert docs["manifest.json"]["scenario"]["ckpt_seconds"] == "inf"
 
+    def test_huge_checkpoint_interval_runs_like_infinite(self, tmp_path, cfg_path):
+        # 1e19 s lies past the int64 range; like inf, it never checkpoints
+        outs = []
+        for name, ckpt in (("huge", 1e19), ("never", float("inf"))):
+            rc, out = self.run(tmp_path, cfg_path, name, share_target=0.5, ckpt_seconds=ckpt)
+            assert rc == 0
+            outs.append(out)
+        huge, never = outs
+        for name in ("series.csv", "busy.csv", "trace.csv", "jobs.csv",
+                     "requests.csv", "detail.csv"):
+            assert (huge / name).read_bytes() == (never / name).read_bytes(), name
+        metrics = [json.loads((out / "metrics.json").read_text()) for out in outs]
+        assert [m.pop("ckpt_s") for m in metrics] == [1e19, "inf"]
+        assert metrics[0] == metrics[1]
+
     def test_scenario_type_error_exit_code(self, tmp_path, cfg_path, capsys):
         scen = write_scenario(tmp_path, total_gpus="8", horizon_days=1.5)
         rc = main(["simulate", "--config", cfg_path, "--scenario", scen,
@@ -703,6 +718,15 @@ class TestBadInputFiles:
                 "batch work targeted but expected base work is zero",
                 "inference work targeted but expected base work is zero",
             ]
+
+    def test_infinite_utilization_flag(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", "default", "--utilization", "inf",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error:",
+            "utilization_target must be positive and finite, got inf",
+        ]
 
 
 class TestMetricsCommands:

@@ -9,10 +9,12 @@ from dcpowersim import cosim
 from dcpowersim.config import load_bundle
 from dcpowersim.scheduler import (
     POLICIES,
+    BackfillRecord,
     CapacityTimeline,
     Job,
     ScheduleTrace,
     SegmentRun,
+    checkpoint_step,
     preempt_on_capacity_drop,
     schedule,
     segment_job,
@@ -40,6 +42,11 @@ class TestSegmenting:
     def test_long_checkpoint_single_segment(self):
         assert segment_job(3600, 7200.0) == [3600]
         assert segment_job(3600, math.inf) == [3600]
+
+    def test_interval_past_int64_never_checkpoints(self):
+        assert checkpoint_step(3600.0) == 3600
+        assert checkpoint_step(1e19) == checkpoint_step(math.inf) == 0
+        assert segment_job(3600, 1e19) == [3600]
 
     def test_sub_second_checkpoint_rejected(self):
         with pytest.raises(ValueError, match="at least 1 second"):
@@ -321,6 +328,43 @@ class TestScheduleReference:
         assert res.trace.preemptions == cut
         assert {r.end_s for r in cut} <= set(args[1].times.tolist())
         assert_run_columns(res.trace)
+
+
+class TestSameSecondOrder:
+    """At one second the engine handles completions, then the capacity
+    change, then arrivals, then one pass."""
+
+    # capacity 4, then 2 at t=10, 1 at t=20 and 4 again at t=40
+    CAPACITY = CapacityTimeline(np.array([0, 10, 20, 40]), np.array([4, 2, 1, 4]))
+    JOBS = [
+        Job(job_id=0, arrival_s=0, gpu=2, runtime_s=10),
+        Job(job_id=1, arrival_s=0, gpu=2, runtime_s=30),
+        Job(job_id=2, arrival_s=10, gpu=1, runtime_s=5),
+        # same arrival second, listed out of job_id order
+        Job(job_id=4, arrival_s=50, gpu=2, runtime_s=10),
+        Job(job_id=3, arrival_s=50, gpu=2, runtime_s=30),
+    ]
+
+    def test_hand_trace(self):
+        trace = schedule(self.JOBS, self.CAPACITY)
+        cut = SegmentRun(1, 0, 0, 20, 2, False)
+        assert trace.runs == [
+            # job 0 ends at t=10 before the drop to 2, so job 1 still fits;
+            # job 2 arrives at t=10 and waits
+            SegmentRun(0, 0, 0, 10, 2, True),
+            # the drop to 1 cuts job 1, whose planned end t=30 has no event
+            cut,
+            SegmentRun(2, 0, 20, 25, 1, True),
+            SegmentRun(1, 0, 40, 70, 2, True),
+            # job 3 starts at its arrival; job 4 waits for job 1 to end;
+            # both end at t=80, in start order
+            SegmentRun(3, 0, 50, 80, 2, True),
+            SegmentRun(4, 0, 70, 80, 2, True),
+        ]
+        assert trace.preemptions == [cut]
+        assert trace.backfills == [BackfillRecord(20, 2, 0, 1, math.inf)]
+        assert list(trace.queue_delays.items()) == [(0, 0), (1, 0), (2, 10), (3, 0), (4, 20)]
+        assert_same_trace(trace, schedule_reference(self.JOBS, self.CAPACITY))
 
 
 _RUN_COLUMN_DTYPES = {
