@@ -343,10 +343,12 @@ def _ar1_in_place(
     """Turn each job's shocks in ``eps`` into its AR(1) path, in place.
 
     One vector step per job minute t >= 1 updates every job still running
-    at t; ordered longest first, those jobs are a prefix of the order. Each
-    value gets phi * previous and sqrt(1 - phi^2) * shock as two rounded
-    products and then their rounded sum, as the per-minute recursion does.
-    Jobs with phi == 0 keep their shocks.
+    at t; ordered longest first, those jobs are a prefix of the order. Once
+    only the longest job runs, a scalar loop finishes its path. Each value
+    gets phi * previous and sqrt(1 - phi^2) * shock as two rounded products
+    and then their rounded sum, as the per-minute recursion does (CPython
+    rounds each float operation; it fuses none). Jobs with phi == 0 keep
+    their shocks.
     """
     ar = np.flatnonzero(phi != 0.0)
     ar = ar[np.argsort(-lengths[ar], kind="stable")]
@@ -358,7 +360,8 @@ def _ar1_in_place(
     # running[t - 1]: how many of the jobs last more than t minutes
     running = np.searchsorted(-n, -np.arange(1, n[0]), side="left")
     prev = eps[start]
-    for t, k in enumerate(running.tolist(), start=1):
+    shared = running[running > 1].tolist()
+    for t, k in enumerate(shared, start=1):
         pos = start[:k] + t
         cur = eps[pos]
         cur *= c[:k]
@@ -367,3 +370,11 @@ def _ar1_in_place(
         cur += prev
         eps[pos] = cur
         prev = cur
+    lo, hi = int(start[0]) + len(shared) + 1, int(start[0] + n[0])
+    if lo < hi:
+        value, c0, phi0 = float(prev[0]), float(c[0]), float(job_phi[0])
+        path = []
+        for shock in eps[lo:hi].tolist():
+            value = shock * c0 + value * phi0
+            path.append(value)
+        eps[lo:hi] = path

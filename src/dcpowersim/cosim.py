@@ -154,6 +154,21 @@ class Serving:
         return self.conc - self.conc_cap
 
 
+class LabelColumn:
+    """A column of text labels held as small integer codes: row i reads
+    ``names[codes[i]]``. Iterating yields the labels themselves. (A plain
+    class: a dataclass would cost the package import a code generation.)"""
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: np.ndarray, names: tuple[str, ...]) -> None:
+        self.codes = codes
+        self.names = names
+
+    def __iter__(self):
+        return map(self.names.__getitem__, self.codes.tolist())
+
+
 class RequestPart(NamedTuple):
     """The requests of one (group, template) pair: arrival times in seconds
     and token counts, one entry per request, in arrival order."""
@@ -308,16 +323,17 @@ def generate_requests(
 
 def flatten_requests(
     parts: list[RequestPart],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, LabelColumn, LabelColumn, np.ndarray]:
     """Merge request parts into one time-ordered log of times, group
-    labels, template labels and token counts."""
+    labels, template labels and token counts; both label columns are coded
+    by each request's part."""
     times = np.concatenate([p.times for p in parts])
     order = np.argsort(times, kind="stable")
     part = np.repeat(np.arange(len(parts)), [p.times.size for p in parts])[order]
-    groups = np.array([p.group for p in parts], dtype=object)
-    templates = np.array([p.template_id for p in parts], dtype=object)
+    groups = LabelColumn(part, tuple(p.group for p in parts))
+    templates = LabelColumn(part, tuple(p.template_id for p in parts))
     tokens = np.concatenate([p.tokens for p in parts])
-    return times[order], groups[part], templates[part], tokens[order]
+    return times[order], groups, templates, tokens[order]
 
 
 def generate_jobs(

@@ -3,21 +3,41 @@
 Every file format here is fixed: column orders are part of the package
 contract, floats are written with nine significant digits, and manifests
 contain no timestamps, so byte-identical reruns stay byte-identical.
+
+Every CSV cell is exactly what ``fmt`` and csv.writer's quoting make of it.
+The writers render a chunk of rows at a time in numpy: each numeric column
+becomes a ``uint8`` matrix with one row of byte slots per cell and a mask of
+the slots the cell uses, label columns come from a table of their quoted
+names, and one ``np.compress`` of the chunk's masked slots gives its bytes.
+
+A float takes this route only when its digits are provably those of
+``'%.9g' %``. With ``X = floor(log10|v|)`` and ``p = |v| * 10**(8 - X)`` in
+float64, where the power of ten is exact and so ``p`` is within 2**-24 of
+the exact product, the cell is taken when ``-4 <= X <= 8``, ``p >= 1e8``,
+``round(p) < 1e9`` and ``p``'s fraction is more than 1e-6 from one half;
+then ``round(p)`` is the nine-digit significand ``'%.9g'`` rounds to.
+Checking ``p`` rather than ``log10`` means a wrong ``X`` can only send a cell
+to the fallback. Zeros are written directly. Every other float (exponent
+form, a near-tie, a carry into the next decade, inf and nan) goes through
+``'%.9g' %`` itself, and so does every integer of 19 digits or more through
+``str``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cosim import HybridResult
+from .cosim import HybridResult, LabelColumn
 from .metrics import RAMP_HORIZONS
 from .scheduler import Job, ScheduleTrace
 
@@ -63,10 +83,54 @@ def fmt(value) -> str:
 
 
 # rows rendered and written per chunk, so memory stays flat as files grow
-_CHUNK_ROWS = 2048
+_CHUNK_ROWS = 16384
 
-# how fmt renders a cell of each type, for columns of one type
-_RENDER_BY_TYPE = {bool: ("0", "1").__getitem__, int: str, float: FLOAT_FMT.__mod__}
+# 10**k for k = 0..12, each exactly a double
+_POW10 = np.array([float(10**k) for k in range(13)])
+# the byte slots of a float cell: its sign, the "0.000" that starts a
+# number below one, then nine digits, each with a decimal-point slot after
+# it; a cell uses the slots its text needs
+_FLOAT_SLOTS = b"-0.000" + b"0." * 9
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """Lookup tables of the numeric kernels, built on first use so that
+    importing the package builds none. Indexed by a group of four decimal
+    digits (0..9999): ``pointed`` (uint64), the digits each followed by a
+    point slot; ``digits`` (uint32), the four ASCII digits; ``kept``, how
+    many digits stay once trailing zeros go, and ``shown``, once leading
+    zeros go (none of 0). ``lead`` (uint64, by digit) holds the first eight
+    float slots, and row ``(sign * 13 + X + 4) * 10 + sig`` of
+    ``float_used`` the slots a float cell uses with decimal exponent X in
+    -4..8 and sig significant digits (none for 0)."""
+    i = np.arange(10000)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+    digits = (digits + ord("0")).astype(np.uint8)
+    pointed = np.full((10000, 8), ord("."), np.uint8)
+    pointed[:, ::2] = digits
+    lead = np.frombuffer(b"".join(_FLOAT_SLOTS[:6] + b"%d." % d for d in range(10)), np.uint64)
+
+    neg = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 9)[:, None, None]
+    sig = np.arange(10)[:, None]
+    slot = np.arange(len(_FLOAT_SLOTS))
+    k = (slot - 6) // 2  # digit k sits in slot 6 + 2k, its point in 7 + 2k
+    float_used = (
+        ((slot == 0) & (neg == 1))
+        | ((slot >= 1) & (slot <= 2) & (x < 0))
+        | ((slot >= 3) & (slot <= 5) & (x <= 1 - slot))
+        | ((slot >= 6) & (slot % 2 == 0) & (k < np.maximum(sig, x + 1)))
+        | ((slot >= 6) & (slot % 2 == 1) & (k == x) & (sig > x + 1))
+    )
+    return SimpleNamespace(
+        pointed=pointed.view(np.uint64).ravel(),
+        digits=digits.view(np.uint32).ravel(),
+        kept=4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0) - (i == 0),
+        shown=np.searchsorted([1, 10, 100, 1000], i, side="right"),
+        lead=lead,
+        float_used=float_used.reshape(-1, slot.size),
+    )
 
 
 def _quote(text: str) -> str:
@@ -77,34 +141,142 @@ def _quote(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _render(column: Sequence) -> Iterable[str]:
-    """Each cell of ``column`` as it appears in the file, rendered by ``fmt``."""
-    cells = column.tolist() if isinstance(column, np.ndarray) else column
+def _put_text(cells: np.ndarray, used: np.ndarray, rows: np.ndarray, texts: list[str]) -> None:
+    """Write each ASCII text over its row of a cell matrix, from the first slot."""
+    width = cells.shape[1]
+    cells[rows] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    used[rows] = np.arange(width) < np.array([len(t) for t in texts])[:, None]
+
+
+def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float as ``FLOAT_FMT`` renders it: one row of ``_FLOAT_SLOTS``
+    per cell and the mask of the slots it uses (see the module docstring)."""
+    t = _tables()
+    v = values.astype(np.float64, copy=False)
+    mag = np.abs(v)
+    with np.errstate(divide="ignore"):
+        x = np.floor(np.log10(mag))
+    fixed = (x >= -4.0) & (x <= 8.0)
+    x = np.where(fixed, x, 0.0).astype(np.intp)
+    p = np.where(fixed, mag, 0.0) * _POW10[8 - x]
+    q = np.rint(p)
+    fixed &= (p >= 1e8) & (q < 1e9) & (np.abs(p - np.floor(p) - 0.5) > 1e-6)
+    q = np.where(fixed, q, 0.0).astype(np.int64)
+
+    # three words of slots: the sign, "0.000", the first digit and its
+    # point; then digits two to five; then six to nine, each with its point
+    first, rest = np.divmod(q, 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    words = np.empty((len(v), 3), np.uint64)
+    words[:, 0] = t.lead.take(first)
+    words[:, 1] = t.pointed.take(mid)
+    words[:, 2] = t.pointed.take(low)
+    sig = np.where(low > 0, 5 + t.kept.take(low), np.where(mid > 0, 1 + t.kept.take(mid), first > 0))
+    used = np.take(t.float_used, (np.signbit(v) * 13 + x + 4) * 10 + sig, axis=0)
+    cells = words.view(np.uint8)
+
+    rest_rows = np.flatnonzero(~fixed & (mag != 0.0))
+    if rest_rows.size:
+        texts = [FLOAT_FMT % value for value in v[rest_rows].tolist()]
+        _put_text(cells, used, rest_rows, texts)
+    return cells, used
+
+
+def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each integer as ``str`` renders it: a sign slot and three unused ones,
+    then four digit slots per group of four digits of the widest magnitude
+    below 10**18; wider ones go through ``str`` itself."""
+    t = _tables()
+    v = values.astype(np.int64, copy=False)
+    wide = (v <= -(10**18)) | (v >= 10**18)
+    mag = np.abs(np.where(wide, 0, v))
+    groups = -(-len(str(int(mag.max()))) // 4)
+    words = np.zeros((len(v), max(1 + groups, 5 if wide.any() else 0)), np.uint32)
+    n_digits = np.ones(len(v), np.intp)
+    for j in range(groups, 0, -1):
+        mag, group = np.divmod(mag, 10000)
+        words[:, j] = t.digits.take(group)
+        n_digits = np.where(group > 0, 4 * (groups - j) + t.shown.take(group), n_digits)
+    slot = np.arange(4 * words.shape[1])
+    end = 4 + 4 * groups
+    digit_used = (slot >= end - np.arange(end - 3)[:, None]) & (slot < end)
+    table = np.concatenate([digit_used, digit_used | (slot == 0)])
+    used = np.take(table, (v < 0) * (end - 3) + n_digits, axis=0)
+    cells = words.view(np.uint8)
+    cells[:, 0] = ord("-")
+
+    wide_rows = np.flatnonzero(wide)
+    if wide_rows.size:
+        _put_text(cells, used, wide_rows, [str(i) for i in v[wide_rows].tolist()])
+    return cells, used
+
+
+def _bool_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bool as ``fmt`` renders it: one slot, ``0`` or ``1``."""
+    cells = values.astype(np.uint8)[:, None] + np.uint8(ord("0"))
+    return cells, np.ones(cells.shape, bool)
+
+
+def _label_kernel(names: Sequence[str]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The kernel that renders codes into ``names`` as the names' bytes,
+    csv-quoted and UTF-8 encoded, from one table built here."""
+    quoted = [_quote(name).encode("utf-8") for name in names]
+    width = max([1, *map(len, quoted)])
+    table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    used = np.arange(width) < np.array([len(q) for q in quoted], dtype=np.int64)[:, None]
+    return lambda codes: (np.take(table, codes, axis=0), np.take(used, codes, axis=0))
+
+
+_NUMERIC_KERNELS = {"b": _bool_cells, "i": _int_cells, "f": _float_cells}
+_NUMPY_TYPE = {bool: np.bool_, int: np.int64, float: np.float64}
+
+
+def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
+    """A kernel for ``column`` and the array whose chunks it renders: the
+    numbers themselves, or codes into the distinct ``fmt`` texts of the cells."""
+    if isinstance(column, LabelColumn):
+        return _label_kernel(column.names), column.codes
+    if isinstance(column, range):
+        column = np.arange(column.start, column.stop, column.step, dtype=np.int64)
+    if isinstance(column, np.ndarray) and column.dtype.kind in _NUMERIC_KERNELS:
+        return _NUMERIC_KERNELS[column.dtype.kind], column
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
     types = set(map(type, cells))
-    render = _RENDER_BY_TYPE.get(next(iter(types))) if len(types) == 1 else None
-    if render is not None:
-        return map(render, cells)
-    # labels and mixed cells: each distinct text is quoted once
-    texts = cells if types == {str} else [fmt(cell) for cell in cells]
-    quoted = {text: _quote(text) for text in set(texts)}
-    return map(quoted.__getitem__, texts)
+    if len(types) == 1 and next(iter(types)) in _NUMPY_TYPE:
+        try:
+            return _renderer(np.array(cells, dtype=_NUMPY_TYPE[types.pop()]))
+        except OverflowError:  # an int beyond int64 keeps its str text
+            pass
+    texts = cells if types <= {str} else [fmt(cell) for cell in cells]
+    index: dict[str, int] = {}
+    codes = [index.setdefault(text, len(index)) for text in texts]
+    return _label_kernel(list(index)), np.array(codes, dtype=np.int64)
 
 
 def _write_columns(
     path: Path | str, header: Sequence[str], columns: Sequence[Sequence]
 ) -> None:
-    """Write a CSV of equal-length ``columns`` (arrays, ranges or lists;
-    none for a file with no rows).
+    """Write a CSV of equal-length ``columns`` (arrays, ranges, lists or
+    LabelColumns; none for a file with no rows).
 
     Cells come out as ``fmt`` and csv.writer would write them row by row;
     every file here has at least two columns, so an empty cell is empty.
     """
-    n_rows = min(map(len, columns), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(_quote, header)) + "\n")
+    renderers = [_renderer(column) for column in columns]
+    n_rows = min((len(data) for _, data in renderers), default=0)
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_quote, header)) + "\n").encode("utf-8"))
         for start in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [_render(col[start : start + _CHUNK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+            rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+            n = rows.stop - rows.start
+            blocks, masks = [], []
+            for kernel, data in renderers:
+                cells, used = kernel(data[rows])
+                blocks += (cells, np.full((n, 1), ord(","), np.uint8))
+                masks += (used, np.ones((n, 1), bool))
+            blocks[-1][:] = ord("\n")
+            cells = np.concatenate(blocks, axis=1)
+            fh.write(np.compress(np.concatenate(masks, axis=1).ravel(), cells).tobytes())
 
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
@@ -121,25 +293,29 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
     """Load a series file back into float arrays keyed by column name; a
-    torn row or a non-finite cell raises ValueError naming its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns: list[list[float]] = [[] for _ in header]
-        line_of_row = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"line {reader.line_num} has {len(row)} cells, the header {len(header)}"
-                )
-            for i, cell in enumerate(row):
-                columns[i].append(float(cell))
-            line_of_row.append(reader.line_num)
-    series = {name: np.asarray(col) for name, col in zip(header, columns)}
-    bad_rows = [i for col in series.values() for i in np.flatnonzero(~np.isfinite(col))[:1]]
-    if bad_rows:
-        raise ValueError(f"line {line_of_row[min(bad_rows)]} has a non-finite cell")
-    return series
+    torn or blank row or a non-finite cell raises ValueError naming its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
+    for number, line in enumerate(lines, start=2):
+        cells = line.count(",") + 1 if line else 0
+        if cells != len(header):
+            raise ValueError(f"line {number} has {cells} cells, the header {len(header)}")
+    if not lines:
+        return {name: np.empty(0) for name in header}
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # report the first cell float() rejects in float()'s own words
+        for line in lines:
+            list(map(float, line.split(",")))
+        raise
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"line {bad_rows[0] + 2} has a non-finite cell")
+    return dict(zip(header, np.ascontiguousarray(values.T)))
 
 
 def write_arrivals_csv(path: Path | str, times: np.ndarray, groups: Sequence[str]) -> None:
@@ -198,7 +374,7 @@ def write_detail_csv(
     n_minutes = result.scenario.horizon_minutes
     columns = (
         np.repeat(np.arange(n_minutes), len(template_ids)),
-        list(template_ids) * n_minutes,
+        LabelColumn(np.tile(np.arange(len(template_ids)), n_minutes), tuple(template_ids)),
         *(getattr(s, name).T.ravel() for name in DETAIL_COLUMNS[2:]),
     )
     _write_columns(path, DETAIL_COLUMNS, columns)

@@ -201,7 +201,7 @@ class TestRequestParts:
 
     def test_zero_scale_flattens_to_empty_arrays(self, bundle):
         times, groups, templates, tokens = flatten_requests(self.parts(bundle, 0.0))
-        assert times.size == groups.size == templates.size == tokens.size == 0
+        assert times.size == groups.codes.size == templates.codes.size == tokens.size == 0
         assert times.dtype == np.float64
         assert tokens.dtype == np.int64
 
@@ -209,6 +209,7 @@ class TestRequestParts:
         parts = self.parts(bundle, 0.01)
         times, groups, templates, tokens = flatten_requests(parts)
         assert np.all(np.diff(times) >= 0)
+        groups, templates = np.array(list(groups)), np.array(list(templates))
         for part in parts:
             mine = (groups == part.group) & (templates == part.template_id)
             assert np.array_equal(times[mine], part.times)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcpowersim import cli, outputs, sweep
 from dcpowersim.cli import main
@@ -42,6 +43,57 @@ class TestCellFormat:
         assert fmt(7) == "7"
         assert fmt(np.int64(-3)) == "-3"
         assert fmt("SWF") == "SWF"
+
+
+def kernel_texts(column) -> list[str]:
+    """Each cell of ``column`` as the CSV writers' numeric kernels render it."""
+    kernel, data = outputs._renderer(column)
+    cells, used = kernel(data)
+    return [bytes(row[mask]).decode() for row, mask in zip(cells, used)]
+
+
+def float_edges() -> list[float]:
+    """Ties at the ninth digit, exact or only in decimal (the double lies
+    just above or below, while its product with ten rounds onto the tie), a
+    carry into the next decade, each power of ten from 1e-4 to 1e9 with its
+    two neighbours, and cells the kernel leaves to the format itself."""
+    powers = [float(f"1e{k}") for k in range(-4, 10)]
+    near = [float(np.nextafter(p, side)) for p in powers for side in (0.0, np.inf)]
+    return [100000000.5, 100000001.5, 56379300.45, 35722124.15, 999999999.5,
+            *powers, *near, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+
+
+class TestNumericKernels:
+    """The byte-matrix kernels render every numeric cell exactly as fmt."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_floats(self, values):
+        assert kernel_texts(np.array(values)) == [fmt(v) for v in values]
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+    @settings(deadline=None)
+    def test_int64(self, values):
+        assert kernel_texts(np.array(values, dtype=np.int64)) == [fmt(v) for v in values]
+        assert kernel_texts(values) == [fmt(v) for v in values]
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=16))
+    @settings(deadline=None)
+    def test_bools(self, values):
+        assert kernel_texts(np.array(values)) == [fmt(v) for v in values]
+        assert kernel_texts(values) == [fmt(v) for v in values]
+
+    @pytest.mark.parametrize("value", float_edges(), ids=repr)
+    def test_float_edges(self, value):
+        assert kernel_texts(np.array([value, -value])) == [fmt(value), fmt(-value)]
+
+    @pytest.mark.parametrize(
+        "value",
+        [-(2**63), -(2**63) + 1, 2**63 - 1, -(10**18), 10**18, 10**18 - 1, 0, True, False],
+        ids=repr,
+    )
+    def test_int_and_bool_edges(self, value):
+        assert kernel_texts(np.array([value])) == [fmt(value)]
 
 
 class TestSeriesFile:
@@ -247,13 +299,20 @@ class TestSimulateCommand:
         out = self.pinned_run(tmp_path, cfg_path, ckpt)
         assert file_sha256(out / name) == digest
 
-    # the tiny bundle has one group and one template; this run's 13191
-    # requests span all 35 (group, template) pairs of the default bundle
-    def test_requests_digest_pinned_across_parts(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def default_bundle_run(self, tmp_path_factory) -> Path:
+        """The outputs of a 12-GPU, one-day default-bundle run at seed 1."""
+        tmp_path = tmp_path_factory.mktemp("parts")
         scen = write_scenario(tmp_path, total_gpus=12, horizon_days=1)
         out = tmp_path / "parts"
         assert main(["simulate", "--config", "default", "--scenario", scen,
                      "--out", str(out), "--seed", "1"]) == 0
+        return out
+
+    # the tiny bundle has one group and one template; this run's 13191
+    # requests span all 35 (group, template) pairs of the default bundle
+    def test_requests_digest_pinned_across_parts(self, default_bundle_run):
+        out = default_bundle_run
         with open(out / "requests.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 13191
@@ -261,6 +320,21 @@ class TestSimulateCommand:
         assert file_sha256(out / "requests.csv") == (
             "10b3e7c607f8bf5164106985bb096f2708119542c95c0ee79a1ad702cdd456ea"
         )
+
+    # the same run's other files, recorded while every cell was still
+    # rendered one at a time in Python
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("series.csv", "323a0189686147368690c4d8fbdb4d65ba6c947faa7f6f21265007b7d4a9f5e6"),
+            ("detail.csv", "3bdf7e4f26b4394e118ac766cfe83034bdc88874d468028a627c402e35a56745"),
+            ("busy.csv", "523803afec3142d875aa2b522208c0d57c60d7060fe75d5d0d7ae705665ffe7e"),
+            ("jobs.csv", "6068f6211e4e3099b518e1b50a954911f3425ca518f0e01e6fde56f6cb0a4dee"),
+        ],
+        ids=["series", "detail", "busy", "jobs"],
+    )
+    def test_default_bundle_digest_pinned(self, default_bundle_run, name, digest):
+        assert file_sha256(default_bundle_run / name) == digest
 
     def pinned_run(self, tmp_path, cfg_path, ckpt) -> Path:
         scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, share_target=0.5,
