@@ -17,19 +17,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-# flatten_requests is looked up on cosim at call time, so a wrapper installed
-# there (bench/tracer.py) sees every call
-from . import cosim
-from .config import load_bundle, load_json
-from .cosim import (
-    Scenario,
-    generate_jobs,
-    generate_requests,
-    job_power_trace,
-    run_hybrid,
-    scenario_from_dict,
-)
-from .defaults import default_bundle_doc
 from .errors import ConfigurationError
 from .metrics import RAMP_HORIZONS, cov, ramp_rate, transmission_diagnostic
 from .outputs import (
@@ -49,9 +36,49 @@ from .outputs import (
 )
 from .scheduler import POLICIES
 from .serving import SPEED_CLASSES
-from .sweep import run_sweep, summarize
 
 OUT_ENV_VAR = "DCPOWERSIM_OUT"
+
+
+def _bind_simulation_names() -> None:
+    """Make the simulation-layer names that generate, simulate and sweep call
+    module globals.
+
+    They are imported here rather than at the top so that metrics and
+    diagnose, which only read a series file, never compile the simulator. A
+    name already set stays: a wrapper installed on this module
+    (bench/tracer.py wraps ``cli.load_bundle``, say) must be what the
+    commands call.
+    """
+    # flatten_requests is looked up on cosim at call time, so a wrapper
+    # installed there (bench/tracer.py) sees every call
+    from . import cosim
+    from .config import load_bundle, load_json
+    from .cosim import (
+        Scenario,
+        generate_jobs,
+        generate_requests,
+        job_power_trace,
+        run_hybrid,
+        scenario_from_dict,
+    )
+    from .defaults import default_bundle_doc
+    from .sweep import run_sweep, summarize
+
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """Resolve a simulation-layer name looked up on this module before any
+    command bound it; any other name raises AttributeError. A dunder name
+    raises without importing: the import system asks this module for
+    ``__path__`` on every ``from .cli import``."""
+    if not name.startswith("__"):
+        _bind_simulation_names()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -155,6 +182,7 @@ def _manifest_scenario(scenario: Scenario) -> dict:
 
 
 def cmd_generate(args) -> int:
+    _bind_simulation_names()
     raw = _load_raw_config(args.config)
     bundle = load_bundle(raw)
     scenario = _build_scenario(bundle, args, "generate")
@@ -177,6 +205,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind_simulation_names()
     raw = _load_raw_config(args.config)
     bundle = load_bundle(raw)
     scenario = _build_scenario(bundle, args, "run")
@@ -209,6 +238,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _bind_simulation_names()
     raw = _load_raw_config(args.config)
     sweep_doc = load_json(args.scenario)
     if args.seed is not None and "seeds" not in sweep_doc:

@@ -37,6 +37,7 @@ from .inference_arrivals import (
     sample_tokens,
     split_across_templates,
 )
+from .outputs import LabelColumn
 from .scheduler import (
     POLICIES,
     CapacityTimeline,
@@ -152,21 +153,6 @@ class Serving:
     @property
     def unmet(self) -> np.ndarray:
         return self.conc - self.conc_cap
-
-
-class LabelColumn:
-    """A column of text labels held as small integer codes: row i reads
-    ``names[codes[i]]``. Iterating yields the labels themselves. (A plain
-    class: a dataclass would cost the package import a code generation.)"""
-
-    __slots__ = ("codes", "names")
-
-    def __init__(self, codes: np.ndarray, names: tuple[str, ...]) -> None:
-        self.codes = codes
-        self.names = names
-
-    def __iter__(self):
-        return map(self.names.__getitem__, self.codes.tolist())
 
 
 class RequestPart(NamedTuple):

@@ -33,13 +33,15 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .cosim import HybridResult, LabelColumn
 from .metrics import RAMP_HORIZONS
-from .scheduler import Job, ScheduleTrace
+
+if TYPE_CHECKING:  # annotations only: reading a series file needs no simulator
+    from .cosim import HybridResult
+    from .scheduler import Job, ScheduleTrace
 
 FLOAT_FMT = "%.9g"
 
@@ -80,6 +82,21 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
+
+
+class LabelColumn:
+    """A column of text labels held as small integer codes: row i reads
+    ``names[codes[i]]``. Iterating yields the labels themselves. (A plain
+    class: a dataclass would cost the package import a code generation.)"""
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: np.ndarray, names: tuple[str, ...]) -> None:
+        self.codes = codes
+        self.names = names
+
+    def __iter__(self):
+        return map(self.names.__getitem__, self.codes.tolist())
 
 
 # rows rendered and written per chunk, so memory stays flat as files grow

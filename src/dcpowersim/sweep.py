@@ -8,7 +8,6 @@ worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -132,6 +131,9 @@ def run_sweep(
     # a fork-based pool starts every worker at the first submit
     workers = min(parallel, len(tasks))
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:

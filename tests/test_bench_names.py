@@ -62,3 +62,37 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     hybrid_name, hybrid_start, hybrid_end, _ = spans[parent]
     assert hybrid_name == "cosim.run_hybrid"
     assert hybrid_start <= start and end <= hybrid_end
+
+
+def _write_series(path: Path, minutes: int) -> None:
+    """A series file with a daily cycle in both power columns."""
+    lines = ["minute,p_total_kw,p_batch_kw,p_inf_kw,g_inf,g_batch"]
+    for m in range(minutes):
+        inf = 10.0 + 3.0 * ((m * 7) % 1440) / 1440.0 + (m % 11) * 0.1
+        batch = 20.0 - 2.0 * ((m * 5) % 1440) / 1440.0 + (m % 13) * 0.05
+        lines.append(f"{m},{inf + batch:.6f},{batch:.6f},{inf:.6f},2,3")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_tracer_spans_series_commands(tmp_path):
+    """metrics and diagnose import no simulator, yet the tracer wraps the
+    read and metric calls they make, and tracing leaves their output as is."""
+    series = tmp_path / "series.csv"
+    _write_series(series, 2 * 1440)
+    commands = {
+        "metrics": ["metrics", str(series), "--ramp-horizons", "1,15"],
+        "diagnose": ["diagnose", str(series), "--delta-minutes", "60"],
+    }
+    expected = {
+        "metrics": ["metrics.cov", "metrics.ramp_rate", "metrics.ramp_rate"],
+        "diagnose": ["metrics.transmission_diagnostic"],
+    }
+    for name, argv in commands.items():
+        out_json = tmp_path / f"{name}.json"
+        tracer = [str(ROOT / "bench" / "tracer.py"), str(out_json), "--"]
+        traced = _run_with_bench_path([*tracer, *argv])
+        plain = _run_with_bench_path(["-m", "dcpowersim", *argv])
+        assert traced.returncode == plain.returncode == 0, traced.stderr + plain.stderr
+        assert traced.stdout == plain.stdout
+        spans = [span[0] for span in json.loads(out_json.read_text())["spans"]]
+        assert spans == [f"cli.{name}", "outputs.read_series_csv", *expected[name]]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 from pathlib import Path
@@ -503,7 +504,8 @@ class TestSweepCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+        # run_sweep imports the pool class from its module when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         assert main(["sweep", "--config", cfg_path, "--scenario", self.sweep_doc(tmp_path),
                      "--out", str(tmp_path / "capped"), "--parallel", "8"]) == 0
         assert widths == [3]

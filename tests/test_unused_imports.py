@@ -1,7 +1,4 @@
-"""Static check: no package module imports a name it never uses.
-
-``__init__.py`` is exempt because its imports are the re-exported surface.
-"""
+"""Static check: no package module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -10,9 +7,7 @@ import pytest
 
 import dcpowersim
 
-MODULES = sorted(
-    p for p in Path(dcpowersim.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(dcpowersim.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
