@@ -123,16 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=("batch", "inference"))
     _add_config_flags(p_gen)
     _add_scenario_flags(p_gen)
+    p_gen.set_defaults(run=cmd_generate)
 
     p_sim = sub.add_parser("simulate", help="run one hybrid scenario")
     _add_config_flags(p_sim)
     _add_scenario_flags(p_sim)
     _add_run_flags(p_sim)
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario grid")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--scenario", default=None, help="sweep JSON path")
     p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_met = sub.add_parser("metrics", help="recompute metrics from a series file")
     p_met.add_argument("series", help="series CSV path")
@@ -146,12 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="summarize ramps as the median of per-day medians",
     )
+    p_met.set_defaults(run=cmd_metrics)
 
     p_diag = sub.add_parser("diagnose", help="transmission diagnostic on a series file")
     p_diag.add_argument("series", help="series CSV path")
     p_diag.add_argument("--x-column", default="p_inf_kw")
     p_diag.add_argument("--y-column", default="p_batch_kw")
     p_diag.add_argument("--delta-minutes", type=int, default=240)
+    p_diag.set_defaults(run=cmd_diagnose)
     return parser
 
 
@@ -168,72 +173,72 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _build_scenario(bundle, args, default_id: str) -> Scenario:
+def _setup(args, default_id: str):
+    """The bundle, the scenario and the output directory of a generate or
+    simulate run."""
+    _bind_simulation_names()
+    bundle = load_bundle(_load_raw_config(args.config))
     doc = load_json(args.scenario)
     # every flag whose dest names a Scenario field overrides the document
     fields = Scenario.__dataclass_fields__
     doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     doc.setdefault("scenario_id", default_id)
-    return scenario_from_dict(doc, bundle.scenario_defaults)
+    return bundle, scenario_from_dict(doc, bundle.scenario_defaults), _out_dir(args)
 
 
-def _manifest_scenario(scenario: Scenario) -> dict:
-    return {**asdict(scenario), "derived_seed": scenario.root_seed}
+def _write_files(out: Path, bundle, scenario, files: dict) -> None:
+    """Call each write of ``files``, a table of file name -> write(path), in
+    order, then write the manifest that lists those files."""
+    for name, write in files.items():
+        write(out / name)
+    scenario_doc = {**asdict(scenario), "derived_seed": scenario.root_seed}
+    write_manifest(out, bundle.config_hash, scenario_doc, list(files))
 
 
 def cmd_generate(args) -> int:
-    _bind_simulation_names()
-    raw = _load_raw_config(args.config)
-    bundle = load_bundle(raw)
-    scenario = _build_scenario(bundle, args, "generate")
-    out = _out_dir(args)
+    bundle, scenario, out = _setup(args, "generate")
     if args.kind == "batch":
         jobs, times = generate_jobs(bundle, scenario, 1.0)
-        write_arrivals_csv(out / "arrivals.csv", times, [j.group for j in jobs])
-        write_jobs_csv(out / "jobs.csv", jobs)
-        power, lengths = job_power_trace(bundle, jobs, scenario.root_seed)
-        write_job_power_csv(
-            out / "job_power.csv", [j.job_id for j in jobs], power, lengths
-        )
-        files = ["arrivals.csv", "jobs.csv", "job_power.csv"]
+        files = {
+            "arrivals.csv": lambda path: write_arrivals_csv(
+                path, times, [j.group for j in jobs]
+            ),
+            "jobs.csv": lambda path: write_jobs_csv(path, jobs),
+            "job_power.csv": lambda path: write_job_power_csv(
+                path, [j.job_id for j in jobs],
+                *job_power_trace(bundle, jobs, scenario.root_seed),
+            ),
+        }
     else:
         parts = generate_requests(bundle, scenario, 1.0)
-        write_requests_csv(out / "requests.csv", *cosim.flatten_requests(parts))
-        files = ["requests.csv"]
-    write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
+        files = {
+            "requests.csv": lambda path: write_requests_csv(
+                path, *cosim.flatten_requests(parts)
+            ),
+        }
+    _write_files(out, bundle, scenario, files)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _bind_simulation_names()
-    raw = _load_raw_config(args.config)
-    bundle = load_bundle(raw)
-    scenario = _build_scenario(bundle, args, "run")
-    out = _out_dir(args)
+    bundle, scenario, out = _setup(args, "run")
     result = run_hybrid(bundle, scenario)
-    write_series_csv(out / "series.csv", result)
-    write_busy_csv(out / "busy.csv", result.busy_batch)
-    write_trace_csv(out / "trace.csv", result.trace)
-    write_jobs_csv(out / "jobs.csv", result.jobs)
-    write_requests_csv(
-        out / "requests.csv", *cosim.flatten_requests(result.request_parts)
-    )
-    write_detail_csv(
-        out / "detail.csv", result, [t.template_id for t in bundle.llm_templates]
-    )
-    summary = {k: (v if v != "" else None) for k, v in summarize(result).items()}
-    summary["rejected_job_ids"] = list(result.trace.rejected_job_ids)
-    write_json(out / "metrics.json", summary)
-    files = [
-        "series.csv",
-        "busy.csv",
-        "trace.csv",
-        "jobs.csv",
-        "requests.csv",
-        "detail.csv",
-        "metrics.json",
-    ]
-    write_manifest(out, bundle.config_hash, _manifest_scenario(scenario), files)
+    template_ids = [t.template_id for t in bundle.llm_templates]
+    _write_files(out, bundle, scenario, {
+        "series.csv": lambda path: write_series_csv(path, result),
+        "busy.csv": lambda path: write_busy_csv(path, result.busy_batch),
+        "trace.csv": lambda path: write_trace_csv(path, result.trace),
+        "jobs.csv": lambda path: write_jobs_csv(path, result.jobs),
+        "requests.csv": lambda path: write_requests_csv(
+            path, *cosim.flatten_requests(result.request_parts)
+        ),
+        "detail.csv": lambda path: write_detail_csv(path, result, template_ids),
+        # the sweep row, empty cells as null, and the jobs the scheduler rejected
+        "metrics.json": lambda path: write_json(path, {
+            **{k: (v if v != "" else None) for k, v in summarize(result).items()},
+            "rejected_job_ids": list(result.trace.rejected_job_ids),
+        }),
+    })
     return 0
 
 
@@ -260,8 +265,6 @@ def _series_columns(path: str, columns: list[str]) -> list:
         series = read_series_csv(path)
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read: {exc}") from None
-    except StopIteration:
-        raise ConfigurationError(f"{path}: no header row") from None
     except ValueError as exc:
         raise ConfigurationError(f"{path}: not a numeric CSV: {exc}") from None
     for column in columns:
@@ -310,20 +313,11 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "metrics": cmd_metrics,
-    "diagnose": cmd_diagnose,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 1

@@ -312,7 +312,7 @@ def _dense_histogram(spec, support_max: int) -> np.ndarray:
         dense = np.asarray(spec, dtype=float)
         if dense.shape != (support_max,):
             raise ConfigurationError("dense histogram length must equal support_max")
-    if np.any(dense < 0):
+    if not np.all(dense >= 0):  # NaN fails too: no pool fit may see it
         raise ConfigurationError("histogram counts must be nonnegative")
     return dense
 

@@ -30,13 +30,13 @@ from .config import ModelBundle
 from .distributions import CategoricalSampler, sample_nb2
 from .errors import ConfigurationError
 from .inference_arrivals import (
-    MINUTES_PER_DAY,
     apply_verbosity,
     minute_mean_series,
     place_in_minutes,
     sample_tokens,
     split_across_templates,
 )
+from .metrics import MINUTES_PER_DAY
 from .outputs import LabelColumn
 from .scheduler import (
     POLICIES,
@@ -141,18 +141,18 @@ def scenario_from_dict(doc: dict, defaults: dict | None = None) -> Scenario:
 
 @dataclass(frozen=True)
 class Serving:
-    """Per-template serving state, one row per template, one column per minute;
-    ``budgets`` is None when serving runs uncapped or has no work."""
+    """Per-template serving state, one row per template, one column per minute,
+    and the offered and the unmet inference GPU-hours; ``budgets`` is None
+    when serving runs uncapped or has no work."""
 
     conc: np.ndarray
     conc_cap: np.ndarray
     gpus: np.ndarray
     power_kw: np.ndarray
+    unmet: np.ndarray
     budgets: list[int] | None
-
-    @property
-    def unmet(self) -> np.ndarray:
-        return self.conc - self.conc_cap
+    offered_h: float
+    unmet_h: float
 
 
 class RequestPart(NamedTuple):
@@ -167,23 +167,54 @@ class RequestPart(NamedTuple):
 
 @dataclass
 class HybridResult:
-    """Everything produced by one scenario run, on the minute grid."""
+    """The stage outputs of one scenario run, on the minute grid, and the
+    totals and ratios read from them."""
 
     scenario: Scenario
-    p_total_kw: np.ndarray
-    p_batch_kw: np.ndarray
-    p_inf_kw: np.ndarray
-    g_inf: np.ndarray
-    busy_batch: np.ndarray
     serving: Serving
-    w_inf_offered_h: float
-    w_batch_offered_h: float
-    unmet_work_h: float
-    share_realized: float
-    utilization_realized: float
+    busy_batch: np.ndarray
+    p_batch_kw: np.ndarray
     jobs: list[Job] = field(repr=False)
     trace: ScheduleTrace = field(repr=False)
     request_parts: list[RequestPart] = field(repr=False)
+
+    @property
+    def g_inf(self) -> np.ndarray:
+        return self.serving.gpus.sum(axis=0)
+
+    @property
+    def p_inf_kw(self) -> np.ndarray:
+        return self.serving.power_kw.sum(axis=0)
+
+    @property
+    def p_total_kw(self) -> np.ndarray:
+        return self.p_batch_kw + self.p_inf_kw
+
+    @property
+    def w_inf_offered_h(self) -> float:
+        return self.serving.offered_h
+
+    @property
+    def unmet_work_h(self) -> float:
+        return self.serving.unmet_h
+
+    @property
+    def w_batch_offered_h(self) -> float:
+        """GPU-hours of the jobs the scheduler admitted."""
+        rejected = set(self.trace.rejected_job_ids)
+        admitted = (job for job in self.jobs if job.job_id not in rejected)
+        return sum((job.gpu * job.runtime_s / 3600.0 for job in admitted), 0.0)
+
+    @property
+    def share_realized(self) -> float:
+        w_inf, w_batch = self.w_inf_offered_h, self.w_batch_offered_h
+        return inference_share(w_inf, w_batch) if w_inf + w_batch > 0.0 else 0.0
+
+    @property
+    def utilization_realized(self) -> float:
+        s = self.scenario
+        work = self.w_inf_offered_h + self.w_batch_offered_h
+        return utilization(work, s.total_gpus, s.horizon_days) if s.horizon_days > 0 else 0.0
 
     @property
     def unmet_work_frac(self) -> float:
@@ -505,9 +536,8 @@ def serve_inference(
     bundle: ModelBundle,
     scenario: Scenario,
     request_parts: list[RequestPart],
-) -> tuple[Serving, float, float]:
-    """Serve the requests under per-template budgets; also returns the
-    offered and the unmet inference GPU-hours."""
+) -> Serving:
+    """Serve the requests under per-template budgets."""
     n_minutes = scenario.horizon_minutes
     templates = bundle.llm_templates
     conc = np.zeros((len(templates), n_minutes))
@@ -537,10 +567,10 @@ def serve_inference(
     conc_cap = cap_concurrency(conc, max_batch, budget_col, per_instance)
     gpus = gpu_use(conc_cap, max_batch, per_instance)
     power_kw = inference_power(conc_cap, np.array([[t.rho_kw] for t in templates]))
-    serving = Serving(conc, conc_cap, gpus, power_kw, budgets)
-    unmet_slot_s = serving.unmet.sum(axis=1) * 60.0
-    unmet_work_h = float(sum(t.gpu_hours(s) for t, s in zip(templates, unmet_slot_s)))
-    return serving, w_inf_offered, unmet_work_h
+    unmet = conc - conc_cap
+    unmet_slot_s = unmet.sum(axis=1) * 60.0
+    unmet_h = float(sum(t.gpu_hours(s) for t, s in zip(templates, unmet_slot_s)))
+    return Serving(conc, conc_cap, gpus, power_kw, unmet, budgets, w_inf_offered, unmet_h)
 
 
 def run_batch(
@@ -568,11 +598,8 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
     """Run one scenario end to end and return the minute-level result."""
     fb, fi = _work_scales(bundle, scenario)
     request_parts = generate_requests(bundle, scenario, fi)
-    serving, w_inf_offered, unmet_work_h = serve_inference(
-        bundle, scenario, request_parts
-    )
+    serving = serve_inference(bundle, scenario, request_parts)
     g_inf = serving.gpus.sum(axis=0)
-    p_inf = serving.power_kw.sum(axis=0)
     jobs, trace = run_batch(bundle, scenario, fb, g_inf)
     busy_batch = trace.busy_minutes(scenario.horizon_minutes)
     p_batch = _batch_power_series(bundle, scenario, jobs, trace)
@@ -584,34 +611,4 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         raise RuntimeError(
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )
-
-    rejected = set(trace.rejected_job_ids)
-    w_batch_offered = sum(
-        (job.gpu * job.runtime_s / 3600.0 for job in jobs if job.job_id not in rejected),
-        0.0,
-    )
-    total_work = w_inf_offered + w_batch_offered
-    share_realized = (
-        inference_share(w_inf_offered, w_batch_offered) if total_work > 0.0 else 0.0
-    )
-    return HybridResult(
-        scenario=scenario,
-        p_total_kw=p_batch + p_inf,
-        p_batch_kw=p_batch,
-        p_inf_kw=p_inf,
-        g_inf=g_inf,
-        busy_batch=busy_batch,
-        serving=serving,
-        w_inf_offered_h=w_inf_offered,
-        w_batch_offered_h=w_batch_offered,
-        unmet_work_h=unmet_work_h,
-        share_realized=share_realized,
-        utilization_realized=(
-            utilization(total_work, scenario.total_gpus, scenario.horizon_days)
-            if scenario.horizon_days > 0
-            else 0.0
-        ),
-        jobs=jobs,
-        trace=trace,
-        request_parts=request_parts,
-    )
+    return HybridResult(scenario, serving, busy_batch, p_batch, jobs, trace, request_parts)

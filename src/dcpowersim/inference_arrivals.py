@@ -19,8 +19,8 @@ import numpy as np
 from .batch_arrivals import SimCalendar
 from .distributions import CategoricalSampler
 from .errors import ConfigurationError
+from .metrics import MINUTES_PER_DAY
 
-MINUTES_PER_DAY = 1_440
 SLOT_MINUTES = 15
 SLOTS_PER_DAY = MINUTES_PER_DAY // SLOT_MINUTES  # 96
 
@@ -134,8 +134,9 @@ class TokenDistribution:
         else:
             if np.any(pmf < 0):
                 problems.append("pmf entries must be nonnegative")
-            if abs(pmf.sum() - 1.0) > 1e-9:
-                problems.append("pmf must sum to 1")
+            # written so that a NaN sum fails too
+            if not abs(pmf.sum() - 1.0) <= 1e-9:
+                problems.append("pmf must be finite and sum to 1")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -167,6 +168,10 @@ def smooth_histogram(counts: np.ndarray, bandwidth: int) -> np.ndarray:
     csum = np.concatenate(([0.0], np.cumsum(counts)))
     window_sums = csum[hi + 1] - csum[lo]
     smoothed = window_sums / (hi - lo + 1)
+    if smoothed.sum() == 0.0:
+        # the window means of a subnormal histogram can underflow to zero;
+        # its normalized form has the same pmf and cannot
+        return smooth_histogram(counts / total, bandwidth)
     return smoothed / smoothed.sum()
 
 

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference_arrivals import MINUTES_PER_DAY
-
+MINUTES_PER_DAY = 1_440
 MINUTES_PER_HOUR = 60
 
 PROFILE_QUANTILES = (5, 25, 50, 75, 95)

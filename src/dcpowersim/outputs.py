@@ -310,9 +310,12 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
     """Load a series file back into float arrays keyed by column name; a
-    torn or blank row or a non-finite cell raises ValueError naming its line."""
+    missing header, or a torn, blank or non-finite row (named by its line),
+    raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError("no header row")
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # the newline that ends the last row

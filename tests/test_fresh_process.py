@@ -34,7 +34,9 @@ with open(out, "w") as fh:
     json.dump(sorted(sys.modules), fh)
 """
 SIMULATOR = {
-    f"dcpowersim.{m}" for m in ("cosim", "config", "defaults", "sweep", "batch_power", "seeds")
+    f"dcpowersim.{m}"
+    for m in ("cosim", "config", "defaults", "sweep", "batch_power", "seeds",
+              "batch_arrivals", "inference_arrivals", "distributions")
 }
 PROCESS_POOL = "concurrent.futures.process"
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcpowersim.batch_arrivals import SimCalendar
 from dcpowersim.distributions import GUIDE_BUCKETS, CategoricalSampler, sample_nb2
@@ -17,6 +17,7 @@ from dcpowersim.inference_arrivals import (
     smooth_histogram,
     split_across_templates,
 )
+from dcpowersim.errors import ConfigurationError
 from dcpowersim.seeds import substream
 
 from oracles import sample_categorical, token_mean
@@ -141,6 +142,8 @@ class TestSmoothing:
         st.integers(min_value=0, max_value=10),
     )
     @settings(max_examples=80, deadline=None)
+    # a subnormal mass whose window means underflow to zero
+    @example(counts=[0.0, 5e-324], bw=1)
     def test_smoothing_returns_pmf(self, counts, bw):
         counts = np.asarray(counts)
         if counts.sum() <= 0:
@@ -148,6 +151,15 @@ class TestSmoothing:
         out = smooth_histogram(counts, bw)
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0)
+
+    def test_subnormal_mass_smooths_like_its_normalized_form(self):
+        out = smooth_histogram(np.array([5e-324, 0.0, 0.0]), 1)
+        assert np.array_equal(out, smooth_histogram(np.array([1.0, 0.0, 0.0]), 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_token_distribution_rejects_non_finite_pmf(self, bad):
+        with pytest.raises(ConfigurationError, match="pmf must be finite and sum to 1"):
+            TokenDistribution(2, np.array([bad, 0.5]))
 
 
 class TestVerbosity:

@@ -116,6 +116,12 @@ class TestSeriesFile:
         assert np.array_equal(back["p_total_kw"], result.p_total_kw)
         assert np.array_equal(back["g_inf"], result.g_inf.astype(float))
 
+    def test_zero_byte_file_has_no_header_row(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="no header row"):
+            read_series_csv(path)
+
     def test_job_power_rows(self, tmp_path):
         path = tmp_path / "job_power.csv"
         write_job_power_csv(path, [3, 4], np.array([0.5, 0.25, 1.0]), np.array([2, 1]))
@@ -141,6 +147,33 @@ def write_scenario(tmp_path, name="scen.json", **fields) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(fields))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "batch", "--scenario", "{scenario}"],
+        ["generate", "inference", "--scenario", "{scenario}"],
+        ["simulate", "--scenario", "{scenario}", "--share", "0.5"],
+        ["sweep", "--scenario", "{sweep}"],
+        ["sweep", "--scenario", "{sweep}", "--parallel", "2"],
+    ],
+    ids=["generate_batch", "generate_inference", "simulate", "sweep", "sweep_parallel"],
+)
+def test_manifest_lists_exactly_the_files_written(argv, tmp_path, cfg_path):
+    paths = {
+        "scenario": write_scenario(tmp_path, total_gpus=4, horizon_days=1),
+        "sweep": write_scenario(
+            tmp_path, name="sweep.json", shares=[0.0, 0.5, 1.0],
+            scenario={"total_gpus": 4, "horizon_days": 1},
+        ),
+    }
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv + ["--config", cfg_path, "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert written and set(manifest["files"]) == written
 
 
 class TestGenerateCommand:
@@ -855,6 +888,8 @@ class TestMetricsCommands:
             (["diagnose", "{torn}"], "{torn}"),
             (["metrics", "{nan}"], "{nan}: not a numeric CSV: line 501 has a non-finite cell"),
             (["diagnose", "{nan}"], "{nan}: not a numeric CSV: line 501 has a non-finite cell"),
+            (["metrics", "{empty}"], "{empty}: not a numeric CSV: no header row"),
+            (["diagnose", "{empty}"], "{empty}: not a numeric CSV: no header row"),
         ],
     )
     def test_bad_input_is_one_line_configuration_error(
@@ -862,6 +897,8 @@ class TestMetricsCommands:
     ):
         header_only = tmp_path / "header_only.csv"
         header_only.write_text(",".join(SERIES_COLUMNS) + "\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
         lines = Path(series_path).read_text().splitlines()
         # a p_total_kw cell on line 501 that parses as a float but is not a number
         nan = tmp_path / "nan.csv"
@@ -873,7 +910,7 @@ class TestMetricsCommands:
         torn = tmp_path / "torn.csv"
         torn.write_text("\n".join(lines) + "\n")
         paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn),
-                 "nan": str(nan)}
+                 "nan": str(nan), "empty": str(empty)}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1
