@@ -537,24 +537,35 @@ def serve_inference(
     scenario: Scenario,
     request_parts: list[RequestPart],
 ) -> Serving:
-    """Serve the requests under per-template budgets."""
+    """Serve the requests under per-template budgets.
+
+    Each request part is windowed on its own, so its float temporaries live
+    for that part only; a template keeps two int32 tick edges per request
+    and counts them once. Offered work is the integer sum of the windows'
+    ticks, exact in any order.
+    """
     n_minutes = scenario.horizon_minutes
+    tick = bundle.grid_tick_s
+    n_ticks = n_minutes * (60 // tick)
     templates = bundle.llm_templates
     conc = np.zeros((len(templates), n_minutes))
     offered = np.zeros(len(templates))
-    # one template's service windows at a time keeps peak memory low
     for t_index, template in enumerate(templates):
         parts = [p for p in request_parts if p.template_id == template.template_id]
-        win_starts, win_durs = service_windows(
-            np.concatenate([p.times for p in parts]),
-            np.concatenate([p.tokens for p in parts]),
-            template.tpot(scenario.speed_class),
-            bundle.grid_tick_s,
-        )
-        offered[t_index] = template.gpu_hours(win_durs.sum())
-        conc[t_index] = concurrency(
-            win_starts, win_durs, n_minutes, bundle.grid_tick_s
-        )
+        tpot_s = template.tpot(scenario.speed_class)
+        edges = np.empty((2, sum(p.times.size for p in parts)), dtype=np.int32)
+        work_ticks = 0
+        lo = 0
+        for part in parts:
+            starts, ticks = service_windows(part.times, part.tokens, tpot_s, tick)
+            work_ticks += int(ticks.sum())
+            hi = lo + starts.size
+            np.clip(starts, 0, n_ticks, out=edges[0, lo:hi])
+            np.clip(starts + ticks, 0, n_ticks, out=edges[1, lo:hi])
+            lo = hi
+        offered[t_index] = template.gpu_hours(work_ticks * tick)
+        if edges.size:  # a template without requests keeps its zero row
+            conc[t_index] = concurrency(edges[0], edges[1], n_minutes, tick)
     w_inf_offered = float(offered.sum())
     # template constants as columns, so each serving rule runs once on conc
     max_batch = np.array([[t.max_batch] for t in templates])

@@ -83,7 +83,11 @@ def place_in_minutes(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray
     if total == 0:
         return np.empty(0, dtype=float)
     starts = np.repeat(np.arange(len(counts), dtype=float) * 60.0, counts)
-    return np.sort(starts + rng.random(total) * 60.0)
+    u = rng.random(total)
+    u *= 60.0
+    u += starts
+    u.sort()
+    return u
 
 
 def split_across_templates(
@@ -235,4 +239,6 @@ def sample_tokens(
     Build the sampler once per ``TokenDistribution`` with
     ``CategoricalSampler(dist.pmf)`` and reuse it for every draw.
     """
-    return sampler.sample(rng, size) + 1
+    tokens = sampler.sample(rng, size)
+    tokens += 1
+    return tokens

@@ -78,18 +78,23 @@ class LLMTemplate:
 def _window_ticks(tokens: np.ndarray, tpot_s: float, grid_tick_s: int) -> np.ndarray:
     """Whole service ticks of each token count: ceil(tokens * tpot / tick),
     at least one; exact multiples stay unchanged."""
-    return np.maximum(1, np.ceil(tokens * tpot_s / grid_tick_s - _GRID_EPS))
+    ticks = tokens * tpot_s
+    ticks /= grid_tick_s
+    ticks -= _GRID_EPS
+    np.ceil(ticks, out=ticks)
+    return np.maximum(ticks, 1, out=ticks)
 
 
 def service_windows(
     arrivals: np.ndarray, tokens: np.ndarray, tpot_s: float, grid_tick_s: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized service windows; returns (starts, durations) in seconds."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    tokens = np.asarray(tokens, dtype=float)
-    starts = grid_tick_s * np.ceil(arrivals / grid_tick_s - _GRID_EPS)
-    ticks = _window_ticks(tokens, tpot_s, grid_tick_s)
-    return starts.astype(np.int64), (grid_tick_s * ticks).astype(np.int64)
+    """Vectorized service windows in whole grid ticks; returns each
+    request's (start tick, tick count) as int64 arrays."""
+    starts = np.asarray(arrivals, dtype=float) / grid_tick_s
+    starts -= _GRID_EPS
+    np.ceil(starts, out=starts)
+    ticks = _window_ticks(np.asarray(tokens), tpot_s, grid_tick_s)
+    return starts.astype(np.int64), ticks.astype(np.int64)
 
 
 def expected_window_seconds(
@@ -106,33 +111,27 @@ def expected_window_seconds(
 
 
 def concurrency(
-    starts: np.ndarray,
-    durations: np.ndarray,
+    start_ticks: np.ndarray,
+    end_ticks: np.ndarray,
     horizon_minutes: int,
     grid_tick_s: int,
 ) -> np.ndarray:
-    """Minute-averaged concurrency: active request-seconds per minute / 60.
+    """Minute-averaged concurrency of windows given in grid ticks: request
+    ``i`` is active over ticks [start_ticks[i], end_ticks[i]), every index
+    in [0, n_ticks], n_ticks the horizon's ticks. The tick must divide 60.
 
-    Windows are tick-aligned, so the count of active requests is constant
-    within a tick and the minute average is exact. The tick must divide 60.
+    Counts in integer ticks: the window edges, the running count of active
+    requests and its per-minute sum are all exact int64, so the minute mean
+    is the exact count over ticks per minute, in any order of the windows.
     """
     if 60 % grid_tick_s != 0:
         raise ConfigurationError("grid tick must divide 60 seconds")
     per_minute = 60 // grid_tick_s
-    n_ticks = horizon_minutes * per_minute
-    delta = np.zeros(n_ticks + 1)
-    if len(starts):
-        s = np.clip(np.asarray(starts, dtype=np.int64) // grid_tick_s, 0, n_ticks)
-        e = np.clip(
-            (np.asarray(starts, dtype=np.int64) + np.asarray(durations, dtype=np.int64))
-            // grid_tick_s,
-            0,
-            n_ticks,
-        )
-        np.add.at(delta, s, 1.0)
-        np.add.at(delta, e, -1.0)
-    active = np.cumsum(delta[:-1])
-    return active.reshape(horizon_minutes, per_minute).sum(axis=1) / per_minute
+    active = np.zeros(horizon_minutes * per_minute + 1, dtype=np.int64)
+    np.add.at(active, start_ticks, 1)
+    np.subtract.at(active, end_ticks, 1)
+    np.cumsum(active, out=active)
+    return active[:-1].reshape(horizon_minutes, per_minute).sum(axis=1) / per_minute
 
 
 def allocate_budgets(

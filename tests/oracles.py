@@ -24,6 +24,7 @@ from dcpowersim.batch_power import (
     select_template,
     synthesize_power,
 )
+from dcpowersim.cosim import Serving
 from dcpowersim.outputs import (
     ARRIVALS_COLUMNS,
     BUSY_COLUMNS,
@@ -46,6 +47,7 @@ from dcpowersim.scheduler import (
     segment_job,
 )
 from dcpowersim.seeds import substream
+from dcpowersim.serving import allocate_budgets, cap_concurrency, gpu_use, inference_power
 
 MINUTES_PER_DAY = 1_440
 
@@ -489,6 +491,52 @@ def service_window(
 def token_mean(dist) -> float:
     """Mean token count of a pmf on support {1..support_max}."""
     return sum((i + 1) * float(p) for i, p in enumerate(dist.pmf))
+
+
+# Serving with each template's parts concatenated: the package's former
+# path, kept as the reference for its part-at-a-time pass in tick units.
+
+
+def serve_inference_concatenated(bundle, scenario, request_parts) -> Serving:
+    """``cosim.serve_inference`` with one window array per template: its
+    parts' arrivals and tokens concatenated, windows in seconds, and the
+    window edges added up as floats by ``np.add.at``."""
+    n_minutes = scenario.horizon_minutes
+    tick = bundle.grid_tick_s
+    per_minute = 60 // tick
+    n_ticks = n_minutes * per_minute
+    templates = bundle.llm_templates
+    conc = np.zeros((len(templates), n_minutes))
+    offered = np.zeros(len(templates))
+    for t_index, template in enumerate(templates):
+        parts = [p for p in request_parts if p.template_id == template.template_id]
+        arrivals = np.concatenate([p.times for p in parts]).astype(float)
+        tokens = np.concatenate([p.tokens for p in parts]).astype(float)
+        tpot_s = template.tpot(scenario.speed_class)
+        starts = (tick * np.ceil(arrivals / tick - _GRID_EPS)).astype(np.int64)
+        ticks = np.maximum(1, np.ceil(tokens * tpot_s / tick - _GRID_EPS))
+        durations = (tick * ticks).astype(np.int64)
+        offered[t_index] = template.gpu_hours(durations.sum())
+        delta = np.zeros(n_ticks + 1)
+        np.add.at(delta, np.clip(starts // tick, 0, n_ticks), 1.0)
+        np.add.at(delta, np.clip((starts + durations) // tick, 0, n_ticks), -1.0)
+        active = np.cumsum(delta[:-1])
+        conc[t_index] = active.reshape(n_minutes, per_minute).sum(axis=1) / per_minute
+    w_inf_offered = float(offered.sum())
+    max_batch = np.array([[t.max_batch] for t in templates])
+    per_instance = np.array([[t.gpus_per_instance] for t in templates])
+    budgets = budget_col = None
+    if scenario.cap_mode == "capped" and w_inf_offered > 0.0:
+        pool = int(math.floor(scenario.cap_fraction * scenario.total_gpus))
+        budgets = allocate_budgets(pool, offered, per_instance[:, 0])
+        budget_col = np.array(budgets)[:, None]
+    conc_cap = cap_concurrency(conc, max_batch, budget_col, per_instance)
+    gpus = gpu_use(conc_cap, max_batch, per_instance)
+    power_kw = inference_power(conc_cap, np.array([[t.rho_kw] for t in templates]))
+    unmet = conc - conc_cap
+    unmet_slot_s = unmet.sum(axis=1) * 60.0
+    unmet_h = float(sum(t.gpu_hours(s) for t, s in zip(templates, unmet_slot_s)))
+    return Serving(conc, conc_cap, gpus, power_kw, unmet, budgets, w_inf_offered, unmet_h)
 
 
 # Batch power added up one segment run at a time: the package's former

@@ -25,6 +25,7 @@ from dcpowersim.serving import cap_concurrency, gpu_use, inference_power
 
 from oracles import (
     TinyJob,
+    batch_power_per_run,
     enumerate_admissible,
     first_starts,
     flat_capacity,
@@ -38,6 +39,8 @@ from test_cosim import tiny_doc
 SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 SEEDS = (1, 2, 3)
 INTERIOR = (0.25, 0.5, 0.75)
+# (share, seed) runs whose total power test 08 recomputes
+POWER_CHECKED = ((0.25, 1), (0.75, 2))
 
 
 @pytest.fixture()
@@ -278,23 +281,30 @@ def test_07_formula_hand_values(gate):
     gate("07 formula-conformance", not bad, f"{len(checks)} hand values" + (f"; failed {bad}" if bad else ""))
 
 
-def test_08_conservation_every_minute(shape_sweep, saturated_run, gate):
+def test_08_conservation_every_minute(bundle, shape_sweep, saturated_run, gate):
     results, _ = shape_sweep
     runs = list(results.values()) + [saturated_run]
     worst_gpu = 0.0
-    worst_kw = 0.0
     for res in runs:
         total = res.scenario.total_gpus
         worst_gpu = max(worst_gpu, float(np.max(res.g_inf + res.busy_batch - total, initial=-math.inf)))
-        worst_kw = max(
-            worst_kw,
-            float(np.max(np.abs(res.p_total_kw - (res.p_batch_kw + res.p_inf_kw)), initial=0.0)),
+    # total power against sums made without it, on two mixed runs: batch
+    # power added up one segment run at a time, plus each template's
+    # rho_kw times its capped concurrency
+    worst_kw = 0.0
+    for key in POWER_CHECKED:
+        res = results[key]
+        p_inf = sum(
+            t.rho_kw * conc for t, conc in zip(bundle.llm_templates, res.serving.conc_cap)
         )
+        p_batch = batch_power_per_run(bundle, res.scenario, res.jobs, res.trace)
+        worst_kw = max(worst_kw, float(np.max(np.abs(res.p_total_kw - (p_batch + p_inf)))))
     ok = worst_gpu <= 1e-9 and worst_kw <= 1e-9
     gate(
         "08 conservation",
         ok,
-        f"{len(runs)} runs; max GPU overrun {worst_gpu:.2e}, max power gap {worst_kw:.2e} kW",
+        f"{len(runs)} runs; max GPU overrun {worst_gpu:.2e}; "
+        f"{len(POWER_CHECKED)} runs: max power gap {worst_kw:.2e} kW",
     )
 
 

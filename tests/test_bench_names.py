@@ -38,7 +38,9 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     completed or was preempted, and this small run both preempts and
     backfills. The request counter reads the request parts' layout, so
     it must count the rows of the run's request log. Power synthesis for
-    every job of the run is one timed call inside the run's span."""
+    every job of the run is one timed call inside the run's span.
+    ``serving.s`` adds up every serving span's full duration, so no
+    serving span may open inside another."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"total_gpus": 12, "horizon_days": 1}))
     out_json = tmp_path / "trace.json"
@@ -62,6 +64,13 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     hybrid_name, hybrid_start, hybrid_end, _ = spans[parent]
     assert hybrid_name == "cosim.run_hybrid"
     assert hybrid_start <= start and end <= hybrid_end
+    serving = [i for i, span in enumerate(spans) if span[0].startswith("serving.")]
+    assert {spans[i][0] for i in serving} >= {"serving.service_windows", "serving.concurrency"}
+    for index in serving:
+        parent = spans[index][3]
+        while parent >= 0:
+            assert not spans[parent][0].startswith("serving."), spans[index][0]
+            parent = spans[parent][3]
 
 
 def _write_series(path: Path, minutes: int) -> None:

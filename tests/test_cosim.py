@@ -1,15 +1,18 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from dcpowersim import cosim
 from dcpowersim.config import load_bundle
 from dcpowersim.cosim import (
+    RequestPart,
     Scenario,
+    Serving,
     _add_run_power,
     _batch_power_series,
     _work_scales,
@@ -20,12 +23,14 @@ from dcpowersim.cosim import (
     job_power_trace,
     run_hybrid,
     scenario_from_dict,
+    serve_inference,
     utilization,
 )
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.scheduler import CapacityTimeline, SegmentRun, schedule
 from dcpowersim.seeds import derive_seed
 from dcpowersim.serving import (
+    SPEED_CLASSES,
     allocate_budgets,
     cap_concurrency,
     concurrency,
@@ -34,7 +39,12 @@ from dcpowersim.serving import (
     service_windows,
 )
 
-from oracles import add_run_power_per_run, batch_power_per_run, job_power_trace_per_job
+from oracles import (
+    add_run_power_per_run,
+    batch_power_per_run,
+    job_power_trace_per_job,
+    serve_inference_concatenated,
+)
 
 
 class TestWorkRatios:
@@ -292,6 +302,126 @@ class TestRunInvariants:
         assert res.unmet_work_h == 0.0
 
 
+def assert_same_serving(got: Serving, want: Serving) -> None:
+    """Every field bit for bit: arrays by dtype, shape and bytes, the rest
+    by repr, which tells -0.0 from 0.0 and 1 from 1.0. Only the field name
+    is reported, since a diff of two arrays' bytes is slow to build."""
+    for f in fields(Serving):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            same = (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            same = repr(a) == repr(b)
+        assert same, f.name
+
+
+# one request: (part index, tick, where on the tick, tokens), for the
+# default bundle's 5 x 7 (group, template) parts and 10 s ticks; ticks near
+# both ends of a one-day horizon are drawn often, so windows start on the
+# first tick and run past the last one
+_PARTS = 35
+_TICKS_PER_DAY = 1440 * 6
+_REQUEST = st.tuples(
+    st.integers(min_value=0, max_value=_PARTS - 1),
+    st.one_of(
+        st.integers(min_value=0, max_value=_TICKS_PER_DAY),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=_TICKS_PER_DAY - 30, max_value=_TICKS_PER_DAY),
+    ),
+    st.sampled_from(("on", "ulp_below", "ulp_above", "mid")),
+    st.integers(min_value=1, max_value=20_000),
+)
+
+
+def request_parts_from(bundle, requests) -> list[RequestPart]:
+    """One part per (group, template) pair, in order, each request in the
+    part its index names; arrivals lie in [0, 86400) and parts may be empty."""
+    pairs = [(g, t.template_id) for g in bundle.request_groups for t in bundle.llm_templates]
+    last = np.nextafter(86400.0, 0.0)
+    rows: list[list[tuple[float, int]]] = [[] for _ in pairs]
+    for part, tick, where, tokens in requests:
+        t = 10.0 * tick
+        if where == "ulp_below":
+            t = np.nextafter(t, -np.inf)
+        elif where == "ulp_above":
+            t = np.nextafter(t, np.inf)
+        elif where == "mid":
+            t += 5.0
+        rows[part].append((min(max(t, 0.0), last), tokens))
+    out = []
+    for (group, template_id), part_rows in zip(pairs, rows):
+        part_rows.sort()
+        times = np.array([t for t, _ in part_rows], dtype=float)
+        tokens = np.array([k for _, k in part_rows], dtype=np.int64)
+        out.append(RequestPart(times, tokens, group, template_id))
+    return out
+
+
+class TestServingMatchesConcatenated:
+    """serve_inference windows one request part at a time in integer ticks;
+    the oracle concatenates each template's parts and counts float window
+    edges in seconds. Every Serving field must agree bit for bit."""
+
+    @given(
+        st.lists(_REQUEST, max_size=60),
+        st.sampled_from(SPEED_CLASSES),
+        st.sampled_from(("capped", "uncapped")),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from((0.25, 0.5, 1.0)),
+    )
+    # the explain phase traces every line of each replayed example, which
+    # turns a failure's report into minutes
+    @settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
+    @pytest.mark.filterwarnings("ignore:GPU budget is smaller")
+    def test_random_parts(self, bundle, requests, speed, cap_mode, gpus, cap_fraction):
+        scen = Scenario(
+            total_gpus=gpus,
+            horizon_days=1,
+            cap_mode=cap_mode,
+            cap_fraction=cap_fraction,
+            speed_class=speed,
+        )
+        parts = request_parts_from(bundle, requests)
+        assert len(parts) == _PARTS and bundle.grid_tick_s == 10
+        assert_same_serving(
+            serve_inference(bundle, scen, parts),
+            serve_inference_concatenated(bundle, scen, parts),
+        )
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_generated_runs(self, bundle, share_runs, share):
+        res = share_runs[share]
+        assert_same_serving(
+            res.serving,
+            serve_inference_concatenated(bundle, res.scenario, res.request_parts),
+        )
+
+
+def test_serving_peak_memory_is_under_a_third_of_the_requests(bundle):
+    """Serving keeps two int32 tick edges per request of one template at a
+    time, and floats of one part at a time: at 192 GPUs x 2 days, share
+    0.5, its traced peak stays below a third of the request parts' bytes
+    (about 0.2 here; concatenating each template's parts took 0.67)."""
+    scen = Scenario(
+        scenario_id="mem",
+        total_gpus=192,
+        horizon_days=2,
+        share_target=0.5,
+        utilization_target=0.75,
+        seed=1,
+    )
+    _, fi = _work_scales(bundle, scen)
+    parts = generate_requests(bundle, scen, fi)
+    request_bytes = sum(p.times.nbytes + p.tokens.nbytes for p in parts)
+    tracemalloc.start()
+    try:
+        serve_inference(bundle, scen, parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < request_bytes / 3, peak / request_bytes
+
+
 def tiny_doc() -> dict:
     """A four-GPU cluster: one 2-GPU serving template, one 2-GPU job class."""
     grid = [q / 100.0 for q in range(1, 100)]
@@ -415,17 +545,19 @@ class TestTinyCluster:
         bundle, _, res = tiny_run
         times, _, _, tokens = flatten_requests(res.request_parts)
         assert np.all(tokens == 5)
-        _, durs = service_windows(times, tokens, 2.0, 10)
-        assert np.all(durs == 10.0)
+        _, ticks = service_windows(times, tokens, 2.0, 10)
+        assert np.all(ticks == 1)  # one 10 s tick
 
     def test_inference_chain_recomputes(self, tiny_run):
         bundle, scen, res = tiny_run
         times, _, _, tokens = flatten_requests(res.request_parts)
-        starts, durs = service_windows(times, tokens, 2.0, 10)
-        conc = concurrency(starts, durs, scen.horizon_minutes, 10)
+        starts, ticks = service_windows(times, tokens, 2.0, 10)
+        n_ticks = scen.horizon_minutes * 6
+        ends = np.minimum(starts + ticks, n_ticks)
+        conc = concurrency(starts, ends, scen.horizon_minutes, 10)
         assert np.allclose(conc, res.serving.conc[0], atol=1e-12)
 
-        offered = durs.sum() * 2 / (2 * 3600.0)
+        offered = 10 * ticks.sum() * 2 / (2 * 3600.0)
         assert res.w_inf_offered_h == pytest.approx(offered)
         assert allocate_budgets(4, np.array([offered]), [2]) == [4]
         assert res.serving.budgets == [4]

@@ -35,10 +35,11 @@ class TestServiceWindow:
         rng = substream(1, "windows")
         arrivals = rng.random(200) * 600.0
         tokens = rng.integers(1, 2000, 200)
-        starts, durations = service_windows(arrivals, tokens, 0.08, 10)
+        starts, ticks = service_windows(arrivals, tokens, 0.08, 10)
+        assert starts.dtype == ticks.dtype == np.int64
         for i in range(200):
             s, d = service_window(float(arrivals[i]), int(tokens[i]), 0.08, 10)
-            assert (starts[i], durations[i]) == (s, d)
+            assert (10 * starts[i], 10 * ticks[i]) == (s, d)
 
     def test_expected_window_matches_pmf_enumeration(self):
         pmf = np.array([0.125, 0.5, 0.25, 0.125])
@@ -51,41 +52,41 @@ class TestServiceWindow:
         pmf = rng.random(50)
         pmf /= pmf.sum()
         tokens = 1 + rng.choice(50, size=200_000, p=pmf)
-        _, durations = service_windows(np.zeros(tokens.size), tokens, 0.13, 10)
-        assert durations.mean() == pytest.approx(
+        _, ticks = service_windows(np.zeros(tokens.size), tokens, 0.13, 10)
+        assert (10 * ticks).mean() == pytest.approx(
             expected_window_seconds(pmf, 0.13, 10), rel=0.01
         )
 
 
 class TestConcurrency:
     def test_full_minute_counts_one(self):
-        out = concurrency(np.array([0]), np.array([60]), 1, 10)
+        out = concurrency(np.array([0]), np.array([6]), 1, 10)
         assert out[0] == pytest.approx(1.0)
 
     def test_half_minute_counts_half(self):
-        out = concurrency(np.array([0]), np.array([30]), 1, 10)
+        out = concurrency(np.array([0]), np.array([3]), 1, 10)
         assert out[0] == pytest.approx(0.5)
 
     def test_hand_overlap_sum(self):
         starts = np.array([0, 0, 0])
-        durations = np.array([60, 30, 15])
-        out = concurrency(starts, durations, 1, 5)
+        ends = np.array([12, 6, 3])  # 60, 30 and 15 s of 5 s ticks
+        out = concurrency(starts, ends, 1, 5)
         assert out[0] == pytest.approx(1.75)
 
     def test_tick_must_divide_minute(self):
         with pytest.raises(ConfigurationError):
-            concurrency(np.array([0]), np.array([60]), 1, 7)
+            concurrency(np.array([0]), np.array([6]), 1, 7)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_sampling_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        starts = rng.integers(0, 180, n) * 10
-        durations = rng.integers(1, 18, n) * 10
-        out = concurrency(starts, durations, 40, 10)
+        starts = rng.integers(0, 180, n)
+        ends = starts + rng.integers(1, 18, n)
+        out = concurrency(starts, ends, 40, 10)
         oracle = brute_concurrency(
-            [(float(s), float(s + d)) for s, d in zip(starts, durations)], 40
+            [(10.0 * s, 10.0 * e) for s, e in zip(starts, ends)], 40
         )
         assert np.allclose(out, oracle)
 
