@@ -19,8 +19,7 @@ then ``round(p)`` is the nine-digit significand ``'%.9g'`` rounds to.
 Checking ``p`` rather than ``log10`` means a wrong ``X`` can only send a cell
 to the fallback. Zeros are written directly. Every other float (exponent
 form, a near-tie, a carry into the next decade, inf and nan) goes through
-``'%.9g' %`` itself, and so does every integer of 19 digits or more through
-``str``.
+``'%.9g' %`` itself.
 """
 
 from __future__ import annotations
@@ -200,15 +199,16 @@ def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each integer as ``str`` renders it: a sign slot and three unused ones,
-    then four digit slots per group of four digits of the widest magnitude
-    below 10**18; wider ones go through ``str`` itself."""
+    """Each integer (or bool, as 0 and 1) as ``fmt`` renders it: a sign slot
+    and three unused ones, then four digit slots per group of four digits of
+    the widest magnitude. Magnitudes are taken as uint64, which holds that of
+    -2**63 exactly."""
     t = _tables()
     v = values.astype(np.int64, copy=False)
-    wide = (v <= -(10**18)) | (v >= 10**18)
-    mag = np.abs(np.where(wide, 0, v))
-    groups = -(-len(str(int(mag.max()))) // 4)
-    words = np.zeros((len(v), max(1 + groups, 5 if wide.any() else 0)), np.uint32)
+    mag = np.abs(v).view(np.uint64)
+    top = int(mag.max())
+    groups = 1 + sum(top >= 10**k for k in (4, 8, 12, 16))
+    words = np.zeros((len(v), 1 + groups), np.uint32)
     n_digits = np.ones(len(v), np.intp)
     for j in range(groups, 0, -1):
         mag, group = np.divmod(mag, 10000)
@@ -221,17 +221,7 @@ def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     used = np.take(table, (v < 0) * (end - 3) + n_digits, axis=0)
     cells = words.view(np.uint8)
     cells[:, 0] = ord("-")
-
-    wide_rows = np.flatnonzero(wide)
-    if wide_rows.size:
-        _put_text(cells, used, wide_rows, [str(i) for i in v[wide_rows].tolist()])
     return cells, used
-
-
-def _bool_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each bool as ``fmt`` renders it: one slot, ``0`` or ``1``."""
-    cells = values.astype(np.uint8)[:, None] + np.uint8(ord("0"))
-    return cells, np.ones(cells.shape, bool)
 
 
 def _label_kernel(names: Sequence[str]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -244,7 +234,7 @@ def _label_kernel(names: Sequence[str]) -> Callable[[np.ndarray], tuple[np.ndarr
     return lambda codes: (np.take(table, codes, axis=0), np.take(used, codes, axis=0))
 
 
-_NUMERIC_KERNELS = {"b": _bool_cells, "i": _int_cells, "f": _float_cells}
+_NUMERIC_KERNELS = {"b": _int_cells, "i": _int_cells, "f": _float_cells}
 _NUMPY_TYPE = {bool: np.bool_, int: np.int64, float: np.float64}
 
 
@@ -253,8 +243,6 @@ def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
     numbers themselves, or codes into the distinct ``fmt`` texts of the cells."""
     if isinstance(column, LabelColumn):
         return _label_kernel(column.names), column.codes
-    if isinstance(column, range):
-        column = np.arange(column.start, column.stop, column.step, dtype=np.int64)
     if isinstance(column, np.ndarray) and column.dtype.kind in _NUMERIC_KERNELS:
         return _NUMERIC_KERNELS[column.dtype.kind], column
     cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
@@ -273,7 +261,7 @@ def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
 def _write_columns(
     path: Path | str, header: Sequence[str], columns: Sequence[Sequence]
 ) -> None:
-    """Write a CSV of equal-length ``columns`` (arrays, ranges, lists or
+    """Write a CSV of equal-length ``columns`` (arrays, lists or
     LabelColumns; none for a file with no rows).
 
     Cells come out as ``fmt`` and csv.writer would write them row by row;
@@ -298,7 +286,7 @@ def _write_columns(
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
     columns = (
-        range(result.scenario.horizon_minutes),
+        np.arange(result.scenario.horizon_minutes),
         result.p_total_kw,
         result.p_batch_kw,
         result.p_inf_kw,
@@ -383,7 +371,7 @@ def write_job_power_csv(
 
 
 def write_busy_csv(path: Path | str, busy: np.ndarray) -> None:
-    _write_columns(path, BUSY_COLUMNS, (range(len(busy)), busy))
+    _write_columns(path, BUSY_COLUMNS, (np.arange(len(busy)), busy))
 
 
 def write_detail_csv(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -233,26 +233,6 @@ def accumulate_intervals(
     return out
 
 
-def preempt_on_capacity_drop(
-    active: list[tuple[int, int, int, int, object]], usage: int, new_capacity: int
-) -> list[object]:
-    """Select victims, most recently started first, until usage fits.
-
-    ``active`` holds (start_s, job_id, seg_index, gpu, handle) for every
-    running segment; ties on start time break toward the larger job id,
-    then the later segment. Returns the victims' handles.
-    """
-    victims = []
-    for start, job_id, seg_index, gpu, handle in sorted(
-        active, key=lambda a: (a[0], a[1], a[2]), reverse=True
-    ):
-        if usage <= new_capacity:
-            break
-        victims.append(handle)
-        usage -= gpu
-    return victims
-
-
 def _policy_key(policy: str, seg: _Segment) -> tuple:
     if policy == "FCFS_BACKFILL":
         return (seg.job.arrival_s, seg.job.job_id, seg.seg_index)
@@ -336,16 +316,18 @@ class _Engine:
                 self._enqueue(_Segment(seg.job, nxt, durations[nxt]))
 
     def _on_capacity(self, value: int, t: int) -> None:
+        """Take capacity ``value`` at ``t``; while usage exceeds it, preempt
+        the running segment that started last, ties toward the larger job
+        id, and requeue it with its full duration. A job has at most one
+        segment running, so (start, job id) names a run."""
         self.current_cap = value
         if self.usage <= value:
             return
         running = self.running
-        active = [
-            (start, seg.job.job_id, seg.seg_index, gpu, (end, serial))
-            for end, serial, gpu, seg, start in running
-        ]
-        for key in preempt_on_capacity_drop(active, self.usage, value):
-            run = running.pop(bisect_left(running, key))
+        for run in sorted(running, key=lambda r: (r[4], r[3].job.job_id), reverse=True):
+            if self.usage <= value:
+                break
+            running.remove(run)
             seg = self._finish_run(run, t, completed=False)
             self.trace.preemptions.append(self.trace.runs[-1])
             self._enqueue(seg)

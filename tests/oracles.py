@@ -43,8 +43,6 @@ from dcpowersim.scheduler import (
     ScheduleTrace,
     SegmentRun,
     accumulate_intervals,
-    preempt_on_capacity_drop,
-    segment_job,
 )
 from dcpowersim.seeds import substream
 from dcpowersim.serving import allocate_budgets, cap_concurrency, gpu_use, inference_power
@@ -233,6 +231,21 @@ def enumerate_admissible(
 # The scheduler with a full queue rescan and a fresh sort of the running
 # segments for each blocked head: the package's former engine, kept as the
 # reference whose every ScheduleTrace field ``scheduler.schedule`` must equal.
+# It states each scheduling rule itself and takes only the data types from
+# ``dcpowersim.scheduler``.
+
+
+def split_at_checkpoints(runtime_s: int, ckpt_s: float) -> list[int]:
+    """A job's segment durations: the scheduler counts whole seconds, so
+    a job checkpoints every ``floor(ckpt_s)`` seconds of its run, giving
+    that many seconds per full segment and then the remainder, if any. An
+    infinite interval, or one at least the runtime, leaves the whole job
+    one segment."""
+    if ckpt_s >= runtime_s:
+        return [runtime_s]
+    step = math.floor(ckpt_s)
+    full, rest = runtime_s // step, runtime_s % step
+    return [step] * full + ([rest] if rest else [])
 
 
 @dataclass
@@ -269,7 +282,7 @@ class _ReferenceEngine:
             if job.gpu > capacity.max_value:
                 self.trace.rejected_job_ids.append(job.job_id)
                 continue
-            durations = segment_job(job.runtime_s, ckpt_s)
+            durations = split_at_checkpoints(job.runtime_s, ckpt_s)
             self.segments_of[job.job_id] = durations
             first = _RefSegment(job, 0, durations[0], len(durations) == 1)
             self._push(job.arrival_s, 2, first)
@@ -324,13 +337,13 @@ class _ReferenceEngine:
 
     def _on_capacity(self, value: int, t: int) -> None:
         self.current_cap = value
-        if self.usage <= value:
-            return
-        active = [
-            (start, seg.job.job_id, seg.seg_index, seg.job.gpu, run_id)
-            for run_id, (seg, start) in self.running.items()
-        ]
-        for run_id in preempt_on_capacity_drop(active, self.usage, value):
+        # evict the newest run until usage fits: latest start, and among
+        # runs started together the larger job id
+        while self.usage > value:
+            run_id = max(
+                self.running,
+                key=lambda r: (self.running[r][1], self.running[r][0].job.job_id),
+            )
             seg = self._finish_run(run_id, t, completed=False)
             self.trace.preemptions.append(self.trace.runs[-1])
             self._enqueue(seg)

@@ -15,7 +15,6 @@ from dcpowersim.scheduler import (
     ScheduleTrace,
     SegmentRun,
     checkpoint_step,
-    preempt_on_capacity_drop,
     schedule,
     segment_job,
 )
@@ -27,6 +26,7 @@ from oracles import (
     plain_fcfs_starts,
     revealed_capacity,
     schedule_reference,
+    split_at_checkpoints,
     usage_step,
 )
 from test_cosim import tiny_doc
@@ -62,6 +62,18 @@ class TestSegmenting:
         assert sum(parts) == runtime
         assert all(0 < p <= ckpt for p in parts)
         assert all(p == ckpt for p in parts[:-1])
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.one_of(
+            st.sampled_from([1, 100, 3600, 1e19, math.inf]),
+            st.integers(min_value=1, max_value=2 * 10**6),
+            st.floats(min_value=1, max_value=1e20),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_split(self, runtime, ckpt):
+        assert segment_job(runtime, ckpt) == split_at_checkpoints(runtime, ckpt)
 
 
 class TestBackfillHandCase:
@@ -100,17 +112,47 @@ class TestBackfillHandCase:
 
 
 class TestPreemption:
+    """Victims go newest start first, ties toward the larger job id, until
+    usage fits the new capacity; each is requeued with its full duration."""
+
+    def _staggered(self, gpus):
+        """Job i arrives at second i + 1 on an idle cluster and starts at once."""
+        return [
+            Job(job_id=i, arrival_s=i + 1, gpu=gpu, runtime_s=600)
+            for i, gpu in enumerate(gpus)
+        ]
+
     def test_no_preemption_at_exact_fit(self):
-        active = [(1, 0, 0, 4, "a"), (2, 1, 0, 2, "b")]
-        assert preempt_on_capacity_drop(active, 6, 6) == []
+        capacity = CapacityTimeline(np.array([0, 10]), np.array([8, 6]))
+        trace = schedule(self._staggered([4, 2]), capacity)
+        assert trace.preemptions == []
+        assert all(run.completed for run in trace.runs)
 
     def test_most_recent_start_goes_first(self):
-        active = [(1, 0, 0, 4, "a"), (2, 1, 0, 2, "b")]
-        assert preempt_on_capacity_drop(active, 6, 5) == ["b"]
+        # newest first cuts job 2 alone; oldest, smallest or widest first
+        # would each cut another job
+        capacity = CapacityTimeline(np.array([0, 10]), np.array([9, 6]))
+        trace = schedule(self._staggered([2, 4, 3]), capacity)
+        assert [(p.job_id, p.start_s, p.end_s) for p in trace.preemptions] == [(2, 3, 10)]
 
     def test_drop_to_zero_clears_everything(self):
-        active = [(1, 0, 0, 4, "a"), (2, 1, 0, 2, "b")]
-        assert set(preempt_on_capacity_drop(active, 6, 0)) == {"a", "b"}
+        capacity = CapacityTimeline(np.array([0, 10, 20]), np.array([6, 0, 6]))
+        trace = schedule(self._staggered([4, 2]), capacity)
+        assert [p.job_id for p in trace.preemptions] == [1, 0]
+        assert all(p.end_s == 10 for p in trace.preemptions)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_same_start_cuts_larger_job_id(self, policy):
+        # both start at second 5; job 7 ends first, so it sits ahead of job
+        # 3 among the running segments, and it is the narrower of the two
+        jobs = [
+            Job(job_id=3, arrival_s=5, gpu=3, runtime_s=600),
+            Job(job_id=7, arrival_s=5, gpu=1, runtime_s=300),
+        ]
+        capacity = CapacityTimeline(np.array([0, 10]), np.array([4, 3]))
+        trace = schedule(jobs, capacity, policy=policy)
+        assert first_starts(trace, jobs) == {3: 5, 7: 5}
+        assert [(p.job_id, p.start_s, p.end_s) for p in trace.preemptions] == [(7, 5, 10)]
 
     def test_engine_preempts_and_requeues_on_drop(self):
         jobs = [
