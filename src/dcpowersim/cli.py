@@ -34,8 +34,6 @@ from .outputs import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .scheduler import POLICIES
-from .serving import SPEED_CLASSES
 
 OUT_ENV_VAR = "DCPOWERSIM_OUT"
 
@@ -98,8 +96,9 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Scenario overrides that only a co-simulation run reads."""
-    parser.add_argument("--policy", choices=POLICIES, default=None)
+    """Scenario overrides that only a co-simulation run reads. Scenario
+    checks every value, so a bad one is a configuration error."""
+    parser.add_argument("--policy", default=None)
     parser.add_argument("--ckpt-seconds", type=float, default=None)
     # dest is the Scenario field each flag overrides; metavar keeps --help
     parser.add_argument(
@@ -109,7 +108,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--utilization", type=float, dest="utilization_target", metavar="UTILIZATION"
     )
-    parser.add_argument("--speed-class", choices=SPEED_CLASSES, default=None)
+    parser.add_argument("--speed-class", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -235,34 +235,26 @@ def _label_kernel(names: Sequence[str]) -> Callable[[np.ndarray], tuple[np.ndarr
 
 
 _NUMERIC_KERNELS = {"b": _int_cells, "i": _int_cells, "f": _float_cells}
-_NUMPY_TYPE = {bool: np.bool_, int: np.int64, float: np.float64}
 
 
 def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
-    """A kernel for ``column`` and the array whose chunks it renders: the
-    numbers themselves, or codes into the distinct ``fmt`` texts of the cells."""
+    """A kernel for ``column`` and the array whose chunks it renders: a
+    numeric array itself, a LabelColumn's codes, or for any other column
+    codes into the distinct ``fmt`` texts of its cells."""
     if isinstance(column, LabelColumn):
         return _label_kernel(column.names), column.codes
     if isinstance(column, np.ndarray) and column.dtype.kind in _NUMERIC_KERNELS:
         return _NUMERIC_KERNELS[column.dtype.kind], column
-    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    types = set(map(type, cells))
-    if len(types) == 1 and next(iter(types)) in _NUMPY_TYPE:
-        try:
-            return _renderer(np.array(cells, dtype=_NUMPY_TYPE[types.pop()]))
-        except OverflowError:  # an int beyond int64 keeps its str text
-            pass
-    texts = cells if types <= {str} else [fmt(cell) for cell in cells]
     index: dict[str, int] = {}
-    codes = [index.setdefault(text, len(index)) for text in texts]
+    codes = [index.setdefault(fmt(cell), len(index)) for cell in column]
     return _label_kernel(list(index)), np.array(codes, dtype=np.int64)
 
 
 def _write_columns(
     path: Path | str, header: Sequence[str], columns: Sequence[Sequence]
 ) -> None:
-    """Write a CSV of equal-length ``columns`` (arrays, lists or
-    LabelColumns; none for a file with no rows).
+    """Write a CSV of equal-length ``columns`` (numeric arrays, LabelColumns
+    or any other sequence of cells; none for a file with no rows).
 
     Cells come out as ``fmt`` and csv.writer would write them row by row;
     every file here has at least two columns, so an empty cell is empty.
@@ -340,13 +332,10 @@ def write_requests_csv(
     _write_columns(path, REQUESTS_COLUMNS, (times, groups, templates, tokens))
 
 
-def _attributes(items: Sequence, names: Sequence[str]) -> list[list]:
-    """One column per attribute name, holding that attribute of every item."""
-    return [[getattr(item, name) for item in items] for name in names]
-
-
 def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:
-    _write_columns(path, JOBS_COLUMNS, _attributes(jobs, JOBS_COLUMNS))
+    # every column but the last, group, holds integers
+    *ints, groups = ([getattr(job, name) for job in jobs] for name in JOBS_COLUMNS)
+    _write_columns(path, JOBS_COLUMNS, [*(np.array(c, np.int64) for c in ints), groups])
 
 
 def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:

@@ -17,10 +17,10 @@ with their full duration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -116,6 +116,8 @@ class CapacityTimeline:
 
     ``times`` are ascending integer seconds starting at 0; ``values[i]``
     holds on [times[i], times[i+1]) and the last value extends forever.
+    The scheduler reads the arrays themselves: ``values[0]`` from t = 0,
+    and each later step as a capacity change.
     """
 
     times: np.ndarray
@@ -143,17 +145,6 @@ class CapacityTimeline:
             raise ValueError("need at least one minute")
         keep = np.concatenate(([True], np.diff(per_minute) != 0))
         return cls(np.flatnonzero(keep) * 60, per_minute[keep])
-
-    def value_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.values[max(idx, 0)])
-
-    @property
-    def max_value(self) -> int:
-        return int(self.values.max())
-
-    def change_points(self) -> list[tuple[int, int]]:
-        return [(int(t), int(v)) for t, v in zip(self.times[1:], self.values[1:])]
 
 
 @dataclass
@@ -254,16 +245,17 @@ class _Engine:
         self.trace = ScheduleTrace()
         # (policy key, gpu, duration_s, segment), in key order
         self.queue: list[tuple[tuple, int, int, _Segment]] = []
-        # (end, serial, gpu, segment, start) of every running segment, in
-        # end order and, among equal ends, in start order
-        self.running: list[tuple[int, int, int, _Segment, int]] = []
+        # (end, gpu, segment, start) of every running segment, in end order
+        # and, among equal ends, in start order: segments start in time
+        # order, and insort puts each after the equal ends already there
+        self.running: list[tuple[int, int, _Segment, int]] = []
         self.usage = 0
-        self.current_cap = capacity.value_at(0)
-        self.serial = itertools.count()
-        self.changes = capacity.change_points()
+        self.current_cap = int(capacity.values[0])
+        # (time, value) of each capacity change after t = 0
+        self.changes = list(zip(capacity.times[1:].tolist(), capacity.values[1:].tolist()))
         self.segments_of: dict[int, list[int]] = {}
 
-        max_cap = capacity.max_value
+        max_cap = int(capacity.values.max())
         firsts = []
         for job in jobs:
             if job.gpu > max_cap:
@@ -280,13 +272,13 @@ class _Engine:
         insort(self.queue, (key, seg.job.gpu, seg.duration_s, seg))
 
     def _start(self, seg: _Segment, t: int) -> None:
-        insort(self.running, (t + seg.duration_s, next(self.serial), seg.job.gpu, seg, t))
+        insort(self.running, (t + seg.duration_s, seg.job.gpu, seg, t), key=itemgetter(0))
         self.usage += seg.job.gpu
         self.trace.queue_delays.setdefault(seg.job.job_id, t - seg.job.arrival_s)
 
     def _finish_run(self, run: tuple, t: int, completed: bool) -> _Segment:
         """Record a run that left ``running`` at ``t``."""
-        _, _, gpu, seg, start = run
+        _, gpu, seg, start = run
         self.usage -= gpu
         self.trace.runs.append(
             SegmentRun(seg.job.job_id, seg.seg_index, start, t, gpu, completed)
@@ -300,7 +292,7 @@ class _Engine:
         if gpu > self.current_cap:
             return math.inf
         free = self.current_cap - self.usage
-        for end, _, g, _, _ in self.running:
+        for end, g, _, _ in self.running:
             free += g
             if free >= gpu:
                 return end
@@ -324,7 +316,7 @@ class _Engine:
         if self.usage <= value:
             return
         running = self.running
-        for run in sorted(running, key=lambda r: (r[4], r[3].job.job_id), reverse=True):
+        for run in sorted(running, key=lambda r: (r[3], r[2].job.job_id), reverse=True):
             if self.usage <= value:
                 break
             running.remove(run)

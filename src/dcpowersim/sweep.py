@@ -58,21 +58,27 @@ def expand_grid(sweep_doc: dict, defaults: dict) -> list[Scenario]:
     return scenarios
 
 
+def _scenario_cells(scenario: Scenario) -> dict[str, object]:
+    """The cells of a results-table row that restate its scenario."""
+    return {
+        "scenario_id": scenario.scenario_id,
+        "share_target": scenario.share_target,
+        "utilization_target": scenario.utilization_target,
+        "policy": scenario.policy,
+        "ckpt_s": scenario.ckpt_seconds,
+    }
+
+
 def summarize(result: HybridResult) -> dict[str, object]:
     """One results-table row worth of metrics for a finished run."""
-    scenario = result.scenario
     total = result.p_total_kw
     # metric cells stay empty when the series is degenerate (no minutes,
     # or zero power throughout); the run itself still counts as finished
     live = total.size > 0 and float(total.mean()) > 0.0
     row: dict[str, object] = {
-        "scenario_id": scenario.scenario_id,
-        "share_target": scenario.share_target,
+        **_scenario_cells(result.scenario),
         "share_realized": result.share_realized,
-        "utilization_target": scenario.utilization_target,
         "utilization_realized": result.utilization_realized,
-        "policy": scenario.policy,
-        "ckpt_s": scenario.ckpt_seconds,
         "cov": cov(total) if live else "",
         "unmet_frac": result.unmet_work_frac,
         "mean_p_total_kw": float(total.mean()) if total.size else "",
@@ -101,15 +107,7 @@ def _run_one(args: tuple) -> tuple[dict, str]:
         write_series_csv(Path(out_dir) / series_name, result)
         return row, series_name
     except Exception as exc:  # per-row failure must not kill the sweep
-        row = {
-            "scenario_id": scenario.scenario_id,
-            "share_target": scenario.share_target,
-            "utilization_target": scenario.utilization_target,
-            "policy": scenario.policy,
-            "ckpt_s": scenario.ckpt_seconds,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        return row, ""
+        return {**_scenario_cells(scenario), "error": f"{type(exc).__name__}: {exc}"}, ""
 
 
 def run_sweep(

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import Phase, settings
+from hypothesis.vendor.pretty import for_type_by_name
 
 from dcpowersim import default_bundle
 
@@ -9,6 +10,15 @@ from dcpowersim import default_bundle
 # without it.
 settings.register_profile("no_explain", phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("no_explain")
+
+# Hypothesis prints a dataclass argument field by field. The default bundle
+# would print as hundreds of kilobytes, and the "overly large repr" warning,
+# an error under this suite's warning filter, would replace the falsifying
+# example in the report; a short name shows the example instead.
+for_type_by_name(
+    "dcpowersim.config", "ModelBundle",
+    lambda bundle, printer, cycle: printer.text(f"<ModelBundle {bundle.config_hash[:12]}>"),
+)
 
 
 @pytest.fixture(scope="session")

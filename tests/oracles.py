@@ -274,19 +274,19 @@ class _ReferenceEngine:
         self.queue: list[tuple[tuple, _RefSegment]] = []
         self.running: dict[int, tuple[_RefSegment, int]] = {}
         self.usage = 0
-        self.current_cap = capacity.value_at(0)
+        self.current_cap = capacity_at(capacity, 0)
         self.serial = itertools.count()
         self.heap: list = []
         self.segments_of: dict[int, list[int]] = {}
         for job in jobs:
-            if job.gpu > capacity.max_value:
+            if job.gpu > max(capacity.values.tolist()):
                 self.trace.rejected_job_ids.append(job.job_id)
                 continue
             durations = split_at_checkpoints(job.runtime_s, ckpt_s)
             self.segments_of[job.job_id] = durations
             first = _RefSegment(job, 0, durations[0], len(durations) == 1)
             self._push(job.arrival_s, 2, first)
-        for t, value in capacity.change_points():
+        for t, value in zip(capacity.times.tolist()[1:], capacity.values.tolist()[1:]):
             self._push(t, 1, value)
 
     def _push(self, time: int, kind: int, payload) -> None:
@@ -472,6 +472,17 @@ def revealed_capacity(busy_minutes) -> CapacityTimeline:
 def flat_capacity(gpus: int) -> CapacityTimeline:
     """A capacity timeline that holds ``gpus`` from t=0 on."""
     return CapacityTimeline([0], [gpus])
+
+
+def capacity_at(timeline: CapacityTimeline, t: float) -> int:
+    """The GPUs a capacity timeline holds at time ``t``: the value of the
+    last step that starts at or before ``t``."""
+    value = 0
+    for start, step_value in zip(timeline.times.tolist(), timeline.values.tolist()):
+        if start > t:
+            break
+        value = step_value
+    return value
 
 
 def usage_step(runs) -> tuple[np.ndarray, np.ndarray]:

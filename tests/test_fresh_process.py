@@ -36,7 +36,8 @@ with open(out, "w") as fh:
 SIMULATOR = {
     f"dcpowersim.{m}"
     for m in ("cosim", "config", "defaults", "sweep", "batch_power", "seeds",
-              "batch_arrivals", "inference_arrivals", "distributions")
+              "batch_arrivals", "inference_arrivals", "distributions", "scheduler",
+              "serving")
 }
 PROCESS_POOL = "concurrent.futures.process"
 

@@ -90,11 +90,16 @@ class TestNumericKernels:
 
     @pytest.mark.parametrize(
         "value",
-        [-(2**63), -(2**63) + 1, 2**63 - 1, -(10**18), 10**18, 10**18 - 1, 0, True, False],
+        [-(2**63), -(2**63) + 1, 2**63 - 1, -(10**18), 10**18, 10**18 - 1, 0, True, False,
+         2**64, -(2**63) - 1],
         ids=repr,
     )
     def test_int_and_bool_edges(self, value):
-        assert kernel_texts(np.array([value])) == [fmt(value)]
+        # an int64 or bool array takes the digit kernel, a list of cells
+        # (the only way to pass an int beyond int64) the fmt texts
+        if -(2**63) <= value < 2**63:
+            assert kernel_texts(np.array([value])) == [fmt(value)]
+        assert kernel_texts([value]) == [fmt(value)]
 
 
 class TestSeriesFile:
@@ -890,6 +895,10 @@ class TestMetricsCommands:
             (["diagnose", "{nan}"], "{nan}: not a numeric CSV: line 501 has a non-finite cell"),
             (["metrics", "{empty}"], "{empty}: not a numeric CSV: no header row"),
             (["diagnose", "{empty}"], "{empty}: not a numeric CSV: no header row"),
+            (["simulate", "--config", "default", "--policy", "BAD", "--out", "{out}"],
+             "unknown policy 'BAD', expected one of ('FCFS_BACKFILL', 'SWF')"),
+            (["simulate", "--config", "default", "--speed-class", "Q", "--out", "{out}"],
+             "speed_class must be one of ('F', 'M', 'S'), got 'Q'"),
         ],
     )
     def test_bad_input_is_one_line_configuration_error(
@@ -910,7 +919,7 @@ class TestMetricsCommands:
         torn = tmp_path / "torn.csv"
         torn.write_text("\n".join(lines) + "\n")
         paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn),
-                 "nan": str(nan), "empty": str(empty)}
+                 "nan": str(nan), "empty": str(empty), "out": str(tmp_path / "out")}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1

@@ -21,6 +21,7 @@ from dcpowersim.scheduler import (
 
 from oracles import (
     TinyJob,
+    capacity_at,
     first_starts,
     flat_capacity,
     plain_fcfs_starts,
@@ -178,24 +179,24 @@ class TestRevealedCapacity:
             [np.full(1440, 100.0), np.full(1440, 90.0), np.full(1440, 120.0)]
         )
         timeline = revealed_capacity(busy)
-        assert [timeline.value_at(d * 86400.0) for d in range(3)] == [100, 100, 120]
+        assert [capacity_at(timeline, d * 86400.0) for d in range(3)] == [100, 100, 120]
 
     def test_constant_series(self):
         timeline = revealed_capacity(np.full(1440 * 2, 50.0))
-        assert timeline.value_at(0) == 50
-        assert timeline.value_at(100_000.0) == 50
+        assert capacity_at(timeline, 0) == 50
+        assert capacity_at(timeline, 100_000.0) == 50
 
     def test_nearest_rank_puts_p99_on_sustained_spike(self):
         day = np.full(1440, 10.0)
         day[:15] = 200.0  # 15 minutes at the top: rank 1426 of 1440 reaches it
         timeline = revealed_capacity(day)
-        assert timeline.value_at(0) == 200
+        assert capacity_at(timeline, 0) == 200
 
     def test_fourteen_minute_spike_misses_p99(self):
         day = np.full(1440, 10.0)
         day[:14] = 200.0
         timeline = revealed_capacity(day)
-        assert timeline.value_at(0) == 10
+        assert capacity_at(timeline, 0) == 10
 
     def test_partial_trailing_day_warns(self):
         with pytest.warns(UserWarning):
