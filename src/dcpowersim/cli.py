@@ -55,10 +55,11 @@ def _bind_simulation_names() -> None:
     from .cosim import (
         Scenario,
         generate_jobs,
-        generate_requests,
         job_power_trace,
+        request_stream,
         run_hybrid,
         scenario_from_dict,
+        scenario_requests,
     )
     from .defaults import default_bundle_doc
     from .sweep import run_sweep, summarize
@@ -209,7 +210,7 @@ def cmd_generate(args) -> int:
             ),
         }
     else:
-        parts = generate_requests(bundle, scenario, 1.0)
+        parts = list(request_stream(bundle, scenario, 1.0))
         files = {
             "requests.csv": lambda path: write_requests_csv(
                 path, *cosim.flatten_requests(parts)
@@ -221,7 +222,8 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     bundle, scenario, out = _setup(args, "run")
-    result = run_hybrid(bundle, scenario)
+    parts = scenario_requests(bundle, scenario)
+    result = run_hybrid(bundle, scenario, parts)
     template_ids = [t.template_id for t in bundle.llm_templates]
     _write_files(out, bundle, scenario, {
         "series.csv": lambda path: write_series_csv(path, result),
@@ -229,7 +231,7 @@ def cmd_simulate(args) -> int:
         "trace.csv": lambda path: write_trace_csv(path, result.trace),
         "jobs.csv": lambda path: write_jobs_csv(path, result.jobs),
         "requests.csv": lambda path: write_requests_csv(
-            path, *cosim.flatten_requests(result.request_parts)
+            path, *cosim.flatten_requests(parts)
         ),
         "detail.csv": lambda path: write_detail_csv(path, result, template_ids),
         # the sweep row, empty cells as null, and the jobs the scheduler rejected

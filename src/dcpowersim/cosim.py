@@ -6,6 +6,12 @@ inference requests and serve them under per-template GPU budgets, hand the
 leftover capacity to the batch scheduler as a time-varying limit, then
 synthesize per-job power and assemble the minute-level facility series.
 
+Requests reach serving as a stream of parts, one per (group, template)
+pair, walked once. A run generates its own requests one group at a time and
+drops each group once served, so it never holds the whole request log; a
+caller that wants the log builds it with ``scenario_requests``, passes it to
+``run_hybrid`` and flattens it with ``flatten_requests``.
+
 Randomness is partitioned by named substreams, so the batch side of a run
 is bit-identical whether or not inference is generated at all.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -176,7 +183,6 @@ class HybridResult:
     p_batch_kw: np.ndarray
     jobs: list[Job] = field(repr=False)
     trace: ScheduleTrace = field(repr=False)
-    request_parts: list[RequestPart] = field(repr=False)
 
     @property
     def g_inf(self) -> np.ndarray:
@@ -303,39 +309,52 @@ def _work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]
 
 
 def generate_requests(
-    bundle: ModelBundle, scenario: Scenario, fi: float
+    bundle: ModelBundle, scenario: Scenario, fi: float, group: str
 ) -> list[RequestPart]:
-    """Per (group, template) arrival times and token counts.
+    """Arrival times and token counts of one request group, per template.
 
-    Returns one part per pair in deterministic (group, template) order,
-    even when a pair produced no requests. ``fi`` scales every group's
-    mean arrival rate.
+    Returns one part per template in template order, even when a template
+    got no requests. ``fi`` scales the group's mean arrival rate.
     """
     root_seed = scenario.root_seed
+    sampler = CategoricalSampler(
+        apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
+    )
+    model = bundle.rate_models[group]
+    base_mu = minute_mean_series(model, scenario.horizon_days, bundle.calendar)
+    parts = split_across_templates(
+        base_mu * fi, model.effective_dispersion, bundle.split_shares
+    )
     out: list[RequestPart] = []
-    samplers = {
-        group: CategoricalSampler(
-            apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
-        )
-        for group in bundle.request_groups
-    }
-    for group in bundle.request_groups:
-        model = bundle.rate_models[group]
-        base_mu = minute_mean_series(model, scenario.horizon_days, bundle.calendar)
-        parts = split_across_templates(
-            base_mu * fi, model.effective_dispersion, bundle.split_shares
-        )
-        for template, (mu_m, alpha_m) in zip(bundle.llm_templates, parts):
-            template_id = template.template_id
-            times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
-            if np.any(mu_m > 0.0):
-                rng = substream(root_seed, "inference-arrivals", group, template_id)
-                counts = sample_nb2(mu_m, alpha_m, rng)
-                times = place_in_minutes(counts, rng)
-                tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
-                tokens = sample_tokens(samplers[group], tokens_rng, times.size)
-            out.append(RequestPart(times, tokens, group, template_id))
+    for template, (mu_m, alpha_m) in zip(bundle.llm_templates, parts):
+        template_id = template.template_id
+        times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
+        if np.any(mu_m > 0.0):
+            rng = substream(root_seed, "inference-arrivals", group, template_id)
+            counts = sample_nb2(mu_m, alpha_m, rng)
+            times = place_in_minutes(counts, rng)
+            tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
+            tokens = sample_tokens(sampler, tokens_rng, times.size)
+        out.append(RequestPart(times, tokens, group, template_id))
     return out
+
+
+def request_stream(
+    bundle: ModelBundle, scenario: Scenario, fi: float
+) -> Iterator[RequestPart]:
+    """Every request part, one per (group, template) pair in that order,
+    each group generated when its first part is asked for; ``fi`` scales
+    every group's mean arrival rate."""
+    for group in bundle.request_groups:
+        yield from generate_requests(bundle, scenario, fi, group)
+
+
+def scenario_requests(bundle: ModelBundle, scenario: Scenario) -> list[RequestPart]:
+    """The request parts ``run_hybrid`` generates for ``scenario`` when it
+    is given none: the whole log, at the rate scale that meets the
+    scenario's share and utilization targets."""
+    _, fi = _work_scales(bundle, scenario)
+    return list(request_stream(bundle, scenario, fi))
 
 
 def flatten_requests(
@@ -535,37 +554,42 @@ def _add_run_power(
 def serve_inference(
     bundle: ModelBundle,
     scenario: Scenario,
-    request_parts: list[RequestPart],
+    request_parts: Iterable[RequestPart],
 ) -> Serving:
     """Serve the requests under per-template budgets.
 
-    Each request part is windowed on its own, so its float temporaries live
-    for that part only; a template keeps two int32 tick edges per request
-    and counts them once. Offered work is the integer sum of the windows'
-    ticks, exact in any order.
+    Walks ``request_parts`` once, in any order, so it may be a one-shot
+    stream. Each part is windowed on its own, and its windows are counted
+    into its template's int32 array of per-tick edges: +1 at each window's
+    start tick, -1 at its end tick. So serving keeps no per-request array
+    past the part it is on. Offered work is the integer sum of the windows'
+    ticks, and concurrency the integer running sum of the edges, both exact
+    in any order.
     """
     n_minutes = scenario.horizon_minutes
     tick = bundle.grid_tick_s
     n_ticks = n_minutes * (60 // tick)
     templates = bundle.llm_templates
+    index = {t.template_id: i for i, t in enumerate(templates)}
+    tpots = [t.tpot(scenario.speed_class) for t in templates]
+    edges = np.zeros((len(templates), n_ticks + 1), dtype=np.int32)
+    work_ticks = [0] * len(templates)
+    n_requests = [0] * len(templates)
+    for part in request_parts:
+        i = index[part.template_id]
+        starts, ticks = service_windows(part.times, part.tokens, tpots[i], tick)
+        work_ticks[i] += int(ticks.sum())
+        n_requests[i] += starts.size
+        ends = np.add(starts, ticks, out=ticks)
+        np.clip(starts, 0, n_ticks, out=starts)
+        np.clip(ends, 0, n_ticks, out=ends)
+        edges[i] += np.bincount(starts, minlength=n_ticks + 1)
+        edges[i] -= np.bincount(ends, minlength=n_ticks + 1)
     conc = np.zeros((len(templates), n_minutes))
-    offered = np.zeros(len(templates))
-    for t_index, template in enumerate(templates):
-        parts = [p for p in request_parts if p.template_id == template.template_id]
-        tpot_s = template.tpot(scenario.speed_class)
-        edges = np.empty((2, sum(p.times.size for p in parts)), dtype=np.int32)
-        work_ticks = 0
-        lo = 0
-        for part in parts:
-            starts, ticks = service_windows(part.times, part.tokens, tpot_s, tick)
-            work_ticks += int(ticks.sum())
-            hi = lo + starts.size
-            np.clip(starts, 0, n_ticks, out=edges[0, lo:hi])
-            np.clip(starts + ticks, 0, n_ticks, out=edges[1, lo:hi])
-            lo = hi
-        offered[t_index] = template.gpu_hours(work_ticks * tick)
-        if edges.size:  # a template without requests keeps its zero row
-            conc[t_index] = concurrency(edges[0], edges[1], n_minutes, tick)
+    for i, n in enumerate(n_requests):
+        if n:  # a template without requests keeps its zero row
+            conc[i] = concurrency(edges[i], n_minutes, tick)
+    offered = np.array([t.gpu_hours(w * tick) for t, w in zip(templates, work_ticks)])
     w_inf_offered = float(offered.sum())
     # template constants as columns, so each serving rule runs once on conc
     max_batch = np.array([[t.max_batch] for t in templates])
@@ -605,10 +629,20 @@ def run_batch(
     return jobs, trace
 
 
-def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
-    """Run one scenario end to end and return the minute-level result."""
+def run_hybrid(
+    bundle: ModelBundle,
+    scenario: Scenario,
+    request_parts: Iterable[RequestPart] | None = None,
+) -> HybridResult:
+    """Run one scenario end to end and return the minute-level result.
+
+    Serving walks ``request_parts`` once. By default these are the
+    scenario's own requests, generated one group at a time and dropped
+    once served; pass ``scenario_requests(bundle, scenario)`` to keep them.
+    """
     fb, fi = _work_scales(bundle, scenario)
-    request_parts = generate_requests(bundle, scenario, fi)
+    if request_parts is None:
+        request_parts = request_stream(bundle, scenario, fi)
     serving = serve_inference(bundle, scenario, request_parts)
     g_inf = serving.gpus.sum(axis=0)
     jobs, trace = run_batch(bundle, scenario, fb, g_inf)
@@ -622,4 +656,4 @@ def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
         raise RuntimeError(
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )
-    return HybridResult(scenario, serving, busy_batch, p_batch, jobs, trace, request_parts)
+    return HybridResult(scenario, serving, busy_batch, p_batch, jobs, trace)

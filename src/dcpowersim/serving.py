@@ -111,27 +111,23 @@ def expected_window_seconds(
 
 
 def concurrency(
-    start_ticks: np.ndarray,
-    end_ticks: np.ndarray,
-    horizon_minutes: int,
-    grid_tick_s: int,
+    tick_edges: np.ndarray, horizon_minutes: int, grid_tick_s: int
 ) -> np.ndarray:
-    """Minute-averaged concurrency of windows given in grid ticks: request
-    ``i`` is active over ticks [start_ticks[i], end_ticks[i]), every index
-    in [0, n_ticks], n_ticks the horizon's ticks. The tick must divide 60.
+    """Minute-averaged concurrency of windows counted in grid ticks:
+    ``tick_edges[k]`` is the number of windows that start at tick ``k``
+    minus the number that end there, for ``k`` in [0, n_ticks], n_ticks the
+    horizon's ticks; a window active over ticks [s, e) adds +1 at ``s`` and
+    -1 at ``e``. The tick must divide 60.
 
-    Counts in integer ticks: the window edges, the running count of active
-    requests and its per-minute sum are all exact int64, so the minute mean
-    is the exact count over ticks per minute, in any order of the windows.
+    Counts in integer ticks: the running count of active requests and its
+    per-minute sum are exact int64, so the minute mean is the exact count
+    over ticks per minute.
     """
     if 60 % grid_tick_s != 0:
         raise ConfigurationError("grid tick must divide 60 seconds")
     per_minute = 60 // grid_tick_s
-    active = np.zeros(horizon_minutes * per_minute + 1, dtype=np.int64)
-    np.add.at(active, start_ticks, 1)
-    np.subtract.at(active, end_ticks, 1)
-    np.cumsum(active, out=active)
-    return active[:-1].reshape(horizon_minutes, per_minute).sum(axis=1) / per_minute
+    active = np.cumsum(tick_edges[:-1], dtype=np.int64)
+    return active.reshape(horizon_minutes, per_minute).sum(axis=1) / per_minute
 
 
 def allocate_budgets(

@@ -435,6 +435,15 @@ def brute_concurrency(
     return out
 
 
+def tick_edges(start_ticks, end_ticks, n_ticks: int) -> np.ndarray:
+    """The per-tick edge counts ``serving.concurrency`` reads, over ticks
+    [0, n_ticks]: +1 at each window's start tick, -1 at its end tick."""
+    edges = np.zeros(n_ticks + 1, dtype=np.int64)
+    np.add.at(edges, np.asarray(start_ticks), 1)
+    np.subtract.at(edges, np.asarray(end_ticks), 1)
+    return edges
+
+
 def nearest_rank_quantile(values, q: float) -> float:
     """Nearest-rank quantile: the ceil(q*n)-th smallest value."""
     ordered = sorted(values)

@@ -21,8 +21,10 @@ from dcpowersim.cosim import (
     generate_requests,
     inference_share,
     job_power_trace,
+    request_stream,
     run_hybrid,
     scenario_from_dict,
+    scenario_requests,
     serve_inference,
     utilization,
 )
@@ -44,6 +46,7 @@ from oracles import (
     batch_power_per_run,
     job_power_trace_per_job,
     serve_inference_concatenated,
+    tick_edges,
 )
 
 
@@ -113,26 +116,38 @@ class TestScenarioFromDict:
         assert Scenario(ckpt_seconds=math.inf).ckpt_seconds == math.inf
 
 
+def share_scenario(share: float) -> Scenario:
+    return Scenario(
+        scenario_id="cal",
+        total_gpus=32,
+        horizon_days=7,
+        share_target=share,
+        utilization_target=0.7,
+        seed=1,
+    )
+
+
 @pytest.fixture(scope="module")
-def share_runs(bundle):
-    runs = {}
-    for share in (0.0, 0.5, 1.0):
-        scen = Scenario(
-            scenario_id="cal",
-            total_gpus=32,
-            horizon_days=7,
-            share_target=share,
-            utilization_target=0.7,
-            seed=1,
-        )
-        runs[share] = run_hybrid(bundle, scen)
-    return runs
+def share_requests(bundle):
+    """The request parts each share_runs run was given."""
+    return {
+        share: scenario_requests(bundle, share_scenario(share))
+        for share in (0.0, 0.5, 1.0)
+    }
+
+
+@pytest.fixture(scope="module")
+def share_runs(bundle, share_requests):
+    return {
+        share: run_hybrid(bundle, share_scenario(share), parts)
+        for share, parts in share_requests.items()
+    }
 
 
 class TestShareEndpoints:
-    def test_share_zero_has_no_inference(self, bundle, share_runs):
+    def test_share_zero_has_no_inference(self, share_runs, share_requests):
         res = share_runs[0.0]
-        times, *_ = flatten_requests(res.request_parts)
+        times, *_ = flatten_requests(share_requests[0.0])
         assert times.size == 0
         assert not res.p_inf_kw.any()
         assert not res.g_inf.any()
@@ -186,12 +201,30 @@ class TestShareEndpoints:
 
 
 class TestRequestParts:
-    """generate_requests returns one part per (group, template) pair at any
-    scale, and flatten_requests labels each request by its own part."""
+    """generate_requests returns one part per template for its group, so
+    request_stream yields one part per (group, template) pair at any scale,
+    and flatten_requests labels each request by its own part."""
+
+    scen = Scenario(total_gpus=12, horizon_days=1, seed=1)
 
     def parts(self, bundle, fi):
-        scen = Scenario(total_gpus=12, horizon_days=1, seed=1)
-        return generate_requests(bundle, scen, fi)
+        return list(request_stream(bundle, self.scen, fi))
+
+    def test_a_group_gets_one_part_per_template(self, bundle):
+        group = bundle.request_groups[-1]
+        parts = generate_requests(bundle, self.scen, 0.01, group)
+        assert [(p.group, p.template_id) for p in parts] == [
+            (group, t.template_id) for t in bundle.llm_templates
+        ]
+
+    def test_scenario_requests_are_the_stream_at_its_rate_scale(self, bundle):
+        _, fi = _work_scales(bundle, self.scen)
+        got = scenario_requests(bundle, self.scen)
+        want = self.parts(bundle, fi)
+        assert [p.group for p in got] == [p.group for p in want]
+        for a, b in zip(got, want):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.tokens.tobytes() == b.tokens.tobytes()
 
     @pytest.mark.parametrize("fi", [0.0, 0.01])
     def test_one_part_per_pair_in_order(self, bundle, fi):
@@ -394,37 +427,84 @@ class TestServingMatchesConcatenated:
         )
 
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
-    def test_generated_runs(self, bundle, share_runs, share):
+    def test_generated_runs(self, bundle, share_runs, share_requests, share):
         res = share_runs[share]
         assert_same_serving(
             res.serving,
-            serve_inference_concatenated(bundle, res.scenario, res.request_parts),
+            serve_inference_concatenated(bundle, res.scenario, share_requests[share]),
         )
 
 
-def test_serving_peak_memory_is_under_a_third_of_the_requests(bundle):
-    """Serving keeps two int32 tick edges per request of one template at a
-    time, and floats of one part at a time: at 192 GPUs x 2 days, share
-    0.5, its traced peak stays below a third of the request parts' bytes
-    (about 0.2 here; concatenating each template's parts took 0.67)."""
-    scen = Scenario(
-        scenario_id="mem",
-        total_gpus=192,
-        horizon_days=2,
-        share_target=0.5,
-        utilization_target=0.75,
-        seed=1,
-    )
-    _, fi = _work_scales(bundle, scen)
-    parts = generate_requests(bundle, scen, fi)
-    request_bytes = sum(p.times.nbytes + p.tokens.nbytes for p in parts)
+class TestOnePass:
+    """Serving walks its parts once, so a one-shot generator of the parts
+    gives the bits of their list, and so does a run that streams its own
+    requests."""
+
+    def check(self, bundle, scen, parts, res):
+        assert_same_serving(
+            serve_inference(bundle, scen, (p for p in parts)),
+            serve_inference(bundle, scen, parts),
+        )
+        streamed = run_hybrid(bundle, scen, (p for p in parts))
+        for other in (streamed, run_hybrid(bundle, scen)):
+            assert_same_serving(other.serving, res.serving)
+            assert other.busy_batch.tobytes() == res.busy_batch.tobytes()
+            assert other.p_batch_kw.tobytes() == res.p_batch_kw.tobytes()
+
+    def test_tiny_bundle(self, tiny_run):
+        bundle, scen, parts, res = tiny_run
+        self.check(bundle, scen, parts, res)
+
+    def test_default_bundle(self, bundle, share_runs, share_requests):
+        res, parts = share_runs[0.5], share_requests[0.5]
+        assert res.serving.conc.any(axis=1).all()  # every template serves
+        self.check(bundle, res.scenario, parts, res)
+
+
+MEMORY_SCENARIO = Scenario(
+    scenario_id="mem",
+    total_gpus=192,
+    horizon_days=2,
+    share_target=0.5,
+    utilization_target=0.75,
+    seed=1,
+)
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc sees while ``fn(*args)`` runs."""
     tracemalloc.start()
     try:
-        serve_inference(bundle, scen, parts)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < request_bytes / 3, peak / request_bytes
+    return peak
+
+
+def request_bytes(parts) -> int:
+    return sum(p.times.nbytes + p.tokens.nbytes for p in parts)
+
+
+def test_serving_peak_memory_is_under_a_third_of_the_requests(bundle):
+    """Serving keeps one int32 per-tick edge array per template and the
+    windows of one part at a time: at 192 GPUs x 2 days, share 0.5, its
+    traced peak stays below a third of the request parts' bytes (0.22 here;
+    int64 edge arrays read 0.29, and concatenating each template's parts
+    took 0.67)."""
+    parts = scenario_requests(bundle, MEMORY_SCENARIO)
+    peak = traced_peak(serve_inference, bundle, MEMORY_SCENARIO, parts)
+    assert peak < request_bytes(parts) / 3, peak / request_bytes(parts)
+
+
+def test_run_peak_memory_is_under_the_requests(bundle):
+    """A run that streams its own requests holds one group of them at a
+    time: at 192 GPUs x 2 days, share 0.5, its traced peak stays below the
+    bytes of the whole request log (about 0.8 here; holding the log read
+    1.8)."""
+    log_bytes = request_bytes(scenario_requests(bundle, MEMORY_SCENARIO))
+    peak = traced_peak(run_hybrid, bundle, MEMORY_SCENARIO)
+    assert peak < log_bytes, peak / log_bytes
 
 
 def tiny_doc() -> dict:
@@ -528,7 +608,8 @@ def tiny_run():
         ckpt_seconds=900.0,
         seed=5,
     )
-    return bundle, scen, run_hybrid(bundle, scen)
+    parts = scenario_requests(bundle, scen)
+    return bundle, scen, parts, run_hybrid(bundle, scen, parts)
 
 
 class TestTinyCluster:
@@ -541,25 +622,25 @@ class TestTinyCluster:
     """
 
     def test_population_nonempty(self, tiny_run):
-        bundle, _, res = tiny_run
-        times, *_ = flatten_requests(res.request_parts)
+        _, _, parts, res = tiny_run
+        times, *_ = flatten_requests(parts)
         assert times.size > 0
         assert len(res.jobs) > 0
 
     def test_every_window_is_ten_seconds(self, tiny_run):
-        bundle, _, res = tiny_run
-        times, _, _, tokens = flatten_requests(res.request_parts)
+        _, _, parts, res = tiny_run
+        times, _, _, tokens = flatten_requests(parts)
         assert np.all(tokens == 5)
         _, ticks = service_windows(times, tokens, 2.0, 10)
         assert np.all(ticks == 1)  # one 10 s tick
 
     def test_inference_chain_recomputes(self, tiny_run):
-        bundle, scen, res = tiny_run
-        times, _, _, tokens = flatten_requests(res.request_parts)
+        _, scen, parts, res = tiny_run
+        times, _, _, tokens = flatten_requests(parts)
         starts, ticks = service_windows(times, tokens, 2.0, 10)
         n_ticks = scen.horizon_minutes * 6
         ends = np.minimum(starts + ticks, n_ticks)
-        conc = concurrency(starts, ends, scen.horizon_minutes, 10)
+        conc = concurrency(tick_edges(starts, ends, n_ticks), scen.horizon_minutes, 10)
         assert np.allclose(conc, res.serving.conc[0], atol=1e-12)
 
         offered = 10 * ticks.sum() * 2 / (2 * 3600.0)
@@ -575,7 +656,7 @@ class TestTinyCluster:
         )
 
     def test_residual_and_schedule_recompute(self, tiny_run):
-        bundle, scen, res = tiny_run
+        bundle, scen, _, res = tiny_run
         capacity = CapacityTimeline.from_minute_series(
             np.concatenate([4 - res.g_inf, [4]])
         )
@@ -593,7 +674,7 @@ class TestTinyCluster:
         )
 
     def test_jobs_are_the_configured_class(self, tiny_run):
-        _, _, res = tiny_run
+        _, _, _, res = tiny_run
         for job in res.jobs:
             assert job.gpu == 2
             assert job.runtime_s == 3600
@@ -603,11 +684,11 @@ class TestTinyCluster:
         assert res.w_batch_offered_h == pytest.approx(expect)
 
     def test_batch_power_is_flat_per_gpu(self, tiny_run):
-        _, _, res = tiny_run
+        _, _, _, res = tiny_run
         assert np.allclose(res.p_batch_kw, 0.3 * res.busy_batch, atol=1e-12)
 
     def test_conservation_and_decomposition(self, tiny_run):
-        _, _, res = tiny_run
+        _, _, _, res = tiny_run
         assert np.all(res.g_inf + res.busy_batch <= 4)
         assert np.array_equal(res.p_total_kw, res.p_batch_kw + res.p_inf_kw)
 
@@ -668,7 +749,7 @@ class TestBatchPowerMatchesPerRun:
         assert got.tobytes() == want.tobytes()
 
     def test_tiny_bundle(self, tiny_run):
-        bundle, _, res = tiny_run
+        bundle, _, _, res = tiny_run
         self.check(bundle, res)
 
     @pytest.mark.parametrize("share", [0.0, 0.5])
@@ -682,7 +763,7 @@ class TestBatchPowerMatchesPerRun:
         self.check(bundle, res)
 
     def test_run_cut_at_horizon_and_empty_run(self, tiny_run):
-        bundle, scen, res = tiny_run
+        bundle, scen, _, res = tiny_run
         horizon = scen.horizon_minutes * 60
         job = res.jobs[0]
         extra = [
@@ -703,7 +784,7 @@ class TestJobPowerTraceMatchesPerJob:
         assert power.tobytes() == np.concatenate(want).tobytes()
 
     def test_tiny_bundle(self, tiny_run):
-        bundle, scen, res = tiny_run
+        bundle, scen, _, res = tiny_run
         self.check(bundle, res.jobs, scen.root_seed)
 
     def test_default_bundle(self, bundle, share_runs):

@@ -14,7 +14,7 @@ from dcpowersim.serving import (
 )
 from dcpowersim.seeds import substream
 
-from oracles import brute_concurrency, service_window
+from oracles import brute_concurrency, service_window, tick_edges
 
 
 class TestServiceWindow:
@@ -58,24 +58,29 @@ class TestServiceWindow:
         )
 
 
+def minute_concurrency(starts, ends, minutes, tick):
+    """``concurrency`` of windows [starts, ends) given in ticks."""
+    return concurrency(tick_edges(starts, ends, minutes * 60 // tick), minutes, tick)
+
+
 class TestConcurrency:
     def test_full_minute_counts_one(self):
-        out = concurrency(np.array([0]), np.array([6]), 1, 10)
+        out = minute_concurrency([0], [6], 1, 10)
         assert out[0] == pytest.approx(1.0)
 
     def test_half_minute_counts_half(self):
-        out = concurrency(np.array([0]), np.array([3]), 1, 10)
+        out = minute_concurrency([0], [3], 1, 10)
         assert out[0] == pytest.approx(0.5)
 
     def test_hand_overlap_sum(self):
         starts = np.array([0, 0, 0])
         ends = np.array([12, 6, 3])  # 60, 30 and 15 s of 5 s ticks
-        out = concurrency(starts, ends, 1, 5)
+        out = minute_concurrency(starts, ends, 1, 5)
         assert out[0] == pytest.approx(1.75)
 
     def test_tick_must_divide_minute(self):
         with pytest.raises(ConfigurationError):
-            concurrency(np.array([0]), np.array([6]), 1, 7)
+            minute_concurrency([0], [6], 1, 7)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -84,7 +89,7 @@ class TestConcurrency:
         n = int(rng.integers(1, 12))
         starts = rng.integers(0, 180, n)
         ends = starts + rng.integers(1, 18, n)
-        out = concurrency(starts, ends, 40, 10)
+        out = minute_concurrency(starts, ends, 40, 10)
         oracle = brute_concurrency(
             [(10.0 * s, 10.0 * e) for s, e in zip(starts, ends)], 40
         )
