@@ -7,10 +7,11 @@ leftover capacity to the batch scheduler as a time-varying limit, then
 synthesize per-job power and assemble the minute-level facility series.
 
 Requests reach serving as a stream of parts, one per (group, template)
-pair, walked once. A run generates its own requests one group at a time and
-drops each group once served, so it never holds the whole request log; a
-caller that wants the log builds it with ``scenario_requests``, passes it to
-``run_hybrid`` and flattens it with ``flatten_requests``.
+pair, walked once. A run draws its own requests one part at a time and
+drops each part once served, so it holds neither the whole request log nor
+a whole group; a caller that wants the log builds it with
+``scenario_requests``, passes it to ``run_hybrid`` and flattens it with
+``flatten_requests``.
 
 Randomness is partitioned by named substreams, so the batch side of a run
 is bit-identical whether or not inference is generated at all.
@@ -309,44 +310,51 @@ def _work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]
 
 
 def generate_requests(
-    bundle: ModelBundle, scenario: Scenario, fi: float, group: str
+    scenario: Scenario,
+    group: str,
+    template_id: str,
+    sampler: CategoricalSampler,
+    mu: np.ndarray | float,
+    alpha: float,
 ) -> list[RequestPart]:
-    """Arrival times and token counts of one request group, per template.
+    """Arrival times and token counts of one (group, template) part.
 
-    Returns one part per template in template order, even when a template
-    got no requests. ``fi`` scales the group's mean arrival rate.
+    ``mu`` is the part's per-minute NB2 mean, ``alpha`` its dispersion and
+    ``sampler`` the group's token sampler. Returns the part as a one-part
+    list, empty arrays when ``mu`` is zero throughout: ``bench/tracer.py``
+    counts the requests of the list each call returns, and one part per
+    call lets a stream free each part before it draws the next.
     """
-    root_seed = scenario.root_seed
-    sampler = CategoricalSampler(
-        apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
-    )
-    model = bundle.rate_models[group]
-    base_mu = minute_mean_series(model, scenario.horizon_days, bundle.calendar)
-    parts = split_across_templates(
-        base_mu * fi, model.effective_dispersion, bundle.split_shares
-    )
-    out: list[RequestPart] = []
-    for template, (mu_m, alpha_m) in zip(bundle.llm_templates, parts):
-        template_id = template.template_id
-        times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
-        if np.any(mu_m > 0.0):
-            rng = substream(root_seed, "inference-arrivals", group, template_id)
-            counts = sample_nb2(mu_m, alpha_m, rng)
-            times = place_in_minutes(counts, rng)
-            tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
-            tokens = sample_tokens(sampler, tokens_rng, times.size)
-        out.append(RequestPart(times, tokens, group, template_id))
-    return out
+    times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
+    if np.any(mu > 0.0):
+        root_seed = scenario.root_seed
+        rng = substream(root_seed, "inference-arrivals", group, template_id)
+        times = place_in_minutes(sample_nb2(mu, alpha, rng), rng)
+        tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
+        tokens = sample_tokens(sampler, tokens_rng, times.size)
+    return [RequestPart(times, tokens, group, template_id)]
 
 
 def request_stream(
     bundle: ModelBundle, scenario: Scenario, fi: float
 ) -> Iterator[RequestPart]:
     """Every request part, one per (group, template) pair in that order,
-    each group generated when its first part is asked for; ``fi`` scales
-    every group's mean arrival rate."""
+    each drawn when it is asked for; ``fi`` scales every group's mean
+    arrival rate. A group's token sampler and per-template rates are built
+    once, before its first part."""
     for group in bundle.request_groups:
-        yield from generate_requests(bundle, scenario, fi, group)
+        sampler = CategoricalSampler(
+            apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
+        )
+        model = bundle.rate_models[group]
+        base_mu = minute_mean_series(model, scenario.horizon_days, bundle.calendar)
+        rates = split_across_templates(
+            base_mu * fi, model.effective_dispersion, bundle.split_shares
+        )
+        for template, (mu, alpha) in zip(bundle.llm_templates, rates):
+            yield from generate_requests(
+                scenario, group, template.template_id, sampler, mu, alpha
+            )
 
 
 def scenario_requests(bundle: ModelBundle, scenario: Scenario) -> list[RequestPart]:
@@ -551,6 +559,29 @@ def _add_run_power(
     return out
 
 
+# requests windowed per pass, so the window arrays stay small however large
+# a part is
+_WINDOWS_PER_PASS = 2**16
+
+
+def _add_windows(
+    edges: np.ndarray, times: np.ndarray, tokens: np.ndarray, tpot_s: float, tick: int
+) -> int:
+    """Count the service windows of these requests into ``edges``, one entry
+    per grid tick of the horizon and one past it: +1 at each window's start
+    tick and -1 at its end tick, both clipped to the last entry. Returns the
+    windows' total ticks."""
+    last = edges.size - 1
+    starts, ticks = service_windows(times, tokens, tpot_s, tick)
+    work_ticks = int(ticks.sum())
+    ends = np.add(starts, ticks, out=ticks)
+    np.clip(starts, 0, last, out=starts)
+    np.clip(ends, 0, last, out=ends)
+    edges += np.bincount(starts, minlength=edges.size)
+    edges -= np.bincount(ends, minlength=edges.size)
+    return work_ticks
+
+
 def serve_inference(
     bundle: ModelBundle,
     scenario: Scenario,
@@ -559,12 +590,13 @@ def serve_inference(
     """Serve the requests under per-template budgets.
 
     Walks ``request_parts`` once, in any order, so it may be a one-shot
-    stream. Each part is windowed on its own, and its windows are counted
-    into its template's int32 array of per-tick edges: +1 at each window's
-    start tick, -1 at its end tick. So serving keeps no per-request array
-    past the part it is on. Offered work is the integer sum of the windows'
-    ticks, and concurrency the integer running sum of the edges, both exact
-    in any order.
+    stream. Each part is windowed on its own, ``_WINDOWS_PER_PASS``
+    requests at a time, and its windows are counted into its template's
+    int32 array of per-tick edges: +1 at each window's start tick, -1 at
+    its end tick. So serving keeps no per-request array past the part it is
+    on, and no window array longer than one pass. Offered work is the
+    integer sum of the windows' ticks, and concurrency the integer running
+    sum of the edges, both exact in any order.
     """
     n_minutes = scenario.horizon_minutes
     tick = bundle.grid_tick_s
@@ -577,14 +609,13 @@ def serve_inference(
     n_requests = [0] * len(templates)
     for part in request_parts:
         i = index[part.template_id]
-        starts, ticks = service_windows(part.times, part.tokens, tpots[i], tick)
-        work_ticks[i] += int(ticks.sum())
-        n_requests[i] += starts.size
-        ends = np.add(starts, ticks, out=ticks)
-        np.clip(starts, 0, n_ticks, out=starts)
-        np.clip(ends, 0, n_ticks, out=ends)
-        edges[i] += np.bincount(starts, minlength=n_ticks + 1)
-        edges[i] -= np.bincount(ends, minlength=n_ticks + 1)
+        n_requests[i] += part.times.size
+        for lo in range(0, part.times.size, _WINDOWS_PER_PASS):
+            hi = lo + _WINDOWS_PER_PASS
+            work_ticks[i] += _add_windows(
+                edges[i], part.times[lo:hi], part.tokens[lo:hi], tpots[i], tick
+            )
+        del part  # so a stream can free this part before it draws the next
     conc = np.zeros((len(templates), n_minutes))
     for i, n in enumerate(n_requests):
         if n:  # a template without requests keeps its zero row
@@ -637,8 +668,9 @@ def run_hybrid(
     """Run one scenario end to end and return the minute-level result.
 
     Serving walks ``request_parts`` once. By default these are the
-    scenario's own requests, generated one group at a time and dropped
-    once served; pass ``scenario_requests(bundle, scenario)`` to keep them.
+    scenario's own requests, drawn one (group, template) part at a time and
+    dropped once served; pass ``scenario_requests(bundle, scenario)`` to
+    keep them.
     """
     fb, fi = _work_scales(bundle, scenario)
     if request_parts is None:

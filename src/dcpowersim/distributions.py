@@ -35,6 +35,10 @@ def sample_nb2(mu, alpha: float, rng: np.random.Generator):
 # bucket edge ``k / GUIDE_BUCKETS`` are exact in binary floating point.
 GUIDE_BUCKETS = 2**16
 
+# uniforms drawn and located per pass, so a large draw needs no temporaries
+# of its own size
+_DRAWS_PER_PASS = 2**16
+
 
 class CategoricalSampler:
     """Inverse-CDF draws from one pmf, located through a guide table.
@@ -58,14 +62,18 @@ class CategoricalSampler:
         self.first = np.searchsorted(cdf, edges, side="right").astype(np.int32)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` indices, one per uniform of ``rng.random(size)``."""
-        u = rng.random(size)
-        bucket = (u * GUIDE_BUCKETS).astype(np.intp)
-        lo = self.first[bucket]
-        # cdf[-1] is 1 > u, so lo is a valid index, and cdf[lo] > u whenever
-        # the bucket holds no CDF value
-        out = lo.astype(np.intp)
-        out += self.cdf[lo] <= u
-        wide = np.flatnonzero(self.first[bucket + 1] - lo > 1)
-        out[wide] = np.searchsorted(self.cdf, u[wide], side="right")
+        """``size`` indices, one per uniform of ``rng.random(size)``. The
+        uniforms come ``_DRAWS_PER_PASS`` at a time, which draws the same
+        numbers in the same order."""
+        out = np.empty(size, dtype=np.intp)
+        for start in range(0, size, _DRAWS_PER_PASS):
+            chunk = out[start:start + _DRAWS_PER_PASS]
+            u = rng.random(chunk.size)
+            bucket = (u * GUIDE_BUCKETS).astype(np.intp)
+            lo = self.first[bucket]
+            # cdf[-1] is 1 > u, so lo is a valid index, and cdf[lo] > u
+            # whenever the bucket holds no CDF value
+            np.add(lo, self.cdf[lo] <= u, out=chunk)
+            wide = np.flatnonzero(self.first[bucket + 1] - lo > 1)
+            chunk[wide] = np.searchsorted(self.cdf, u[wide], side="right")
         return out

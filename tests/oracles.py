@@ -24,7 +24,15 @@ from dcpowersim.batch_power import (
     select_template,
     synthesize_power,
 )
-from dcpowersim.cosim import Serving
+from dcpowersim.cosim import RequestPart, Serving
+from dcpowersim.distributions import CategoricalSampler, sample_nb2
+from dcpowersim.inference_arrivals import (
+    apply_verbosity,
+    minute_mean_series,
+    place_in_minutes,
+    sample_tokens,
+    split_across_templates,
+)
 from dcpowersim.outputs import (
     ARRIVALS_COLUMNS,
     BUSY_COLUMNS,
@@ -524,6 +532,36 @@ def service_window(
 def token_mean(dist) -> float:
     """Mean token count of a pmf on support {1..support_max}."""
     return sum((i + 1) * float(p) for i, p in enumerate(dist.pmf))
+
+
+# Requests drawn one whole group per call: the package's former generator,
+# kept as the reference for its stream that draws one part at a time.
+
+
+def generate_group_requests(bundle, scenario, fi: float, group: str) -> list[RequestPart]:
+    """One request group's parts, one per template in template order, even
+    when a template got no requests; ``fi`` scales the group's mean rate."""
+    root_seed = scenario.root_seed
+    sampler = CategoricalSampler(
+        apply_verbosity(bundle.token_dists[group], scenario.verbosity_scale).pmf
+    )
+    model = bundle.rate_models[group]
+    base_mu = minute_mean_series(model, scenario.horizon_days, bundle.calendar)
+    parts = split_across_templates(
+        base_mu * fi, model.effective_dispersion, bundle.split_shares
+    )
+    out = []
+    for template, (mu_m, alpha_m) in zip(bundle.llm_templates, parts):
+        template_id = template.template_id
+        times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
+        if np.any(mu_m > 0.0):
+            rng = substream(root_seed, "inference-arrivals", group, template_id)
+            counts = sample_nb2(mu_m, alpha_m, rng)
+            times = place_in_minutes(counts, rng)
+            tokens_rng = substream(root_seed, "inference-tokens", group, template_id)
+            tokens = sample_tokens(sampler, tokens_rng, times.size)
+        out.append(RequestPart(times, tokens, group, template_id))
+    return out
 
 
 # Serving with each template's parts concatenated: the package's former

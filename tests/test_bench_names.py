@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dcpowersim.cosim import scenario_requests
+from dcpowersim.sweep import expand_grid
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -105,3 +108,32 @@ def test_tracer_spans_series_commands(tmp_path):
         assert traced.stdout == plain.stdout
         spans = [span[0] for span in json.loads(out_json.read_text())["spans"]]
         assert spans == [f"cli.{name}", "outputs.read_series_csv", *expected[name]]
+
+
+def test_tracer_counts_a_sweep_and_leaves_its_outputs(tmp_path, bundle):
+    """A sweep streams each point's requests from inside run_hybrid. The
+    request counter must still count every request the points draw, and
+    tracing must leave every output file as it is."""
+    sweep_doc = {"scenario": {"total_gpus": 12, "horizon_days": 1}, "shares": [0.5, 1.0]}
+    sweep_json = tmp_path / "sweep.json"
+    sweep_json.write_text(json.dumps(sweep_doc))
+    argv = ["sweep", "--config", "default", "--seed", "1", "--scenario", str(sweep_json)]
+    out_json = tmp_path / "trace.json"
+    traced = _run_with_bench_path([
+        str(ROOT / "bench" / "tracer.py"), str(out_json), "--",
+        *argv, "--out", str(tmp_path / "traced"),
+    ])
+    plain = _run_with_bench_path(["-m", "dcpowersim", *argv, "--out", str(tmp_path / "plain")])
+    assert traced.returncode == plain.returncode == 0, traced.stderr + plain.stderr
+    assert traced.stdout == plain.stdout
+
+    points = expand_grid({**sweep_doc, "seeds": [1]}, dict(bundle.scenario_defaults))
+    drawn = sum(p.times.size for s in points for p in scenario_requests(bundle, s))
+    assert drawn > 0
+    assert json.loads(out_json.read_text())["counts"]["requests"] == drawn
+
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "traced").iterdir()) == names
+    for name in names:
+        traced_bytes = (tmp_path / "traced" / name).read_bytes()
+        assert traced_bytes == (tmp_path / "plain" / name).read_bytes(), name

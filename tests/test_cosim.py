@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -44,6 +45,7 @@ from dcpowersim.serving import (
 from oracles import (
     add_run_power_per_run,
     batch_power_per_run,
+    generate_group_requests,
     job_power_trace_per_job,
     serve_inference_concatenated,
     tick_edges,
@@ -201,21 +203,32 @@ class TestShareEndpoints:
 
 
 class TestRequestParts:
-    """generate_requests returns one part per template for its group, so
-    request_stream yields one part per (group, template) pair at any scale,
-    and flatten_requests labels each request by its own part."""
+    """generate_requests draws one part per call, so request_stream yields
+    one part per (group, template) pair at any scale, and flatten_requests
+    labels each request by its own part."""
 
     scen = Scenario(total_gpus=12, horizon_days=1, seed=1)
 
     def parts(self, bundle, fi):
         return list(request_stream(bundle, self.scen, fi))
 
-    def test_a_group_gets_one_part_per_template(self, bundle):
-        group = bundle.request_groups[-1]
-        parts = generate_requests(bundle, self.scen, 0.01, group)
-        assert [(p.group, p.template_id) for p in parts] == [
-            (group, t.template_id) for t in bundle.llm_templates
-        ]
+    def test_each_call_returns_one_part_of_its_own_pair(self, bundle):
+        """``bench/tracer.py`` counts the requests of every list a call
+        returns; each list holds the one part its call was asked for."""
+        calls = []
+
+        def recorded(scenario, group, template_id, *args):
+            got = generate_requests(scenario, group, template_id, *args)
+            calls.append(((group, template_id), got))
+            return got
+
+        with mock.patch.object(cosim, "generate_requests", recorded):
+            streamed = self.parts(bundle, 0.01)
+        assert len(calls) == len(streamed)
+        for (pair, got), part in zip(calls, streamed):
+            assert len(got) == 1
+            assert (got[0].group, got[0].template_id) == pair
+            assert got[0] is part
 
     def test_scenario_requests_are_the_stream_at_its_rate_scale(self, bundle):
         _, fi = _work_scales(bundle, self.scen)
@@ -257,6 +270,35 @@ class TestRequestParts:
             mine = (groups == part.group) & (templates == part.template_id)
             assert np.array_equal(times[mine], part.times)
             assert np.array_equal(tokens[mine], part.tokens)
+
+
+@pytest.mark.parametrize("verbosity", [1.0, 1.3])
+@pytest.mark.parametrize("fi", [0.0, 0.01, None])
+@pytest.mark.parametrize("which", ["tiny", "default"])
+def test_stream_draws_the_parts_of_the_group_generator(bundle, which, fi, verbosity):
+    """Drawing one part at a time draws the parts the former per-group
+    generator drew, in its order, bit for bit; ``fi`` None is the
+    scenario's own rate scale."""
+    if which == "tiny":
+        bundle = load_bundle(tiny_doc())
+    scen = Scenario(total_gpus=12, horizon_days=1, verbosity_scale=verbosity, seed=1)
+    if fi is None:
+        _, fi = _work_scales(bundle, scen)
+    want = [
+        part
+        for group in bundle.request_groups
+        for part in generate_group_requests(bundle, scen, fi, group)
+    ]
+    got = list(request_stream(bundle, scen, fi))
+    assert [(p.group, p.template_id) for p in got] == [
+        (p.group, p.template_id) for p in want
+    ]
+    for a, b in zip(got, want):
+        assert a.times.dtype == b.times.dtype and a.tokens.dtype == b.tokens.dtype
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.tokens.tobytes() == b.tokens.tobytes()
+    if fi > 0.0:
+        assert sum(p.times.size for p in got) > 0
 
 
 class TestCalibration:
@@ -434,6 +476,15 @@ class TestServingMatchesConcatenated:
             serve_inference_concatenated(bundle, res.scenario, share_requests[share]),
         )
 
+    def test_parts_windowed_over_many_passes(self, bundle, share_requests):
+        """A part windowed in passes of a few requests counts the windows
+        of one pass."""
+        scen, parts = share_scenario(1.0), share_requests[1.0]
+        assert max(p.times.size for p in parts) > 3 * 4096
+        with mock.patch.object(cosim, "_WINDOWS_PER_PASS", 4096):
+            got = serve_inference(bundle, scen, parts)
+        assert_same_serving(got, serve_inference_concatenated(bundle, scen, parts))
+
 
 class TestOnePass:
     """Serving walks its parts once, so a one-shot generator of the parts
@@ -459,6 +510,23 @@ class TestOnePass:
         res, parts = share_runs[0.5], share_requests[0.5]
         assert res.serving.conc.any(axis=1).all()  # every template serves
         self.check(bundle, res.scenario, parts, res)
+
+    def test_each_part_is_dropped_before_the_next_is_asked_for(self, bundle, share_requests):
+        """A stream may free a part once serving asks for the next, so
+        serving keeps no reference to it, nor to its arrays."""
+        served = []
+
+        def tracked(array):
+            served.append(weakref.ref(array))
+            return array
+
+        def stream():
+            for p in share_requests[0.5]:
+                assert all(ref() is None for ref in served)
+                yield RequestPart(tracked(p.times.copy()), p.tokens, p.group, p.template_id)
+
+        serve_inference(bundle, share_scenario(0.5), stream())
+        assert len(served) == len(share_requests[0.5])
 
 
 MEMORY_SCENARIO = Scenario(
@@ -498,13 +566,28 @@ def test_serving_peak_memory_is_under_a_third_of_the_requests(bundle):
 
 
 def test_run_peak_memory_is_under_the_requests(bundle):
-    """A run that streams its own requests holds one group of them at a
-    time: at 192 GPUs x 2 days, share 0.5, its traced peak stays below the
-    bytes of the whole request log (about 0.8 here; holding the log read
-    1.8)."""
+    """A run that streams its own requests holds one (group, template) part
+    of them at a time: at 192 GPUs x 2 days, share 0.5, its traced peak
+    stays below the bytes of the whole request log (0.61 here, where the
+    batch side sets the peak; holding the log read 1.8)."""
     log_bytes = request_bytes(scenario_requests(bundle, MEMORY_SCENARIO))
     peak = traced_peak(run_hybrid, bundle, MEMORY_SCENARIO)
     assert peak < log_bytes, peak / log_bytes
+
+
+def test_streamed_serving_peak_memory_is_under_one_group(bundle):
+    """Serving fed by request_stream holds one part and its windows at a
+    time, never a whole group: at 768 GPUs x 2 days, share 0.5, its traced
+    peak stays below 0.75 of the largest group's bytes (0.49 here; drawing
+    a group per call read 1.49)."""
+    scen = replace(MEMORY_SCENARIO, total_gpus=768)
+    _, fi = _work_scales(bundle, scen)
+    largest = max(
+        request_bytes(generate_group_requests(bundle, scen, fi, group))
+        for group in bundle.request_groups
+    )
+    peak = traced_peak(serve_inference, bundle, scen, request_stream(bundle, scen, fi))
+    assert peak < 0.75 * largest, peak / largest
 
 
 def tiny_doc() -> dict:

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dcpowersim import distributions
 from dcpowersim.batch_arrivals import SimCalendar
 from dcpowersim.distributions import GUIDE_BUCKETS, CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import (
@@ -211,14 +213,18 @@ class TestTokenSampling:
 
 
 class _Uniforms:
-    """Stands in for a Generator whose ``random`` returns chosen uniforms."""
+    """Stands in for a Generator whose ``random`` hands out chosen uniforms
+    in order, in one call or over several."""
 
     def __init__(self, u: np.ndarray) -> None:
         self.u = u
+        self.used = 0
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u.copy()
+        out = self.u[self.used:self.used + size].copy()
+        assert out.size == size, "asked for more uniforms than were chosen"
+        self.used += size
+        return out
 
 
 @st.composite
@@ -258,5 +264,21 @@ def test_guide_table_matches_binary_search(pmf):
     )
     got = CategoricalSampler(pmf).sample(_Uniforms(u), u.size)
     want = sample_categorical(pmf, _Uniforms(u), u.size)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("passes", [None, 4])
+@pytest.mark.parametrize("size", [0, 3, 4, 9, 2 * GUIDE_BUCKETS + 5])
+def test_draws_in_passes_read_the_uniforms_of_one_draw(passes, size):
+    """The sampler draws its uniforms a pass at a time; the passes read the
+    numbers one ``rng.random(size)`` call reads, in its order. ``passes``
+    None keeps the package's pass size."""
+    pmf = np.arange(1.0, 301.0) ** -1.5
+    with mock.patch.object(
+        distributions, "_DRAWS_PER_PASS", passes or distributions._DRAWS_PER_PASS
+    ):
+        got = CategoricalSampler(pmf).sample(substream(4, "passes"), size)
+    want = sample_categorical(pmf, substream(4, "passes"), size)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
