@@ -225,7 +225,7 @@ def generate_zone_arrivals(
         raise ValueError("horizon_days must be nonnegative")
     if mean_scale < 0:
         raise ValueError("mean_scale must be nonnegative")
-    if mean_scale == 0.0:
+    if mean_scale == 0.0:  # reads no day, so share 1 needs no day effect
         return np.empty(0, dtype=float)
     offset_s = offset_hours * SECONDS_PER_HOUR
     chunks = []
@@ -274,5 +274,4 @@ def superpose_timezones(
             offset_hours=offset,
         )
         streams.append(ts)
-    merged = np.concatenate(streams) if streams else np.empty(0, dtype=float)
-    return np.sort(merged, kind="stable")
+    return np.sort(np.concatenate(streams), kind="stable")

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-DEFAULT_TEMPLATE_GATE = 194
-
 
 def add_alpha_pmf(counts, alpha: float = 1.0) -> np.ndarray:
     """Categorical pmf from counts with additive (add-alpha) smoothing."""
@@ -48,8 +46,9 @@ class JobClassModel:
 
     ``gpu_tables`` maps a time limit to its GPU-count support and pmf.
     Runtime quantile curves live on ``quantile_grid`` (probabilities in
-    (0, 1), ascending) in log-runtime units, at up to three hierarchy
-    levels: per (time limit, gpus) leaf, per time limit, and group-wide.
+    (0, 1), ascending; shared by every group and checked by the bundle
+    loader) in log-runtime units, at up to three hierarchy levels: per
+    (time limit, gpus) leaf, per time limit, and group-wide.
     """
 
     group: str
@@ -78,13 +77,8 @@ class JobClassModel:
                 problems.append(f"no GPU table for time limit {tl}")
             elif any(g < 1 for g in self.gpu_tables[tl][0]):
                 problems.append(f"GPU counts for time limit {tl} must be at least 1")
-        grid = self.quantile_grid
-        if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            problems.append("quantile_grid must be ascending with 2+ points")
-        elif grid[0] <= 0 or grid[-1] >= 1:
-            problems.append("quantile_grid must lie strictly inside (0, 1)")
         for curve in self._all_curves():
-            if len(curve) != len(grid):
+            if len(curve) != len(self.quantile_grid):
                 problems.append("quantile curve length must match the grid")
             elif np.any(np.diff(curve) < 0):
                 problems.append("quantile curves must be nondecreasing")
@@ -261,7 +255,7 @@ class PowerSynthesisConfig:
 
     noise_factor: float = 1.0
     hw_factor: float = 1.0
-    template_gate: int = DEFAULT_TEMPLATE_GATE
+    template_gate: int = 194
 
     def __post_init__(self) -> None:
         if self.noise_factor < 0 or self.hw_factor <= 0 or self.template_gate < 0:
@@ -352,7 +346,7 @@ def _ar1_in_place(
     """
     ar = np.flatnonzero(phi != 0.0)
     ar = ar[np.argsort(-lengths[ar], kind="stable")]
-    if len(ar) == 0:
+    if len(ar) == 0:  # n[0] below needs one AR(1) job
         return
     start, n = offsets[ar], lengths[ar]
     job_phi = phi[ar]

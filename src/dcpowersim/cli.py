@@ -234,9 +234,9 @@ def cmd_simulate(args) -> int:
             path, *cosim.flatten_requests(parts)
         ),
         "detail.csv": lambda path: write_detail_csv(path, result, template_ids),
-        # the sweep row, empty cells as null, and the jobs the scheduler rejected
+        # the sweep row (a metric it lacks is null) and the rejected jobs
         "metrics.json": lambda path: write_json(path, {
-            **{k: (v if v != "" else None) for k, v in summarize(result).items()},
+            **summarize(result),
             "rejected_job_ids": list(result.trace.rejected_job_ids),
         }),
     })

@@ -27,7 +27,6 @@ from .batch_arrivals import (
     TimezonePlan,
 )
 from .batch_power import (
-    DEFAULT_TEMPLATE_GATE,
     JobClassModel,
     PowerSynthesisConfig,
     PowerTemplate,
@@ -220,9 +219,10 @@ def _job_group(group: str, g_doc: dict, add_alpha: float, grid: np.ndarray):
 
 def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
     add_alpha = float(doc.get("add_alpha", 1.0))
-    grid = np.asarray(
-        doc.get("quantile_grid", (np.arange(1, 100) / 100.0).tolist()), dtype=float
-    )
+    grid = np.array(doc.get("quantile_grid", np.arange(1, 100) / 100.0), float, ndmin=1)
+    # every group shares the grid, so it is reported once
+    if len(grid) < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0 or grid[-1] >= 1:
+        errs.error("batch_jobs.quantile_grid", "must be 2+ ascending points inside (0, 1)")
     return errs.groups("batch_jobs", doc, _job_group, add_alpha, grid)
 
 
@@ -279,7 +279,7 @@ def _load_power_templates(doc: dict, errs: _Collector):
     cfg = PowerSynthesisConfig(
         float(doc.get("noise_factor", PowerSynthesisConfig.noise_factor)),
         float(doc.get("hw_factor", PowerSynthesisConfig.hw_factor)),
-        int(doc.get("template_gate", DEFAULT_TEMPLATE_GATE)),
+        int(doc.get("template_gate", PowerSynthesisConfig.template_gate)),
     )
     return TemplateStore(nodes, edges), cfg
 
@@ -294,6 +294,8 @@ def _rate_model(group: str, g_doc: dict, kappa: float) -> MinuteRateModel:
 
 def _load_inference_arrivals(doc: dict, errs: _Collector):
     kappa = float(doc.get("calibration_factor", MinuteRateModel.calibration))
+    if kappa < 0:  # every group shares it, so it is reported once
+        errs.error("inference_arrivals.calibration_factor", "must be nonnegative")
     return errs.groups("inference_arrivals", doc, _rate_model, kappa)
 
 

@@ -69,18 +69,26 @@ from .serving import (
 
 CAP_MODES = ("capped", "uncapped")
 
+
+def _positive_finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is above 0 and ``float(value)`` is finite; an
+    integer no float can hold is not."""
+    try:
+        return value > 0 and math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 # (field, required type, range test, rule stated when the test fails);
 # bools are rejected even though they are integers
 _NUMBER_RULES = (
     ("total_gpus", numbers.Integral, lambda v: v >= 1, "must be positive"),
     ("horizon_days", numbers.Integral, lambda v: v >= 0, "must be nonnegative"),
     ("share_target", numbers.Real, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    ("utilization_target", numbers.Real, lambda v: 0 < v < math.inf,
-     "must be positive and finite"),
+    ("utilization_target", numbers.Real, _positive_finite, "must be positive and finite"),
     ("ckpt_seconds", numbers.Real, lambda v: v >= 1, "must be at least 1 second"),
     ("cap_fraction", numbers.Real, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    ("verbosity_scale", numbers.Real, lambda v: 0 < v < math.inf,
-     "must be positive and finite"),
+    ("verbosity_scale", numbers.Real, _positive_finite, "must be positive and finite"),
     ("seed", numbers.Integral, lambda v: True, ""),
 )
 
@@ -326,7 +334,7 @@ def generate_requests(
     call lets a stream free each part before it draws the next.
     """
     times, tokens = np.empty(0), np.empty(0, dtype=np.int64)
-    if np.any(mu > 0.0):
+    if np.any(mu > 0.0):  # a zero share's mu is the scalar 0.0, not minutes
         root_seed = scenario.root_seed
         rng = substream(root_seed, "inference-arrivals", group, template_id)
         times = place_in_minutes(sample_nb2(mu, alpha, rng), rng)
@@ -471,8 +479,6 @@ def _batch_power_series(
     order; floating-point sums depend on it.
     """
     out = np.zeros(scenario.horizon_minutes)
-    if not trace.runs:
-        return out
     position = {job.job_id: i for i, job in enumerate(jobs)}
     run_pos = np.array([position[run.job_id] for run in trace.runs], dtype=np.int64)
     order = np.argsort(run_pos, kind="stable")
@@ -618,7 +624,7 @@ def serve_inference(
         del part  # so a stream can free this part before it draws the next
     conc = np.zeros((len(templates), n_minutes))
     for i, n in enumerate(n_requests):
-        if n:  # a template without requests keeps its zero row
+        if n:  # a fast path: a zero row costs concurrency a full pass
             conc[i] = concurrency(edges[i], n_minutes, tick)
     offered = np.array([t.gpu_hours(w * tick) for t, w in zip(templates, work_ticks)])
     w_inf_offered = float(offered.sum())

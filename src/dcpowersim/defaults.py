@@ -146,7 +146,7 @@ def _batch_jobs_doc() -> dict:
     return {
         "schema_version": 1,
         "add_alpha": 1.0,
-        "quantile_grid": _QUANTILE_GRID,
+        "quantile_grid": list(_QUANTILE_GRID),
         "groups": groups,
     }
 
@@ -276,7 +276,8 @@ def _tokens_doc() -> dict:
             "histogram": _lognormal_histogram(support, median, sigma),
             "pool": pool,
         }
-    return {"schema_version": 1, "groups": groups, "pools": dict(_TOKEN_POOLS)}
+    pools = {name: dict(pool) for name, pool in _TOKEN_POOLS.items()}
+    return {"schema_version": 1, "groups": groups, "pools": pools}
 
 
 def _llm_templates_doc() -> dict:

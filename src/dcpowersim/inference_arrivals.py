@@ -32,7 +32,8 @@ class MinuteRateModel:
     ``log_rate_table`` has shape (96, 2): one row per 15-minute slot of the
     day, column 0 for weekdays and column 1 for weekend days. ``dispersion``
     is the NB2 alpha fitted for the group; ``calibration`` is the
-    multiplicative factor applied to it at generation time.
+    nonnegative factor applied to it at generation time, shared by every
+    group and checked by the bundle loader.
     """
 
     group: str
@@ -48,8 +49,6 @@ class MinuteRateModel:
             problems.append("log_rate_table must have shape (96, 2)")
         if self.dispersion < 0:
             problems.append("dispersion must be nonnegative")
-        if self.calibration < 0:
-            problems.append("calibration must be nonnegative")
         if problems:
             raise ConfigurationError(
                 f"group {self.group!r}: " + "; ".join(problems)
@@ -66,22 +65,17 @@ def minute_mean_series(
     calendar: SimCalendar,
 ) -> np.ndarray:
     """Per-minute expected arrivals over the whole horizon."""
-    days = []
-    for day in range(horizon_days):
-        col = 1 if calendar.is_weekend(day) else 0
-        per_slot = np.exp(model.log_rate_table[:, col])
-        days.append(np.repeat(per_slot, SLOT_MINUTES))
-    if not days:
-        return np.empty(0, dtype=float)
-    return np.concatenate(days)
+    # one day of minutes per column of the table: weekday, then weekend
+    day_types = np.array(
+        [np.repeat(np.exp(model.log_rate_table[:, col]), SLOT_MINUTES) for col in (0, 1)]
+    )
+    return day_types[[int(calendar.is_weekend(day)) for day in range(horizon_days)]].ravel()
 
 
 def place_in_minutes(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform timestamps inside each minute, sorted ascending (seconds)."""
     counts = np.asarray(counts)
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=float)
     starts = np.repeat(np.arange(len(counts), dtype=float) * 60.0, counts)
     u = rng.random(total)
     u *= 60.0
@@ -102,13 +96,7 @@ def split_across_templates(
     """
     if abs(sum(shares) - 1.0) > 1e-9 or any(s < 0 for s in shares):
         raise ValueError("template shares must be nonnegative and sum to 1")
-    out = []
-    for s in shares:
-        if s == 0:
-            out.append((0.0, 0.0))
-        else:
-            out.append((mu * s, alpha / s))
-    return out
+    return [(mu * s, alpha / s) if s else (0.0, 0.0) for s in shares]
 
 
 def equal_shares(n_templates: int) -> tuple[float, ...]:

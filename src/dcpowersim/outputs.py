@@ -73,14 +73,14 @@ SWEEP_COLUMNS = (
 
 
 def fmt(value) -> str:
-    """Render one cell: floats at nine significant digits, rest verbatim."""
+    """Render one cell: floats at nine significant digits, None empty, rest verbatim."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 class LabelColumn:
@@ -257,7 +257,7 @@ def _write_columns(
     or any other sequence of cells; none for a file with no rows).
 
     Cells come out as ``fmt`` and csv.writer would write them row by row;
-    every file here has at least two columns, so an empty cell is empty.
+    every file here has at least two columns, so a None or "" cell is empty.
     """
     renderers = [_renderer(column) for column in columns]
     n_rows = min((len(data) for _, data in renderers), default=0)
@@ -290,8 +290,8 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
     """Load a series file back into float arrays keyed by column name; a
-    missing header, or a torn, blank or non-finite row (named by its line),
-    raises ValueError."""
+    missing header, or a torn or blank row or a cell that is not a finite
+    number (each named by its line), raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -308,9 +308,12 @@ def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        # report the first cell float() rejects in float()'s own words
-        for line in lines:
-            list(map(float, line.split(",")))
+        # name the first line the parser rejects
+        for number, line in enumerate(lines, start=2):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                raise ValueError(f"line {number} has a cell that is not a number") from None
         raise
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:

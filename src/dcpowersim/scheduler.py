@@ -206,8 +206,6 @@ def accumulate_intervals(
     e = np.clip(np.asarray(ends, dtype=np.int64), 0, horizon)
     v = np.asarray(values, dtype=float)
     keep = e > s
-    if not np.any(keep):
-        return out
     s, e, v = s[keep], e[keep], v[keep]
     ms = s // 60
     me = (e - 1) // 60

@@ -69,27 +69,36 @@ def _scenario_cells(scenario: Scenario) -> dict[str, object]:
     }
 
 
+def _metric(metric, series, *args) -> float | None:
+    """``metric(series, *args)``, or None (an empty ``sweep.csv`` cell, null in
+    ``metrics.json``) where it raises ValueError: no minutes, a mean at or
+    below 0, or a series no longer than the ramp horizon."""
+    try:
+        return metric(series, *args)
+    except ValueError:
+        return None
+
+
 def summarize(result: HybridResult) -> dict[str, object]:
-    """One results-table row worth of metrics for a finished run."""
+    """One results-table row worth of metrics for a finished run; a metric it
+    cannot give (any, with no minutes; ``cov_batch`` at share 1) is None."""
     total = result.p_total_kw
-    # metric cells stay empty when the series is degenerate (no minutes,
-    # or zero power throughout); the run itself still counts as finished
-    live = total.size > 0 and float(total.mean()) > 0.0
     row: dict[str, object] = {
         **_scenario_cells(result.scenario),
         "share_realized": result.share_realized,
         "utilization_realized": result.utilization_realized,
-        "cov": cov(total) if live else "",
+        # cov and ramp_rate are read here at call time: bench/tracer.py wraps them
+        "cov": _metric(cov, total),
         "unmet_frac": result.unmet_work_frac,
-        "mean_p_total_kw": float(total.mean()) if total.size else "",
+        # np.mean of no minutes warns rather than raising
+        "mean_p_total_kw": float(total.mean()) if total.size else None,
         "w_batch_h": result.w_batch_offered_h,
         "w_inf_h": result.w_inf_offered_h,
+        "cov_batch": _metric(cov, result.p_batch_kw),
+        "cov_inf": _metric(cov, result.p_inf_kw),
     }
     for delta in RAMP_HORIZONS:
-        ok = live and total.size > delta
-        row[f"ramp{delta}_med"] = ramp_rate(total, delta) if ok else ""
-    for name, series in (("cov_batch", result.p_batch_kw), ("cov_inf", result.p_inf_kw)):
-        row[name] = cov(series) if series.size and float(series.mean()) > 0.0 else ""
+        row[f"ramp{delta}_med"] = _metric(ramp_rate, total, delta)
     return row
 
 
@@ -120,8 +129,8 @@ def run_sweep(
     bundle config hash).
 
     The bundle is loaded once and handed to every run. Rows come back in
-    scenario_id order, one cell per column of ``SWEEP_COLUMNS``; cells a row
-    lacks stay empty.
+    scenario_id order, one cell per column of ``SWEEP_COLUMNS``; a cell a
+    row lacks (a failed run's metrics, a finished run's error) is None.
     """
     bundle = load_bundle(raw_doc)
     scenarios = expand_grid(sweep_doc, dict(bundle.scenario_defaults))
@@ -136,7 +145,7 @@ def run_sweep(
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]
-    rows = [[row.get(c, "") for c in SWEEP_COLUMNS] for row, _ in outcomes]
+    rows = [[row.get(c) for c in SWEEP_COLUMNS] for row, _ in outcomes]
     series_files = [name for _, name in outcomes if name]
     failures = sum(1 for row, _ in outcomes if "error" in row)
     return rows, series_files, failures, bundle.config_hash

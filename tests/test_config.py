@@ -391,3 +391,197 @@ class TestFieldValidation:
         doc["calendar"]["epoch"] = "not-a-date"
         with pytest.raises(ConfigurationError, match="calendar"):
             load_bundle(doc)
+
+
+def _intraday(doc):
+    return doc["batch_arrivals"]["groups"]["low"]["intraday"]
+
+
+def _low_quantiles(doc):
+    return doc["batch_jobs"]["groups"]["low"]["runtime_log_quantiles"]
+
+
+def _node(doc):
+    """A leaf power template node: group 'low', time limit 3600 s."""
+    return doc["power_templates"]["nodes"][1]
+
+
+def _template(doc):
+    return doc["llm_templates"]["templates"][0]
+
+
+def _timezones(**plan):
+    return lambda d: d["batch_arrivals"].update(timezones=plan)
+
+
+# (edit to the default bundle, the one line it gives): a case for each
+# check a document can reach; a value every group shares is reported once,
+# under its own path
+DOCUMENT_CHECKS = {
+    "alr-mean-length": (
+        lambda d: _intraday(d).update(alr_mean=[0.0]),
+        "batch_arrivals.groups.low: intraday: alr_mean must have 23 entries",
+    ),
+    "alr-var-length": (
+        lambda d: _intraday(d).update(alr_var=[1.0]),
+        "batch_arrivals.groups.low: intraday: alr_var must have 23 entries",
+    ),
+    "alr-var-negative": (
+        lambda d: _intraday(d)["alr_var"].__setitem__(0, -1.0),
+        "batch_arrivals.groups.low: intraday: alr_var entries must be nonnegative",
+    ),
+    "reference-hour": (
+        lambda d: _intraday(d).update(reference_hour=24),
+        "batch_arrivals.groups.low: intraday: reference_hour must lie in [0, 24)",
+    ),
+    "zone-offsets-repeat": (
+        _timezones(offsets_hours=[0, 0]),
+        "batch_arrivals.timezones: timezone offsets must be distinct",
+    ),
+    "zone-shares-length": (
+        _timezones(offsets_hours=[0, 8], shares=[1.0]),
+        "batch_arrivals.timezones: shares and offsets differ in length",
+    ),
+    "zone-share-negative": (
+        _timezones(offsets_hours=[0, 8], shares=[1.5, -0.5]),
+        "batch_arrivals.timezones: zone shares must be nonnegative",
+    ),
+    "time-limit-negative": (
+        lambda d: _jobs_limit(d, "low").update(limit_s=-60),
+        "batch_jobs.groups.low: group 'low': time limit -60 must be positive",
+    ),
+    "no-time-limits": (
+        lambda d: d["batch_jobs"]["groups"]["low"].update(time_limits=[]),
+        "batch_jobs.groups.low: no time limits configured",
+    ),
+    "grid-descending": (
+        lambda d: d["batch_jobs"]["quantile_grid"].reverse(),
+        "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",
+    ),
+    "grid-reaches-one": (
+        lambda d: d["batch_jobs"]["quantile_grid"].__setitem__(-1, 1.0),
+        "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",
+    ),
+    "curve-length": (
+        lambda d: _low_quantiles(d).update(group=[0.0, 1.0]),
+        "batch_jobs.groups.low: group 'low': quantile curve length must match the grid",
+    ),
+    "curve-decreasing": (
+        lambda d: _low_quantiles(d)["group"].reverse(),
+        "batch_jobs.groups.low: group 'low': quantile curves must be nondecreasing",
+    ),
+    "node-no-minutes": (
+        lambda d: _node(d).update(minute_mean=[], minute_std=[], minute_p5=[], minute_p95=[]),
+        "power_templates.nodes[1]: template ('low', 3600): "
+        "needs at least one minute of statistics",
+    ),
+    "node-std-length": (
+        lambda d: _node(d)["minute_std"].pop(),
+        "power_templates.nodes[1]: template ('low', 3600): "
+        "minute_std length must match minute_mean",
+    ),
+    "node-std-negative": (
+        lambda d: _node(d)["minute_std"].__setitem__(0, -1.0),
+        "power_templates.nodes[1]: template ('low', 3600): minute_std must be nonnegative",
+    ),
+    "node-band": (
+        lambda d: _node(d)["minute_p5"].__setitem__(0, _node(d)["minute_mean"][0] + 1.0),
+        "power_templates.nodes[1]: template ('low', 3600): band must satisfy p5 <= mean <= p95",
+    ),
+    "node-support-negative": (
+        lambda d: _node(d).update(support_count=-1),
+        "power_templates.nodes[1]: template ('low', 3600): support_count must be nonnegative",
+    ),
+    "node-no-group": (
+        lambda d: _node(d).pop("group"),
+        "power_templates.nodes[1]: template node needs at least a group",
+    ),
+    "node-duplicate": (
+        lambda d: d["power_templates"]["nodes"].append(copy.deepcopy(_node(d))),
+        "power_templates.nodes[25]: duplicate template key ('low', 3600)",
+    ),
+    "bin-edges-descending": (
+        lambda d: d["power_templates"]["runtime_bin_edges_log"][0]["edges"].reverse(),
+        "power_templates.runtime_bin_edges_log[0]: edges must be ascending with 2+ points",
+    ),
+    "noise-factor-negative": (
+        lambda d: d["power_templates"].update(noise_factor=-1.0),
+        "power_templates: invalid power synthesis configuration",
+    ),
+    "rate-table-shape": (
+        lambda d: d["inference_arrivals"]["groups"]["Code"]["log_rate_weekday"].pop(),
+        "inference_arrivals.groups.Code: group 'Code': log_rate_table must have shape (96, 2)",
+    ),
+    "calibration-negative": (
+        lambda d: d["inference_arrivals"].update(calibration_factor=-1.0),
+        "inference_arrivals.calibration_factor: must be nonnegative",
+    ),
+    "tokens-no-histogram": (
+        lambda d: d["tokens"]["groups"]["Code"].pop("histogram"),
+        "tokens.groups.Code: needs either a pmf or a histogram",
+    ),
+    "pool-support-differs": (
+        lambda d: d["tokens"]["groups"]["ConvQ1"].update(support_max=1000),
+        "tokens.pools.conversation: pool members must share one support_max",
+    ),
+    "pmf-length": (
+        lambda d: d["tokens"]["groups"]["Code"].update(pmf=[1.0]),
+        "tokens.groups.Code: pmf length must equal support_max",
+    ),
+    "pmf-negative": (
+        lambda d: d["tokens"]["groups"]["Code"].update(support_max=2, pmf=[1.5, -0.5]),
+        "tokens.groups.Code: pmf entries must be nonnegative",
+    ),
+    "histogram-no-mass": (
+        lambda d: d["tokens"]["groups"]["Code"].update(histogram={}),
+        "tokens.pools.code: histogram has no mass",
+    ),
+    "no-serving-templates": (
+        lambda d: d["llm_templates"].update(templates=[]),
+        "llm_templates: no serving templates configured",
+    ),
+    "gpus-per-instance-zero": (
+        lambda d: _template(d).update(gpus_per_instance=0),
+        "llm_templates.templates[0]: template 'T1': gpus_per_instance must be positive",
+    ),
+    "max-batch-zero": (
+        lambda d: _template(d).update(max_batch=0),
+        "llm_templates.templates[0]: template 'T1': max_batch must be positive",
+    ),
+    "speed-class-unknown": (
+        lambda d: _template(d).update(speed_class="Q"),
+        "llm_templates.templates[0]: template 'T1': speed_class must be one of ('F', 'M', 'S')",
+    ),
+    "tpot-class-unknown": (
+        lambda d: _template(d)["tpot_s"].update(Q=0.1),
+        "llm_templates.templates[0]: template 'T1': unknown speed class 'Q'",
+    ),
+    "tpot-zero": (
+        lambda d: _template(d)["tpot_s"].update(F=0.0),
+        "llm_templates.templates[0]: template 'T1': tpot for class 'F' must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_CHECKS))
+def test_each_document_check_gives_one_line(case):
+    edit, line = DOCUMENT_CHECKS[case]
+    doc = default_bundle_doc()
+    edit(doc)
+    with pytest.raises(ConfigurationError) as err:
+        load_bundle(doc)
+    assert str(err.value).splitlines() == ["invalid configuration:", line]
+
+
+def test_default_documents_share_no_list_or_dict():
+    """Editing one default document leaves the next one as it was."""
+
+    def containers(node, found):
+        if isinstance(node, (dict, list)):
+            found.add(id(node))
+            for child in node.values() if isinstance(node, dict) else node:
+                containers(child, found)
+        return found
+
+    first, second = default_bundle_doc(), default_bundle_doc()
+    assert not containers(first, set()) & containers(second, set())

@@ -30,7 +30,7 @@ from dcpowersim.cosim import (
     utilization,
 )
 from dcpowersim.errors import ConfigurationError
-from dcpowersim.scheduler import CapacityTimeline, SegmentRun, schedule
+from dcpowersim.scheduler import CapacityTimeline, ScheduleTrace, SegmentRun, schedule
 from dcpowersim.seeds import derive_seed
 from dcpowersim.serving import (
     SPEED_CLASSES,
@@ -106,6 +106,9 @@ class TestScenarioFromDict:
             {"ckpt_seconds": 0.5},
             {"utilization_target": math.inf},
             {"verbosity_scale": math.inf},
+            # finite as integers, but no float holds them
+            {"utilization_target": 10**400},
+            {"verbosity_scale": 10**400},
             {"timezones": {"offsets_hours": "x"}},
         ]
         for bad in cases:
@@ -116,6 +119,8 @@ class TestScenarioFromDict:
 
     def test_infinite_checkpoint_interval_accepted(self):
         assert Scenario(ckpt_seconds=math.inf).ckpt_seconds == math.inf
+        # an interval no float holds schedules like one that never comes
+        assert Scenario(ckpt_seconds=10**400).ckpt_seconds == 10**400
 
 
 def share_scenario(share: float) -> Scenario:
@@ -854,6 +859,14 @@ class TestBatchPowerMatchesPerRun:
             SegmentRun(job.job_id, 0, 1234, 1234, job.gpu, False),
         ]
         self.check(bundle, res, replace(res.trace, runs=res.trace.runs + extra))
+
+
+def test_batch_power_of_no_runs_is_zero(bundle, share_runs):
+    res = share_runs[0.0]
+    got = _batch_power_series(bundle, res.scenario, res.jobs, ScheduleTrace())
+    assert got.dtype == np.float64
+    assert got.shape == (res.scenario.horizon_minutes,)
+    assert not got.any()
 
 
 class TestJobPowerTraceMatchesPerJob:

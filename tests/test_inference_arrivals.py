@@ -15,6 +15,7 @@ from dcpowersim.inference_arrivals import (
     equal_shares,
     fit_group_pmf,
     minute_mean_series,
+    place_in_minutes,
     sample_tokens,
     smooth_histogram,
     split_across_templates,
@@ -55,6 +56,11 @@ class TestMinuteRate:
         rate = minute_mean_series(_rate_model(table), 1, SimCalendar())
         assert rate[0] == rate[14]
 
+    def test_zero_days_have_no_minutes(self):
+        rate = minute_mean_series(_rate_model(np.zeros((96, 2))), 0, SimCalendar())
+        assert rate.dtype == np.float64
+        assert rate.shape == (0,)
+
 
 class TestMinuteCounts:
     def test_poisson_limit_mean(self):
@@ -66,6 +72,15 @@ class TestMinuteCounts:
         rng = substream(3, "minute-nb2")
         draws = sample_nb2(np.full(10**6, 100.0), 0.05, rng)
         assert draws.var() == pytest.approx(600.0, rel=0.05)
+
+    @pytest.mark.parametrize("n_minutes", [0, 1440])
+    def test_no_arrivals_place_nothing_and_draw_nothing(self, n_minutes):
+        rng = substream(5, "minute-empty")
+        state = rng.bit_generator.state
+        times = place_in_minutes(np.zeros(n_minutes, dtype=np.int64), rng)
+        assert times.dtype == np.float64
+        assert times.shape == (0,)
+        assert rng.bit_generator.state == state
 
     def test_unit_mean_unit_alpha(self):
         rng = substream(4, "minute-unit")

@@ -252,14 +252,16 @@ class TestGenerateCommand:
 
 class TestSimulateCommand:
     def run(self, tmp_path, cfg_path, out_name, **fields):
-        scen = write_scenario(
-            tmp_path, name=f"{out_name}.json",
-            total_gpus=4, horizon_days=1, utilization_target=0.25, **fields,
-        )
+        fields = {"total_gpus": 4, "horizon_days": 1, "utilization_target": 0.25, **fields}
+        scen = write_scenario(tmp_path, name=f"{out_name}.json", **fields)
         out = tmp_path / out_name
         rc = main(["simulate", "--config", cfg_path, "--scenario", scen,
                    "--out", str(out), "--seed", "5"])
         return rc, out
+
+    @staticmethod
+    def metrics(out) -> dict:
+        return json.loads((out / "metrics.json").read_text())
 
     def test_share_zero_no_inference_power(self, tmp_path, cfg_path):
         rc, out = self.run(tmp_path, cfg_path, "s0", share_target=0.0)
@@ -267,6 +269,10 @@ class TestSimulateCommand:
         series = read_series_csv(out / "series.csv")
         assert not series["p_inf_kw"].any()
         assert series["p_total_kw"].any()
+        # a metric the run cannot give is JSON null, not an empty string
+        metrics = self.metrics(out)
+        assert metrics["cov_inf"] is None
+        assert isinstance(metrics["cov_batch"], float)
 
     def test_share_one_no_batch_power(self, tmp_path, cfg_path):
         rc, out = self.run(tmp_path, cfg_path, "s1", share_target=1.0)
@@ -274,6 +280,18 @@ class TestSimulateCommand:
         series = read_series_csv(out / "series.csv")
         assert not series["p_batch_kw"].any()
         assert not series["g_batch"].any()
+        metrics = self.metrics(out)
+        assert metrics["cov_batch"] is None
+        assert isinstance(metrics["cov_inf"], float)
+
+    def test_zero_horizon_metrics_are_null(self, tmp_path, cfg_path):
+        rc, out = self.run(tmp_path, cfg_path, "h0", horizon_days=0)
+        assert rc == 0
+        metrics = self.metrics(out)
+        empty = ["cov", "ramp1_med", "ramp5_med", "ramp15_med", "cov_batch", "cov_inf",
+                 "mean_p_total_kw"]
+        assert {name: metrics[name] for name in empty} == dict.fromkeys(empty)
+        assert metrics["unmet_frac"] == 0.0
 
     def test_rerun_byte_identical(self, tmp_path, cfg_path):
         _, out_a = self.run(tmp_path, cfg_path, "ra", share_target=0.5)
@@ -899,6 +917,18 @@ class TestMetricsCommands:
              "unknown policy 'BAD', expected one of ('FCFS_BACKFILL', 'SWF')"),
             (["simulate", "--config", "default", "--speed-class", "Q", "--out", "{out}"],
              "speed_class must be one of ('F', 'M', 'S'), got 'Q'"),
+            # a cell that is not a number is named by its line, 1_000 too,
+            # which float() reads but the series parser does not
+            (["metrics", "{abc}"], "{abc}: not a numeric CSV: line 52 has a cell that is not a number"),
+            (["diagnose", "{underscore}"],
+             "{underscore}: not a numeric CSV: line 52 has a cell that is not a number"),
+            # integers too large for any float are not finite
+            (["simulate", "--config", "default", "--scenario", "{huge_util}", "--out", "{out}"],
+             "utilization_target must be positive and finite, got 1000"),
+            (["simulate", "--config", "default", "--scenario", "{huge_verbosity}",
+              "--out", "{out}"], "verbosity_scale must be positive and finite, got 1000"),
+            (["sweep", "--config", "default", "--scenario", "{huge_grid}", "--out", "{out}"],
+             "utilization_target must be positive and finite, got 1000"),
         ],
     )
     def test_bad_input_is_one_line_configuration_error(
@@ -914,12 +944,25 @@ class TestMetricsCommands:
         cells = lines[500].split(",")
         nan.write_text("\n".join([*lines[:500], ",".join([cells[0], "nan", *cells[2:]]),
                                   *lines[501:]]) + "\n")
+        # a p_total_kw cell on line 52 that is not a number at all, and one
+        # that float() reads as 1000 but the series parser rejects
+        extra = {}
+        for name, text in (("abc", "abc"), ("underscore", "1_000")):
+            cells = lines[51].split(",")
+            extra[name] = tmp_path / f"{name}.csv"
+            extra[name].write_text("\n".join([*lines[:51], ",".join([cells[0], text, *cells[2:]]),
+                                              *lines[52:]]) + "\n")
+        huge = 10**400
+        extra["huge_util"] = write_scenario(tmp_path, "util.json", utilization_target=huge)
+        extra["huge_verbosity"] = write_scenario(tmp_path, "verb.json", verbosity_scale=huge)
+        extra["huge_grid"] = write_scenario(tmp_path, "grid.json", utilizations=[huge])
         # one row cut short: its columns would come out shorter than the rest
         lines[701] = ",".join(lines[701].split(",")[:4])
         torn = tmp_path / "torn.csv"
         torn.write_text("\n".join(lines) + "\n")
         paths = {"series": series_path, "header_only": str(header_only), "torn": str(torn),
-                 "nan": str(nan), "empty": str(empty), "out": str(tmp_path / "out")}
+                 "nan": str(nan), "empty": str(empty), "out": str(tmp_path / "out"),
+                 **{name: str(path) for name, path in extra.items()}}
         rc = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1

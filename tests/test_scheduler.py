@@ -14,6 +14,7 @@ from dcpowersim.scheduler import (
     Job,
     ScheduleTrace,
     SegmentRun,
+    accumulate_intervals,
     checkpoint_step,
     schedule,
     segment_job,
@@ -433,3 +434,11 @@ def assert_run_columns(trace: ScheduleTrace) -> None:
 
 def test_run_columns_of_empty_trace():
     assert_run_columns(ScheduleTrace())
+
+
+def test_no_interval_of_positive_length_leaves_out_as_is():
+    # empty, reversed, and clipped to nothing past the 3-minute horizon
+    out = np.arange(3.0)
+    got = accumulate_intervals([0, 60, 200], [0, 30, 300], [1.0, 2.0, 3.0], 3, out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, np.arange(3.0))
