@@ -213,7 +213,7 @@ def cmd_generate(args) -> int:
         parts = list(request_stream(bundle, scenario, 1.0))
         files = {
             "requests.csv": lambda path: write_requests_csv(
-                path, *cosim.flatten_requests(parts)
+                path, cosim.flatten_requests(parts)
             ),
         }
     _write_files(out, bundle, scenario, files)
@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
         "trace.csv": lambda path: write_trace_csv(path, result.trace),
         "jobs.csv": lambda path: write_jobs_csv(path, result.jobs),
         "requests.csv": lambda path: write_requests_csv(
-            path, *cosim.flatten_requests(parts)
+            path, cosim.flatten_requests(parts)
         ),
         "detail.csv": lambda path: write_detail_csv(path, result, template_ids),
         # the sweep row (a metric it lacks is null) and the rejected jobs

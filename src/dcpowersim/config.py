@@ -220,9 +220,18 @@ def _job_group(group: str, g_doc: dict, add_alpha: float, grid: np.ndarray):
 def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
     add_alpha = float(doc.get("add_alpha", 1.0))
     grid = np.array(doc.get("quantile_grid", np.arange(1, 100) / 100.0), float, ndmin=1)
-    # every group shares the grid, so it is reported once
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0 or grid[-1] >= 1:
+    # every group shares the grid, so it is reported once; ndim comes first,
+    # as the element tests of a grid of another shape give arrays
+    if (
+        grid.ndim != 1
+        or len(grid) < 2
+        or np.any(np.diff(grid) <= 0)
+        or grid[0] <= 0
+        or grid[-1] >= 1
+    ):
         errs.error("batch_jobs.quantile_grid", "must be 2+ ascending points inside (0, 1)")
+        # the groups' curves are read on the grid, so none is checked
+        return {}
     return errs.groups("batch_jobs", doc, _job_group, add_alpha, grid)
 
 

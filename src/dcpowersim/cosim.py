@@ -9,9 +9,11 @@ synthesize per-job power and assemble the minute-level facility series.
 Requests reach serving as a stream of parts, one per (group, template)
 pair, walked once. A run draws its own requests one part at a time and
 drops each part once served, so it holds neither the whole request log nor
-a whole group; a caller that wants the log builds it with
-``scenario_requests``, passes it to ``run_hybrid`` and flattens it with
-``flatten_requests``.
+a whole group. A caller that wants the requests builds the parts with
+``scenario_requests`` and passes them to ``run_hybrid``;
+``flatten_requests`` then yields the time-ordered log a block of whole
+minutes at a time, so writing ``requests.csv`` never holds the merged log
+either.
 
 Randomness is partitioned by named substreams, so the batch side of a run
 is bit-identical whether or not inference is generated at all.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,7 +47,7 @@ from .inference_arrivals import (
     split_across_templates,
 )
 from .metrics import MINUTES_PER_DAY
-from .outputs import LabelColumn
+from .outputs import CHUNK_ROWS, LabelColumn
 from .scheduler import (
     POLICIES,
     CapacityTimeline,
@@ -374,18 +376,57 @@ def scenario_requests(bundle: ModelBundle, scenario: Scenario) -> list[RequestPa
 
 
 def flatten_requests(
-    parts: list[RequestPart],
-) -> tuple[np.ndarray, LabelColumn, LabelColumn, np.ndarray]:
-    """Merge request parts into one time-ordered log of times, group
-    labels, template labels and token counts; both label columns are coded
-    by each request's part."""
-    times = np.concatenate([p.times for p in parts])
-    order = np.argsort(times, kind="stable")
-    part = np.repeat(np.arange(len(parts)), [p.times.size for p in parts])[order]
-    groups = LabelColumn(part, tuple(p.group for p in parts))
-    templates = LabelColumn(part, tuple(p.template_id for p in parts))
-    tokens = np.concatenate([p.tokens for p in parts])
-    return times[order], groups, templates, tokens[order]
+    parts: Sequence[RequestPart],
+) -> Iterator[tuple[np.ndarray, LabelColumn, LabelColumn, np.ndarray]]:
+    """Yield the time-ordered request log of ``parts`` (times, group labels,
+    template labels and token counts; both label columns coded by each
+    request's part) as blocks of whole minutes, each of at most
+    ``CHUNK_ROWS`` requests unless one minute alone holds more.
+
+    Each part's times must ascend from 0, as ``request_stream`` draws them.
+    A block takes each part's requests between two whole-minute cuts, in
+    part order, and orders them as a stable sort does; equal times never
+    fall on both sides of a cut, so the blocks in turn are the log one
+    stable sort of every request gives. A log of no requests is one empty
+    block.
+    """
+    last = max((p.times[-1] for p in parts if p.times.size), default=0.0)
+    n_minutes = int(last / 60) + 1
+    # requests per minute; a time a rounding error from a minute's end may
+    # count in the next, which moves no request but may stretch a block
+    per_minute = np.zeros(n_minutes, np.int64)
+    for p in parts:
+        per_minute += np.bincount((p.times / 60).astype(np.intp), minlength=n_minutes)
+    before = np.concatenate(([0], np.cumsum(per_minute)))
+    # the longest runs of minutes, from minute 0 on, that each hold at most
+    # CHUNK_ROWS requests; a run reaches at least through its first minute
+    # with a request, so only an empty log gives an empty block
+    cuts = [0]
+    while cuts[-1] < n_minutes:
+        start = before[cuts[-1]]
+        fits, first = np.searchsorted(before, [start + CHUNK_ROWS, start], side="right")
+        cuts.append(min(max(fits - 1, first), n_minutes))
+    # each part's requests before each cut; the first and the last cut
+    # take every request, whatever its time
+    cut_times = 60.0 * np.array(cuts[1:-1])
+    bounds = np.zeros((len(parts), len(cuts)), np.int64)
+    for row, p in zip(bounds, parts):
+        row[1:-1] = np.searchsorted(p.times, cut_times)
+        row[-1] = p.times.size
+    groups = tuple(p.group for p in parts)
+    templates = tuple(p.template_id for p in parts)
+    for lo, hi in zip(bounds.T[:-1], bounds.T[1:]):
+        merged = np.concatenate([p.times[i:j] for p, i, j in zip(parts, lo, hi)])
+        # the quicker unstable sort, unless times repeat: then only the
+        # stable one keeps equal times in part order
+        order = np.argsort(merged)
+        times = merged[order]
+        if not np.all(times[1:] > times[:-1]):
+            order = np.argsort(merged, kind="stable")
+            times = merged[order]
+        part = np.repeat(np.arange(len(parts)), hi - lo)[order]
+        tokens = np.concatenate([p.tokens[i:j] for p, i, j in zip(parts, lo, hi)])
+        yield times, LabelColumn(part, groups), LabelColumn(part, templates), tokens[order]
 
 
 def generate_jobs(

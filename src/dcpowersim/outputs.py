@@ -5,10 +5,14 @@ contract, floats are written with nine significant digits, and manifests
 contain no timestamps, so byte-identical reruns stay byte-identical.
 
 Every CSV cell is exactly what ``fmt`` and csv.writer's quoting make of it.
-The writers render a chunk of rows at a time in numpy: each numeric column
-becomes a ``uint8`` matrix with one row of byte slots per cell and a mask of
-the slots the cell uses, label columns come from a table of their quoted
-names, and one ``np.compress`` of the chunk's masked slots gives its bytes.
+A writer hands over its rows as blocks of columns: one block for most files,
+and a block per run of minutes for the request log and the serving detail,
+the two largest, so those never exist as whole-file columns. Each block is
+rendered ``CHUNK_ROWS`` rows at a time in numpy: each numeric column becomes
+a ``uint8`` matrix with one row of byte slots per cell and a mask of the
+slots the cell uses, label columns come from a table of their quoted names,
+built once for each set of names, and one ``np.compress`` of the chunk's
+masked slots gives its bytes.
 
 A float takes this route only when its digits are provably those of
 ``'%.9g' %``. With ``X = floor(log10|v|)`` and ``p = |v| * 10**(8 - X)`` in
@@ -32,7 +36,7 @@ import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,8 +102,10 @@ class LabelColumn:
         return map(self.names.__getitem__, self.codes.tolist())
 
 
-# rows rendered and written per chunk, so memory stays flat as files grow
-_CHUNK_ROWS = 16384
+# rows rendered and written per chunk, so memory stays flat as files grow;
+# the request log and the serving detail are built in blocks of about this
+# many rows, so each block is one chunk
+CHUNK_ROWS = 8192
 
 # 10**k for k = 0..12, each exactly a double
 _POW10 = np.array([float(10**k) for k in range(13)])
@@ -224,9 +230,12 @@ def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, used
 
 
-def _label_kernel(names: Sequence[str]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=16)
+def _label_kernel(names: tuple[str, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The kernel that renders codes into ``names`` as the names' bytes,
-    csv-quoted and UTF-8 encoded, from one table built here."""
+    csv-quoted and UTF-8 encoded, from one table built here. Kept for the
+    next call with the same names, so a file written in blocks builds each
+    label table once."""
     quoted = [_quote(name).encode("utf-8") for name in names]
     width = max([1, *map(len, quoted)])
     table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
@@ -247,33 +256,35 @@ def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
         return _NUMERIC_KERNELS[column.dtype.kind], column
     index: dict[str, int] = {}
     codes = [index.setdefault(fmt(cell), len(index)) for cell in column]
-    return _label_kernel(list(index)), np.array(codes, dtype=np.int64)
+    return _label_kernel(tuple(index)), np.array(codes, dtype=np.int64)
 
 
 def _write_columns(
-    path: Path | str, header: Sequence[str], columns: Sequence[Sequence]
+    path: Path | str, header: Sequence[str], blocks: Iterable[Sequence[Sequence]]
 ) -> None:
-    """Write a CSV of equal-length ``columns`` (numeric arrays, LabelColumns
-    or any other sequence of cells; none for a file with no rows).
+    """Write a CSV of the rows of ``blocks``, block after block; a block is
+    a sequence of equal-length columns (numeric arrays, LabelColumns or any
+    other sequence of cells; none for a block with no rows).
 
     Cells come out as ``fmt`` and csv.writer would write them row by row;
     every file here has at least two columns, so a None or "" cell is empty.
     """
-    renderers = [_renderer(column) for column in columns]
-    n_rows = min((len(data) for _, data in renderers), default=0)
     with open(path, "wb") as fh:
         fh.write((",".join(map(_quote, header)) + "\n").encode("utf-8"))
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-            n = rows.stop - rows.start
-            blocks, masks = [], []
-            for kernel, data in renderers:
-                cells, used = kernel(data[rows])
-                blocks += (cells, np.full((n, 1), ord(","), np.uint8))
-                masks += (used, np.ones((n, 1), bool))
-            blocks[-1][:] = ord("\n")
-            cells = np.concatenate(blocks, axis=1)
-            fh.write(np.compress(np.concatenate(masks, axis=1).ravel(), cells).tobytes())
+        for columns in blocks:
+            renderers = [_renderer(column) for column in columns]
+            n_rows = min((len(data) for _, data in renderers), default=0)
+            for start in range(0, n_rows, CHUNK_ROWS):
+                rows = slice(start, min(start + CHUNK_ROWS, n_rows))
+                n = rows.stop - rows.start
+                pieces, masks = [], []
+                for kernel, data in renderers:
+                    cells, used = kernel(data[rows])
+                    pieces += (cells, np.full((n, 1), ord(","), np.uint8))
+                    masks += (used, np.ones((n, 1), bool))
+                pieces[-1][:] = ord("\n")
+                cells = np.concatenate(pieces, axis=1)
+                fh.write(np.compress(np.concatenate(masks, axis=1).ravel(), cells).tobytes())
 
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
@@ -285,7 +296,7 @@ def write_series_csv(path: Path | str, result: HybridResult) -> None:
         result.g_inf,
         result.busy_batch,
     )
-    _write_columns(path, SERIES_COLUMNS, columns)
+    _write_columns(path, SERIES_COLUMNS, [columns])
 
 
 def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
@@ -322,30 +333,26 @@ def read_series_csv(path: Path | str) -> dict[str, np.ndarray]:
 
 
 def write_arrivals_csv(path: Path | str, times: np.ndarray, groups: Sequence[str]) -> None:
-    _write_columns(path, ARRIVALS_COLUMNS, (times, groups))
+    _write_columns(path, ARRIVALS_COLUMNS, [(times, groups)])
 
 
-def write_requests_csv(
-    path: Path | str,
-    times: np.ndarray,
-    groups: Sequence[str],
-    templates: Sequence[str],
-    tokens: np.ndarray,
-) -> None:
-    _write_columns(path, REQUESTS_COLUMNS, (times, groups, templates, tokens))
+def write_requests_csv(path: Path | str, blocks: Iterable[Sequence[Sequence]]) -> None:
+    """The request log from its blocks of (times, groups, templates,
+    tokens) columns, as ``cosim.flatten_requests`` yields them."""
+    _write_columns(path, REQUESTS_COLUMNS, blocks)
 
 
 def write_jobs_csv(path: Path | str, jobs: Sequence[Job]) -> None:
     # every column but the last, group, holds integers
     *ints, groups = ([getattr(job, name) for job in jobs] for name in JOBS_COLUMNS)
-    _write_columns(path, JOBS_COLUMNS, [*(np.array(c, np.int64) for c in ints), groups])
+    _write_columns(path, JOBS_COLUMNS, [[*(np.array(c, np.int64) for c in ints), groups]])
 
 
 def write_trace_csv(path: Path | str, trace: ScheduleTrace) -> None:
     runs = trace.run_columns()
     # segment_id is the run's segment index within its job
     names = ["seg_index", *TRACE_COLUMNS[1:]]
-    _write_columns(path, TRACE_COLUMNS, [runs[name] for name in names])
+    _write_columns(path, TRACE_COLUMNS, [[runs[name] for name in names]])
 
 
 def write_job_power_csv(
@@ -359,29 +366,38 @@ def write_job_power_csv(
         np.arange(len(power)) - np.repeat(starts, lengths),
         power,
     )
-    _write_columns(path, JOB_POWER_COLUMNS, columns)
+    _write_columns(path, JOB_POWER_COLUMNS, [columns])
 
 
 def write_busy_csv(path: Path | str, busy: np.ndarray) -> None:
-    _write_columns(path, BUSY_COLUMNS, (np.arange(len(busy)), busy))
+    _write_columns(path, BUSY_COLUMNS, [(np.arange(len(busy)), busy)])
 
 
 def write_detail_csv(
     path: Path | str, result: HybridResult, template_ids: Sequence[str]
 ) -> None:
-    """Per-minute, per-template serving detail in minute-major order."""
-    s = result.serving
+    """Per-minute, per-template serving detail in minute-major order, built
+    a block of at most ``CHUNK_ROWS`` rows (one minute at the least) at a
+    time."""
+    names = tuple(template_ids)
     n_minutes = result.scenario.horizon_minutes
-    columns = (
-        np.repeat(np.arange(n_minutes), len(template_ids)),
-        LabelColumn(np.tile(np.arange(len(template_ids)), n_minutes), tuple(template_ids)),
-        *(getattr(s, name).T.ravel() for name in DETAIL_COLUMNS[2:]),
-    )
-    _write_columns(path, DETAIL_COLUMNS, columns)
+    step = max(1, CHUNK_ROWS // len(names))
+    matrices = [getattr(result.serving, name) for name in DETAIL_COLUMNS[2:]]
+
+    def blocks():
+        for lo in range(0, n_minutes, step):
+            hi = min(lo + step, n_minutes)
+            yield (
+                np.repeat(np.arange(lo, hi), len(names)),
+                LabelColumn(np.tile(np.arange(len(names)), hi - lo), names),
+                *(m[:, lo:hi].T.ravel() for m in matrices),
+            )
+
+    _write_columns(path, DETAIL_COLUMNS, blocks())
 
 
 def write_sweep_csv(path: Path | str, rows: Sequence[Sequence]) -> None:
-    _write_columns(path, SWEEP_COLUMNS, list(zip(*rows)))
+    _write_columns(path, SWEEP_COLUMNS, [list(zip(*rows))])
 
 
 def file_sha256(path: Path | str) -> str:

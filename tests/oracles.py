@@ -43,6 +43,7 @@ from dcpowersim.outputs import (
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
     TRACE_COLUMNS,
+    LabelColumn,
     fmt,
 )
 from dcpowersim.scheduler import (
@@ -564,6 +565,23 @@ def generate_group_requests(bundle, scenario, fi: float, group: str) -> list[Req
     return out
 
 
+# The request log merged by one stable sort of every request: the package's
+# former flatten_requests, kept as the reference for its blocks of minutes.
+
+
+def flatten_requests_whole(parts):
+    """Merge request parts into one time-ordered log of times, group
+    labels, template labels and token counts; both label columns are coded by
+    each request's part."""
+    times = np.concatenate([p.times for p in parts])
+    order = np.argsort(times, kind="stable")
+    part = np.repeat(np.arange(len(parts)), [p.times.size for p in parts])[order]
+    groups = LabelColumn(part, tuple(p.group for p in parts))
+    templates = LabelColumn(part, tuple(p.template_id for p in parts))
+    tokens = np.concatenate([p.tokens for p in parts])
+    return times[order], groups, templates, tokens[order]
+
+
 # Serving with each template's parts concatenated: the package's former
 # path, kept as the reference for its part-at-a-time pass in tick units.
 
@@ -774,8 +792,8 @@ def rows_arrivals_csv(path, times, groups) -> None:
     write_rows(path, ARRIVALS_COLUMNS, zip(times, groups))
 
 
-def rows_requests_csv(path, times, groups, templates, tokens) -> None:
-    write_rows(path, REQUESTS_COLUMNS, zip(times, groups, templates, tokens))
+def rows_requests_csv(path, blocks) -> None:
+    write_rows(path, REQUESTS_COLUMNS, (row for block in blocks for row in zip(*block)))
 
 
 def rows_jobs_csv(path, jobs) -> None:

@@ -458,6 +458,10 @@ DOCUMENT_CHECKS = {
         lambda d: d["batch_jobs"]["quantile_grid"].reverse(),
         "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",
     ),
+    "grid-two-dimensional": (
+        lambda d: d["batch_jobs"].update(quantile_grid=[[0.1, 0.2], [0.3, 0.4]]),
+        "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",
+    ),
     "grid-reaches-one": (
         lambda d: d["batch_jobs"]["quantile_grid"].__setitem__(-1, 1.0),
         "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",

@@ -30,6 +30,7 @@ from dcpowersim.cosim import (
     utilization,
 )
 from dcpowersim.errors import ConfigurationError
+from dcpowersim.outputs import LabelColumn, write_requests_csv
 from dcpowersim.scheduler import CapacityTimeline, ScheduleTrace, SegmentRun, schedule
 from dcpowersim.seeds import derive_seed
 from dcpowersim.serving import (
@@ -45,6 +46,7 @@ from dcpowersim.serving import (
 from oracles import (
     add_run_power_per_run,
     batch_power_per_run,
+    flatten_requests_whole,
     generate_group_requests,
     job_power_trace_per_job,
     serve_inference_concatenated,
@@ -123,6 +125,18 @@ class TestScenarioFromDict:
         assert Scenario(ckpt_seconds=10**400).ckpt_seconds == 10**400
 
 
+def joined_log(parts):
+    """The blocks of ``flatten_requests(parts)`` joined into one log: times,
+    group and template LabelColumns, and token counts."""
+    times, groups, templates, tokens = zip(*flatten_requests(parts))
+    return (
+        np.concatenate(times),
+        LabelColumn(np.concatenate([g.codes for g in groups]), groups[0].names),
+        LabelColumn(np.concatenate([t.codes for t in templates]), templates[0].names),
+        np.concatenate(tokens),
+    )
+
+
 def share_scenario(share: float) -> Scenario:
     return Scenario(
         scenario_id="cal",
@@ -154,7 +168,7 @@ def share_runs(bundle, share_requests):
 class TestShareEndpoints:
     def test_share_zero_has_no_inference(self, share_runs, share_requests):
         res = share_runs[0.0]
-        times, *_ = flatten_requests(share_requests[0.0])
+        times, *_ = joined_log(share_requests[0.0])
         assert times.size == 0
         assert not res.p_inf_kw.any()
         assert not res.g_inf.any()
@@ -261,20 +275,87 @@ class TestRequestParts:
             assert all(sizes)
 
     def test_zero_scale_flattens_to_empty_arrays(self, bundle):
-        times, groups, templates, tokens = flatten_requests(self.parts(bundle, 0.0))
+        times, groups, templates, tokens = joined_log(self.parts(bundle, 0.0))
         assert times.size == groups.codes.size == templates.codes.size == tokens.size == 0
         assert times.dtype == np.float64
         assert tokens.dtype == np.int64
 
     def test_each_request_keeps_its_parts_labels(self, bundle):
         parts = self.parts(bundle, 0.01)
-        times, groups, templates, tokens = flatten_requests(parts)
+        times, groups, templates, tokens = joined_log(parts)
         assert np.all(np.diff(times) >= 0)
         groups, templates = np.array(list(groups)), np.array(list(templates))
         for part in parts:
             mine = (groups == part.group) & (templates == part.template_id)
             assert np.array_equal(times[mine], part.times)
             assert np.array_equal(tokens[mine], part.tokens)
+
+
+def hand_part(times, group, template_id) -> RequestPart:
+    """A hand-built part whose tokens number its requests from 1."""
+    times = np.array(times, dtype=float)
+    return RequestPart(times, np.arange(1, times.size + 1), group, template_id)
+
+
+# equal times within and across parts, on and off minute edges, and empty parts
+HAND_PARTS = {
+    "ties": [
+        hand_part([0.0, 59.5, 60.0, 60.0, 125.0], "a", "x"),
+        hand_part([], "a", "y"),
+        hand_part([60.0, 60.0, 119.99, 125.0], "b", "x"),
+        hand_part([0.0, 125.0, 3600.0], "b", "y"),
+    ],
+    "many_ties": [hand_part([60.0] * 40 + [90.0] * 40, g, t) for g in "ab" for t in "xyz"],
+    "one_part": [hand_part([5.0, 5.0, 61.0], "a", "x")],
+    "all_empty": [hand_part([], "a", "x"), hand_part([], "b", "x")],
+}
+
+
+class TestFlattenMatchesWholeLog:
+    """flatten_requests' blocks, joined, are the log that one stable sort of
+    every request gives (oracles.py), to the bit, whatever the block size.
+    The blocks are runs of whole minutes, each of at most CHUNK_ROWS
+    requests unless it is one minute long, and only an empty log gives an
+    empty block."""
+
+    @pytest.fixture(
+        params=[1, 3, None], ids=["windows_of_1", "windows_of_3", "default_window"]
+    )
+    def window(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(cosim, "CHUNK_ROWS", request.param)
+        return cosim.CHUNK_ROWS
+
+    def check(self, parts, window):
+        blocks = list(flatten_requests(parts))
+        for times, groups, templates, tokens in blocks:
+            assert times.size == groups.codes.size == templates.codes.size == tokens.size
+            assert times.size <= window or times[0] // 60 == times[-1] // 60
+        minutes = [times // 60 for times, *_ in blocks]
+        assert all(a[-1] < b[0] for a, b in zip(minutes, minutes[1:]))
+        assert all(times.size for times, *_ in blocks) or len(blocks) == 1
+
+        got, want = joined_log(parts), flatten_requests_whole(parts)
+        for a, b in zip(got, want):
+            if isinstance(b, LabelColumn):
+                assert a.names == b.names
+                a, b = a.codes, b.codes
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_tiny_bundle(self, window, share):
+        bundle = load_bundle(tiny_doc())
+        scen = Scenario(total_gpus=4, horizon_days=1, share_target=share, seed=5)
+        self.check(scenario_requests(bundle, scen), window)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_default_bundle(self, bundle, window, share):
+        scen = Scenario(total_gpus=32, horizon_days=1, share_target=share, seed=1)
+        self.check(scenario_requests(bundle, scen), window)
+
+    @pytest.mark.parametrize("name", sorted(HAND_PARTS))
+    def test_hand_built_parts(self, window, name):
+        self.check(HAND_PARTS[name], window)
 
 
 @pytest.mark.parametrize("verbosity", [1.0, 1.3])
@@ -595,6 +676,18 @@ def test_streamed_serving_peak_memory_is_under_one_group(bundle):
     assert peak < 0.75 * largest, peak / largest
 
 
+def test_request_log_writing_peak_memory_is_a_sliver_of_the_log(bundle, tmp_path):
+    """Writing requests.csv from the parts holds one block of whole minutes
+    and its rendered chunk at a time, never the merged log: at 768 GPUs x 2
+    days, share 0.5, its traced peak stays below a quarter of the parts'
+    bytes (0.15 here, set by rendering one chunk; merging the whole log
+    first read 3.0)."""
+    parts = scenario_requests(bundle, replace(MEMORY_SCENARIO, total_gpus=768))
+    path = tmp_path / "requests.csv"
+    peak = traced_peak(write_requests_csv, path, flatten_requests(parts))
+    assert peak < 0.25 * request_bytes(parts), peak / request_bytes(parts)
+
+
 def tiny_doc() -> dict:
     """A four-GPU cluster: one 2-GPU serving template, one 2-GPU job class."""
     grid = [q / 100.0 for q in range(1, 100)]
@@ -711,20 +804,20 @@ class TestTinyCluster:
 
     def test_population_nonempty(self, tiny_run):
         _, _, parts, res = tiny_run
-        times, *_ = flatten_requests(parts)
+        times, *_ = joined_log(parts)
         assert times.size > 0
         assert len(res.jobs) > 0
 
     def test_every_window_is_ten_seconds(self, tiny_run):
         _, _, parts, res = tiny_run
-        times, _, _, tokens = flatten_requests(parts)
+        times, _, _, tokens = joined_log(parts)
         assert np.all(tokens == 5)
         _, ticks = service_windows(times, tokens, 2.0, 10)
         assert np.all(ticks == 1)  # one 10 s tick
 
     def test_inference_chain_recomputes(self, tiny_run):
         _, scen, parts, res = tiny_run
-        times, _, _, tokens = flatten_requests(parts)
+        times, _, _, tokens = joined_log(parts)
         starts, ticks = service_windows(times, tokens, 2.0, 10)
         n_ticks = scen.horizon_minutes * 6
         ends = np.minimum(starts + ticks, n_ticks)
