@@ -230,8 +230,11 @@ def _load_batch_jobs(doc: dict, errs: _Collector) -> dict[str, JobClassModel]:
         or grid[-1] >= 1
     ):
         errs.error("batch_jobs.quantile_grid", "must be 2+ ascending points inside (0, 1)")
-        # the groups' curves are read on the grid, so none is checked
-        return {}
+        # a grid of more than one dimension would also fail every group's
+        # curve-length check; with any other bad grid each group is still
+        # checked, so its own faults are reported too
+        if grid.ndim != 1:
+            return {}
     return errs.groups("batch_jobs", doc, _job_group, add_alpha, grid)
 
 

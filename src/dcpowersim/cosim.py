@@ -47,7 +47,7 @@ from .inference_arrivals import (
     split_across_templates,
 )
 from .metrics import MINUTES_PER_DAY
-from .outputs import CHUNK_ROWS, LabelColumn
+from .outputs import LabelColumn
 from .scheduler import (
     POLICIES,
     CapacityTimeline,
@@ -375,17 +375,23 @@ def scenario_requests(bundle: ModelBundle, scenario: Scenario) -> list[RequestPa
     return list(request_stream(bundle, scenario, fi))
 
 
+# requests per block of the merged log. A block's arrays take about 60 bytes
+# a request, 2 MiB here, less than the writer's rendering of one of its own
+# chunks; smaller blocks wrote requests.csv more slowly, larger ones no faster
+_BLOCK_ROWS = 32768
+
+
 def flatten_requests(
     parts: Sequence[RequestPart],
 ) -> Iterator[tuple[np.ndarray, LabelColumn, LabelColumn, np.ndarray]]:
     """Yield the time-ordered request log of ``parts`` (times, group labels,
     template labels and token counts; both label columns coded by each
     request's part) as blocks of whole minutes, each of at most
-    ``CHUNK_ROWS`` requests unless one minute alone holds more.
+    ``_BLOCK_ROWS`` requests unless one minute alone holds more.
 
     Each part's times must ascend from 0, as ``request_stream`` draws them.
     A block takes each part's requests between two whole-minute cuts, in
-    part order, and orders them as a stable sort does; equal times never
+    part order, and sorts them with a stable sort; equal times never
     fall on both sides of a cut, so the blocks in turn are the log one
     stable sort of every request gives. A log of no requests is one empty
     block.
@@ -399,12 +405,12 @@ def flatten_requests(
         per_minute += np.bincount((p.times / 60).astype(np.intp), minlength=n_minutes)
     before = np.concatenate(([0], np.cumsum(per_minute)))
     # the longest runs of minutes, from minute 0 on, that each hold at most
-    # CHUNK_ROWS requests; a run reaches at least through its first minute
+    # _BLOCK_ROWS requests; a run reaches at least through its first minute
     # with a request, so only an empty log gives an empty block
     cuts = [0]
     while cuts[-1] < n_minutes:
         start = before[cuts[-1]]
-        fits, first = np.searchsorted(before, [start + CHUNK_ROWS, start], side="right")
+        fits, first = np.searchsorted(before, [start + _BLOCK_ROWS, start], side="right")
         cuts.append(min(max(fits - 1, first), n_minutes))
     # each part's requests before each cut; the first and the last cut
     # take every request, whatever its time
@@ -417,16 +423,10 @@ def flatten_requests(
     templates = tuple(p.template_id for p in parts)
     for lo, hi in zip(bounds.T[:-1], bounds.T[1:]):
         merged = np.concatenate([p.times[i:j] for p, i, j in zip(parts, lo, hi)])
-        # the quicker unstable sort, unless times repeat: then only the
-        # stable one keeps equal times in part order
-        order = np.argsort(merged)
-        times = merged[order]
-        if not np.all(times[1:] > times[:-1]):
-            order = np.argsort(merged, kind="stable")
-            times = merged[order]
+        order = np.argsort(merged, kind="stable")
         part = np.repeat(np.arange(len(parts)), hi - lo)[order]
         tokens = np.concatenate([p.tokens[i:j] for p, i, j in zip(parts, lo, hi)])
-        yield times, LabelColumn(part, groups), LabelColumn(part, templates), tokens[order]
+        yield merged[order], LabelColumn(part, groups), LabelColumn(part, templates), tokens[order]
 
 
 def generate_jobs(

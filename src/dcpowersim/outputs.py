@@ -8,11 +8,11 @@ Every CSV cell is exactly what ``fmt`` and csv.writer's quoting make of it.
 A writer hands over its rows as blocks of columns: one block for most files,
 and a block per run of minutes for the request log and the serving detail,
 the two largest, so those never exist as whole-file columns. Each block is
-rendered ``CHUNK_ROWS`` rows at a time in numpy: each numeric column becomes
+rendered ``_CHUNK_ROWS`` rows at a time in numpy: each numeric column becomes
 a ``uint8`` matrix with one row of byte slots per cell and a mask of the
 slots the cell uses, label columns come from a table of their quoted names,
-built once for each set of names, and one ``np.compress`` of the chunk's
-masked slots gives its bytes.
+built once a file for each set of names, and one ``np.compress`` of the
+chunk's masked slots gives its bytes.
 
 A float takes this route only when its digits are provably those of
 ``'%.9g' %``. With ``X = floor(log10|v|)`` and ``p = |v| * 10**(8 - X)`` in
@@ -102,10 +102,8 @@ class LabelColumn:
         return map(self.names.__getitem__, self.codes.tolist())
 
 
-# rows rendered and written per chunk, so memory stays flat as files grow;
-# the request log and the serving detail are built in blocks of about this
-# many rows, so each block is one chunk
-CHUNK_ROWS = 8192
+# rows rendered and written per chunk, so memory stays flat as files grow
+_CHUNK_ROWS = 8192
 
 # 10**k for k = 0..12, each exactly a double
 _POW10 = np.array([float(10**k) for k in range(13)])
@@ -230,12 +228,9 @@ def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, used
 
 
-@functools.lru_cache(maxsize=16)
 def _label_kernel(names: tuple[str, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The kernel that renders codes into ``names`` as the names' bytes,
-    csv-quoted and UTF-8 encoded, from one table built here. Kept for the
-    next call with the same names, so a file written in blocks builds each
-    label table once."""
+    csv-quoted and UTF-8 encoded, from one table built here."""
     quoted = [_quote(name).encode("utf-8") for name in names]
     width = max([1, *map(len, quoted)])
     table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
@@ -246,17 +241,18 @@ def _label_kernel(names: tuple[str, ...]) -> Callable[[np.ndarray], tuple[np.nda
 _NUMERIC_KERNELS = {"b": _int_cells, "i": _int_cells, "f": _float_cells}
 
 
-def _renderer(column: Sequence) -> tuple[Callable, np.ndarray]:
+def _renderer(column: Sequence, label_kernel=_label_kernel) -> tuple[Callable, np.ndarray]:
     """A kernel for ``column`` and the array whose chunks it renders: a
     numeric array itself, a LabelColumn's codes, or for any other column
-    codes into the distinct ``fmt`` texts of its cells."""
+    codes into the distinct ``fmt`` texts of its cells; ``label_kernel``
+    makes the kernel of a tuple of names."""
     if isinstance(column, LabelColumn):
-        return _label_kernel(column.names), column.codes
+        return label_kernel(column.names), column.codes
     if isinstance(column, np.ndarray) and column.dtype.kind in _NUMERIC_KERNELS:
         return _NUMERIC_KERNELS[column.dtype.kind], column
     index: dict[str, int] = {}
     codes = [index.setdefault(fmt(cell), len(index)) for cell in column]
-    return _label_kernel(tuple(index)), np.array(codes, dtype=np.int64)
+    return label_kernel(tuple(index)), np.array(codes, dtype=np.int64)
 
 
 def _write_columns(
@@ -269,13 +265,15 @@ def _write_columns(
     Cells come out as ``fmt`` and csv.writer would write them row by row;
     every file here has at least two columns, so a None or "" cell is empty.
     """
+    # one table for each set of names in this file, however many blocks use it
+    label_kernel = functools.cache(_label_kernel)
     with open(path, "wb") as fh:
         fh.write((",".join(map(_quote, header)) + "\n").encode("utf-8"))
         for columns in blocks:
-            renderers = [_renderer(column) for column in columns]
+            renderers = [_renderer(column, label_kernel) for column in columns]
             n_rows = min((len(data) for _, data in renderers), default=0)
-            for start in range(0, n_rows, CHUNK_ROWS):
-                rows = slice(start, min(start + CHUNK_ROWS, n_rows))
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
                 n = rows.stop - rows.start
                 pieces, masks = [], []
                 for kernel, data in renderers:
@@ -377,11 +375,11 @@ def write_detail_csv(
     path: Path | str, result: HybridResult, template_ids: Sequence[str]
 ) -> None:
     """Per-minute, per-template serving detail in minute-major order, built
-    a block of at most ``CHUNK_ROWS`` rows (one minute at the least) at a
+    a block of at most ``_CHUNK_ROWS`` rows (one minute at the least) at a
     time."""
     names = tuple(template_ids)
     n_minutes = result.scenario.horizon_minutes
-    step = max(1, CHUNK_ROWS // len(names))
+    step = max(1, _CHUNK_ROWS // len(names))
     matrices = [getattr(result.serving, name) for name in DETAIL_COLUMNS[2:]]
 
     def blocks():

@@ -180,6 +180,16 @@ PER_ENTRY_PROBLEMS = {
         [_no_edges_row],
         ["power_templates.runtime_bin_edges_log[1]: missing key 'edges'"],
     ),
+    "H-grid-and-group": (
+        [
+            lambda d: d["batch_jobs"]["quantile_grid"].reverse(),
+            lambda d: _jobs_limit(d, "low").update(limit_s=-60),
+        ],
+        [
+            "batch_jobs.quantile_grid: must be 2+ ascending points inside (0, 1)",
+            "batch_jobs.groups.low: group 'low': time limit -60 must be positive",
+        ],
+    ),
     "two-tokens-outside-support": (
         [lambda d: d["tokens"]["groups"]["Code"]["histogram"].update({"0": 1, "9999": 1})],
         ["tokens.groups.Code: token "],

@@ -49,6 +49,7 @@ from oracles import (
     flatten_requests_whole,
     generate_group_requests,
     job_power_trace_per_job,
+    rows_requests_csv,
     serve_inference_concatenated,
     tick_edges,
 )
@@ -314,7 +315,7 @@ HAND_PARTS = {
 class TestFlattenMatchesWholeLog:
     """flatten_requests' blocks, joined, are the log that one stable sort of
     every request gives (oracles.py), to the bit, whatever the block size.
-    The blocks are runs of whole minutes, each of at most CHUNK_ROWS
+    The blocks are runs of whole minutes, each of at most _BLOCK_ROWS
     requests unless it is one minute long, and only an empty log gives an
     empty block."""
 
@@ -323,8 +324,8 @@ class TestFlattenMatchesWholeLog:
     )
     def window(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(cosim, "CHUNK_ROWS", request.param)
-        return cosim.CHUNK_ROWS
+            monkeypatch.setattr(cosim, "_BLOCK_ROWS", request.param)
+        return cosim._BLOCK_ROWS
 
     def check(self, parts, window):
         blocks = list(flatten_requests(parts))
@@ -350,12 +351,21 @@ class TestFlattenMatchesWholeLog:
 
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_default_bundle(self, bundle, window, share):
-        scen = Scenario(total_gpus=32, horizon_days=1, share_target=share, seed=1)
+        scen = Scenario(total_gpus=8, horizon_days=1, share_target=share, seed=1)
         self.check(scenario_requests(bundle, scen), window)
 
     @pytest.mark.parametrize("name", sorted(HAND_PARTS))
     def test_hand_built_parts(self, window, name):
         self.check(HAND_PARTS[name], window)
+
+    def test_file_from_blocks_is_the_whole_log_file(self, bundle, window, tmp_path):
+        """requests.csv written from the blocks is the per-row file of the
+        whole log, with each label table carried from block to block."""
+        scen = Scenario(total_gpus=8, horizon_days=1, share_target=0.5, seed=1)
+        parts = scenario_requests(bundle, scen)
+        write_requests_csv(tmp_path / "got.csv", flatten_requests(parts))
+        rows_requests_csv(tmp_path / "want.csv", [flatten_requests_whole(parts)])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("verbosity", [1.0, 1.3])
@@ -680,8 +690,8 @@ def test_request_log_writing_peak_memory_is_a_sliver_of_the_log(bundle, tmp_path
     """Writing requests.csv from the parts holds one block of whole minutes
     and its rendered chunk at a time, never the merged log: at 768 GPUs x 2
     days, share 0.5, its traced peak stays below a quarter of the parts'
-    bytes (0.15 here, set by rendering one chunk; merging the whole log
-    first read 3.0)."""
+    bytes (0.18 here, mostly the rendering of one chunk; merging the whole
+    log first read 3.0)."""
     parts = scenario_requests(bundle, replace(MEMORY_SCENARIO, total_gpus=768))
     path = tmp_path / "requests.csv"
     peak = traced_peak(write_requests_csv, path, flatten_requests(parts))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcpowersim import cli, cosim, outputs, sweep
+from dcpowersim import cli, outputs, sweep
 from dcpowersim.cli import main
 from dcpowersim.config import canonical_hash, load_bundle
 from dcpowersim.cosim import run_hybrid
@@ -653,14 +653,12 @@ def test_row_reference_covers_every_csv_writer():
 
 class TestWritersMatchRowReference:
     """Every package CSV writer writes the bytes of the per-row reference in
-    oracles.py, over one chunk and over many, and the request log over one
-    block of minutes and over many."""
+    oracles.py, over one chunk and over many."""
 
     @pytest.fixture(params=[None, 3], ids=["one_chunk", "chunks_of_3"], autouse=True)
     def chunk_rows(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(outputs, "CHUNK_ROWS", request.param)
-            monkeypatch.setattr(cosim, "CHUNK_ROWS", request.param)
+            monkeypatch.setattr(outputs, "_CHUNK_ROWS", request.param)
 
     def both(self, monkeypatch, tmp_path, argv) -> dict[str, bytes]:
         """Run ``argv`` with the package writers and with the reference ones;
