@@ -7,13 +7,14 @@ leftover capacity to the batch scheduler as a time-varying limit, then
 synthesize per-job power and assemble the minute-level facility series.
 
 Requests reach serving as a stream of parts, one per (group, template)
-pair, walked once. A run draws its own requests one part at a time and
-drops each part once served, so it holds neither the whole request log nor
-a whole group. A caller that wants the requests builds the parts with
-``scenario_requests`` and passes them to ``run_hybrid``;
-``flatten_requests`` then yields the time-ordered log a block of whole
-minutes at a time, so writing ``requests.csv`` never holds the merged log
-either.
+pair, walked once. Serving windows each part into its template's row of
+per-tick edges and keeps no per-request array past it. A run draws its
+own requests one part at a time and drops each part once served, so it
+holds neither the whole request log nor a whole group. A caller that
+wants the requests builds the parts with ``scenario_requests`` and
+passes them to ``run_hybrid``; ``flatten_requests`` then yields the
+time-ordered log a block of whole minutes at a time, so writing
+``requests.csv`` never holds the merged log either.
 
 Randomness is partitioned by named substreams, so the batch side of a run
 is bit-identical whether or not inference is generated at all.
@@ -606,29 +607,6 @@ def _add_run_power(
     return out
 
 
-# requests windowed per pass, so the window arrays stay small however large
-# a part is
-_WINDOWS_PER_PASS = 2**16
-
-
-def _add_windows(
-    edges: np.ndarray, times: np.ndarray, tokens: np.ndarray, tpot_s: float, tick: int
-) -> int:
-    """Count the service windows of these requests into ``edges``, one entry
-    per grid tick of the horizon and one past it: +1 at each window's start
-    tick and -1 at its end tick, both clipped to the last entry. Returns the
-    windows' total ticks."""
-    last = edges.size - 1
-    starts, ticks = service_windows(times, tokens, tpot_s, tick)
-    work_ticks = int(ticks.sum())
-    ends = np.add(starts, ticks, out=ticks)
-    np.clip(starts, 0, last, out=starts)
-    np.clip(ends, 0, last, out=ends)
-    edges += np.bincount(starts, minlength=edges.size)
-    edges -= np.bincount(ends, minlength=edges.size)
-    return work_ticks
-
-
 def serve_inference(
     bundle: ModelBundle,
     scenario: Scenario,
@@ -637,13 +615,11 @@ def serve_inference(
     """Serve the requests under per-template budgets.
 
     Walks ``request_parts`` once, in any order, so it may be a one-shot
-    stream. Each part is windowed on its own, ``_WINDOWS_PER_PASS``
-    requests at a time, and its windows are counted into its template's
-    int32 array of per-tick edges: +1 at each window's start tick, -1 at
-    its end tick. So serving keeps no per-request array past the part it is
-    on, and no window array longer than one pass. Offered work is the
-    integer sum of the windows' ticks, and concurrency the integer running
-    sum of the edges, both exact in any order.
+    stream. ``service_windows`` counts each part's windows into its
+    template's int32 row of per-tick edges, which ``concurrency`` reads. So
+    serving keeps no per-request array past the part it is on. Offered work
+    is the integer sum of the windows' ticks, and concurrency the integer
+    running sum of the edges, both exact in any order.
     """
     n_minutes = scenario.horizon_minutes
     tick = bundle.grid_tick_s
@@ -653,19 +629,13 @@ def serve_inference(
     tpots = [t.tpot(scenario.speed_class) for t in templates]
     edges = np.zeros((len(templates), n_ticks + 1), dtype=np.int32)
     work_ticks = [0] * len(templates)
-    n_requests = [0] * len(templates)
     for part in request_parts:
         i = index[part.template_id]
-        n_requests[i] += part.times.size
-        for lo in range(0, part.times.size, _WINDOWS_PER_PASS):
-            hi = lo + _WINDOWS_PER_PASS
-            work_ticks[i] += _add_windows(
-                edges[i], part.times[lo:hi], part.tokens[lo:hi], tpots[i], tick
-            )
+        work_ticks[i] += service_windows(edges[i], part.times, part.tokens, tpots[i], tick)
         del part  # so a stream can free this part before it draws the next
     conc = np.zeros((len(templates), n_minutes))
-    for i, n in enumerate(n_requests):
-        if n:  # a fast path: a zero row costs concurrency a full pass
+    for i, w in enumerate(work_ticks):
+        if w:  # a fast path: a zero row costs concurrency a full pass
             conc[i] = concurrency(edges[i], n_minutes, tick)
     offered = np.array([t.gpu_hours(w * tick) for t, w in zip(templates, work_ticks)])
     w_inf_offered = float(offered.sum())

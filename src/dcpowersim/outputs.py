@@ -89,17 +89,15 @@ def fmt(value) -> str:
 
 class LabelColumn:
     """A column of text labels held as small integer codes: row i reads
-    ``names[codes[i]]``. Iterating yields the labels themselves. (A plain
-    class: a dataclass would cost the package import a code generation.)"""
+    ``names[codes[i]]``. The writers render the codes through a table of
+    the names, so no label text is built per row. (A plain class: a
+    dataclass would cost the package import a code generation.)"""
 
     __slots__ = ("codes", "names")
 
     def __init__(self, codes: np.ndarray, names: tuple[str, ...]) -> None:
         self.codes = codes
         self.names = names
-
-    def __iter__(self):
-        return map(self.names.__getitem__, self.codes.tolist())
 
 
 # rows rendered and written per chunk, so memory stays flat as files grow

@@ -2,12 +2,15 @@
 
 Each request occupies one concurrency slot of its template for a service
 window that starts at the first grid tick at or after arrival and lasts
-tokens * seconds-per-token, rounded up to whole ticks. Minute-averaged
-concurrency is capped by the template's GPU budget, instances are
-provisioned in whole template-sized GPU blocks, and power scales linearly
-with capped concurrency. Demand above the cap is dropped, not carried over.
-The cap, GPU and power rules broadcast: given a templates x minutes matrix,
-each template constant may be a column with one row per template.
+tokens * seconds-per-token, rounded up to whole ticks. A template's
+windows are counted into one row of per-tick edges: ``service_windows``
+writes that row and ``concurrency`` reads it, so the format lives in
+this module alone. Minute-averaged concurrency is capped by the
+template's GPU budget, instances are provisioned in whole template-sized
+GPU blocks, and power scales linearly with capped concurrency. Demand
+above the cap is dropped, not carried over. The cap, GPU and power rules
+broadcast: given a templates x minutes matrix, each template constant
+may be a column with one row per template.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ SPEED_CLASSES = ("F", "M", "S")
 
 # guards ceil/floor against float representation error on exact multiples
 _GRID_EPS = 1e-9
+# requests windowed per pass, so the window arrays stay small however many
+# requests one call windows
+_WINDOWS_PER_PASS = 2**16
 
 
 @dataclass(frozen=True)
@@ -86,15 +92,33 @@ def _window_ticks(tokens: np.ndarray, tpot_s: float, grid_tick_s: int) -> np.nda
 
 
 def service_windows(
-    arrivals: np.ndarray, tokens: np.ndarray, tpot_s: float, grid_tick_s: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized service windows in whole grid ticks; returns each
-    request's (start tick, tick count) as int64 arrays."""
-    starts = np.asarray(arrivals, dtype=float) / grid_tick_s
-    starts -= _GRID_EPS
-    np.ceil(starts, out=starts)
-    ticks = _window_ticks(np.asarray(tokens), tpot_s, grid_tick_s)
-    return starts.astype(np.int64), ticks.astype(np.int64)
+    tick_edges: np.ndarray,
+    arrivals: np.ndarray,
+    tokens: np.ndarray,
+    tpot_s: float,
+    grid_tick_s: int,
+) -> int:
+    """Count the requests' service windows into ``tick_edges``, the edge row
+    :func:`concurrency` reads: +1 at each window's start tick and -1 at its
+    end tick, both clipped to the last entry. Windows ``_WINDOWS_PER_PASS``
+    requests at a time, so no window array outgrows one pass. Returns the
+    windows' total ticks."""
+    last = tick_edges.size - 1
+    work_ticks = 0
+    for lo in range(0, len(arrivals), _WINDOWS_PER_PASS):
+        hi = lo + _WINDOWS_PER_PASS
+        starts = np.asarray(arrivals[lo:hi], dtype=float) / grid_tick_s
+        starts -= _GRID_EPS
+        starts = np.ceil(starts, out=starts).astype(np.int64)
+        ticks = _window_ticks(np.asarray(tokens[lo:hi]), tpot_s, grid_tick_s)
+        ticks = ticks.astype(np.int64)
+        work_ticks += int(ticks.sum())
+        ends = np.add(starts, ticks, out=ticks)
+        np.clip(starts, 0, last, out=starts)
+        np.clip(ends, 0, last, out=ends)
+        tick_edges += np.bincount(starts, minlength=tick_edges.size)
+        tick_edges -= np.bincount(ends, minlength=tick_edges.size)
+    return work_ticks
 
 
 def expected_window_seconds(
@@ -116,8 +140,9 @@ def concurrency(
     """Minute-averaged concurrency of windows counted in grid ticks:
     ``tick_edges[k]`` is the number of windows that start at tick ``k``
     minus the number that end there, for ``k`` in [0, n_ticks], n_ticks the
-    horizon's ticks; a window active over ticks [s, e) adds +1 at ``s`` and
-    -1 at ``e``. The tick must divide 60.
+    horizon's ticks, as :func:`service_windows` counts them: a window
+    active over ticks [s, e) adds +1 at ``s`` and -1 at ``e``. The tick
+    must divide 60.
 
     Counts in integer ticks: the running count of active requests and its
     per-minute sum are exact int64, so the minute mean is the exact count

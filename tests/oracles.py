@@ -24,7 +24,7 @@ from dcpowersim.batch_power import (
     select_template,
     synthesize_power,
 )
-from dcpowersim.cosim import RequestPart, Serving
+from dcpowersim.cosim import RequestPart
 from dcpowersim.distributions import CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import (
     apply_verbosity,
@@ -54,7 +54,6 @@ from dcpowersim.scheduler import (
     accumulate_intervals,
 )
 from dcpowersim.seeds import substream
-from dcpowersim.serving import allocate_budgets, cap_concurrency, gpu_use, inference_power
 
 MINUTES_PER_DAY = 1_440
 
@@ -582,14 +581,15 @@ def flatten_requests_whole(parts):
     return times[order], groups, templates, tokens[order]
 
 
-# Serving with each template's parts concatenated: the package's former
+# Windows of each template's parts concatenated: the package's former
 # path, kept as the reference for its part-at-a-time pass in tick units.
 
 
-def serve_inference_concatenated(bundle, scenario, request_parts) -> Serving:
-    """``cosim.serve_inference`` with one window array per template: its
-    parts' arrivals and tokens concatenated, windows in seconds, and the
-    window edges added up as floats by ``np.add.at``."""
+def serve_inference_concatenated(bundle, scenario, request_parts):
+    """The concurrency rows and offered GPU-hours ``cosim.serve_inference``
+    provisions from, with one window array per template: its parts'
+    arrivals and tokens concatenated, windows in seconds, and the window
+    edges added up as floats by ``np.add.at``."""
     n_minutes = scenario.horizon_minutes
     tick = bundle.grid_tick_s
     per_minute = 60 // tick
@@ -611,21 +611,7 @@ def serve_inference_concatenated(bundle, scenario, request_parts) -> Serving:
         np.add.at(delta, np.clip((starts + durations) // tick, 0, n_ticks), -1.0)
         active = np.cumsum(delta[:-1])
         conc[t_index] = active.reshape(n_minutes, per_minute).sum(axis=1) / per_minute
-    w_inf_offered = float(offered.sum())
-    max_batch = np.array([[t.max_batch] for t in templates])
-    per_instance = np.array([[t.gpus_per_instance] for t in templates])
-    budgets = budget_col = None
-    if scenario.cap_mode == "capped" and w_inf_offered > 0.0:
-        pool = int(math.floor(scenario.cap_fraction * scenario.total_gpus))
-        budgets = allocate_budgets(pool, offered, per_instance[:, 0])
-        budget_col = np.array(budgets)[:, None]
-    conc_cap = cap_concurrency(conc, max_batch, budget_col, per_instance)
-    gpus = gpu_use(conc_cap, max_batch, per_instance)
-    power_kw = inference_power(conc_cap, np.array([[t.rho_kw] for t in templates]))
-    unmet = conc - conc_cap
-    unmet_slot_s = unmet.sum(axis=1) * 60.0
-    unmet_h = float(sum(t.gpu_hours(s) for t, s in zip(templates, unmet_slot_s)))
-    return Serving(conc, conc_cap, gpus, power_kw, unmet, budgets, w_inf_offered, unmet_h)
+    return conc, float(offered.sum())
 
 
 # Batch power added up one segment run at a time: the package's former
@@ -792,8 +778,18 @@ def rows_arrivals_csv(path, times, groups) -> None:
     write_rows(path, ARRIVALS_COLUMNS, zip(times, groups))
 
 
+def label_texts(column: LabelColumn) -> list[str]:
+    """A label column's labels as text, one a row."""
+    return [column.names[code] for code in column.codes.tolist()]
+
+
 def rows_requests_csv(path, blocks) -> None:
-    write_rows(path, REQUESTS_COLUMNS, (row for block in blocks for row in zip(*block)))
+    rows = (
+        row
+        for times, groups, templates, tokens in blocks
+        for row in zip(times, label_texts(groups), label_texts(templates), tokens)
+    )
+    write_rows(path, REQUESTS_COLUMNS, rows)
 
 
 def rows_jobs_csv(path, jobs) -> None:

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dcpowersim import serving
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.serving import (
     allocate_budgets,
@@ -32,14 +35,27 @@ class TestServiceWindow:
         assert duration == 30.0  # 600 * 0.05 = 30 exactly
 
     def test_vectorized_matches_scalar(self):
+        """The edge row holds the scalar windows, clipped to its last entry,
+        and the return value their ticks, however many passes it takes."""
         rng = substream(1, "windows")
-        arrivals = rng.random(200) * 600.0
-        tokens = rng.integers(1, 2000, 200)
-        starts, ticks = service_windows(arrivals, tokens, 0.08, 10)
-        assert starts.dtype == ticks.dtype == np.int64
-        for i in range(200):
-            s, d = service_window(float(arrivals[i]), int(tokens[i]), 0.08, 10)
-            assert (10 * starts[i], 10 * ticks[i]) == (s, d)
+        n_ticks = 60
+        arrivals = rng.random(200) * 700.0  # some start past the horizon
+        tokens = rng.integers(1, 2000, 200)  # and some run past it
+        windows = [
+            service_window(float(a), int(k), 0.08, 10) for a, k in zip(arrivals, tokens)
+        ]
+        starts = np.array([int(s) // 10 for s, _ in windows])
+        ticks = np.array([int(d) // 10 for _, d in windows])
+        assert starts.max() > n_ticks and (starts + ticks).max() > n_ticks
+        want = tick_edges(
+            np.minimum(starts, n_ticks), np.minimum(starts + ticks, n_ticks), n_ticks
+        )
+        for per_pass in (serving._WINDOWS_PER_PASS, 7):
+            edges = np.zeros(n_ticks + 1, dtype=np.int32)
+            with mock.patch.object(serving, "_WINDOWS_PER_PASS", per_pass):
+                work_ticks = service_windows(edges, arrivals, tokens, 0.08, 10)
+            assert np.array_equal(edges, want), per_pass
+            assert work_ticks == ticks.sum(), per_pass
 
     def test_expected_window_matches_pmf_enumeration(self):
         pmf = np.array([0.125, 0.5, 0.25, 0.125])
@@ -52,8 +68,9 @@ class TestServiceWindow:
         pmf = rng.random(50)
         pmf /= pmf.sum()
         tokens = 1 + rng.choice(50, size=200_000, p=pmf)
-        _, ticks = service_windows(np.zeros(tokens.size), tokens, 0.13, 10)
-        assert (10 * ticks).mean() == pytest.approx(
+        edges = np.zeros(2, dtype=np.int32)
+        work_ticks = service_windows(edges, np.zeros(tokens.size), tokens, 0.13, 10)
+        assert 10 * work_ticks / tokens.size == pytest.approx(
             expected_window_seconds(pmf, 0.13, 10), rel=0.01
         )
 
