@@ -107,30 +107,42 @@ def resolve_quantiles(model: JobClassModel, tl: int, gpus: int) -> np.ndarray:
     return curve
 
 
-def sample_job(
-    model: JobClassModel, rng: np.random.Generator
-) -> tuple[int, int, float]:
-    """Draw (time_limit_s, gpus, runtime_s) for one job.
+def sample_jobs(
+    model: JobClassModel, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n`` jobs' time limits, GPU counts and runtimes in seconds.
 
-    Runtime is exp of a linearly interpolated quantile of the resolved
-    log-runtime curve at a uniform draw (flat extrapolation beyond the grid
-    ends), truncated at the time limit. Always positive.
+    Job i reads row i of ``rng.random((n, 3))``: the first uniform picks
+    its time limit, the second its GPU count and the third its runtime,
+    exp of the linearly interpolated quantile of the resolved log-runtime
+    curve (flat extrapolation beyond the grid ends), truncated at the time
+    limit. Runtimes are always positive. ``math.exp`` takes each
+    exponential, so every runtime has the bits of libm's exp, whatever
+    numpy's vector exp would round to.
     """
-    u_tl = rng.random()
-    tl_idx = int(np.searchsorted(np.cumsum(model.tl_pmf), u_tl, side="right"))
-    tl_idx = min(tl_idx, len(model.tl_support) - 1)
-    tl = model.tl_support[tl_idx]
-
-    support, pmf = model.gpu_tables[tl]
-    u_g = rng.random()
-    g_idx = min(int(np.searchsorted(np.cumsum(pmf), u_g, side="right")), len(support) - 1)
-    gpus = support[g_idx]
-
-    curve = resolve_quantiles(model, tl, gpus)
-    u_r = rng.random()
-    log_rt = float(np.interp(u_r, model.quantile_grid, curve))
-    runtime = min(math.exp(log_rt), float(tl))
-    return tl, int(gpus), runtime
+    u = rng.random((n, 3))
+    tl_idx = np.searchsorted(np.cumsum(model.tl_pmf), u[:, 0], side="right")
+    np.minimum(tl_idx, len(model.tl_support) - 1, out=tl_idx)
+    gpus = np.empty(n, dtype=np.int64)
+    log_rt = np.empty(n)
+    for k, tl in enumerate(model.tl_support):
+        rows = np.flatnonzero(tl_idx == k)
+        support, pmf = model.gpu_tables[tl]
+        g_idx = np.searchsorted(np.cumsum(pmf), u[rows, 1], side="right")
+        np.minimum(g_idx, len(support) - 1, out=g_idx)
+        gpus[rows] = np.asarray(support)[g_idx]
+        for j, g in enumerate(support):
+            leaf = rows[g_idx == j]
+            if leaf.size:
+                curve = resolve_quantiles(model, tl, int(g))
+                log_rt[leaf] = np.interp(u[leaf, 2], model.quantile_grid, curve)
+    tls = np.asarray(model.tl_support, dtype=np.int64)[tl_idx]
+    runtime = np.fromiter(
+        map(min, map(math.exp, log_rt.tolist()), tls.astype(float).tolist()),
+        dtype=float,
+        count=n,
+    )
+    return tls, gpus, runtime
 
 
 def expected_gpu_runtime_hours(model: JobClassModel) -> float:

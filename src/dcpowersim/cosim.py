@@ -33,7 +33,7 @@ import numpy as np
 from .batch_arrivals import TimezonePlan, daily_mean, superpose_timezones
 from .batch_power import (
     expected_gpu_runtime_hours,
-    sample_job,
+    sample_jobs,
     select_template,
     synthesize_power,
 )
@@ -441,8 +441,9 @@ def generate_jobs(
     tz_doc = scenario.timezones
     plan = bundle.timezone_plan if tz_doc is None else TimezonePlan.from_doc(tz_doc)
     root_seed = scenario.root_seed
-    rows: list[tuple[float, int, int, int, str]] = []
-    for group in bundle.batch_groups:
+    groups = bundle.batch_groups
+    columns = []
+    for group in groups:
         arrivals = superpose_timezones(
             plan,
             bundle.daily_models[group],
@@ -453,25 +454,31 @@ def generate_jobs(
             mean_scale=fb,
         )
         job_rng = substream(root_seed, "batch-jobs", group)
-        model = bundle.job_models[group]
-        for ts in arrivals:
-            tl, gpus, runtime = sample_job(model, job_rng)
-            runtime_s = max(1, min(int(round(runtime)), int(tl)))
-            rows.append((float(ts), runtime_s, int(tl), gpus, group))
-    rows.sort(key=lambda r: r[0])  # stable, so ties keep group, then arrival, order
-    jobs = []
-    for job_id, (ts, runtime_s, tl, gpus, group) in enumerate(rows):
-        jobs.append(
-            Job(
-                job_id=job_id,
-                arrival_s=int(math.floor(ts)),
-                gpu=gpus,
-                runtime_s=runtime_s,
-                time_limit_s=tl,
-                group=group,
-            )
+        tl, gpus, runtime = sample_jobs(bundle.job_models[group], job_rng, arrivals.size)
+        # round half to even, as round() does, then clamp to [1, tl]
+        runtime_s = np.maximum(np.minimum(np.rint(runtime), tl), 1).astype(np.int64)
+        columns.append((arrivals, runtime_s, tl, gpus))
+    ts, runtime_s, tl, gpus = (np.concatenate(c) for c in zip(*columns))
+    group_of = np.repeat(np.arange(len(columns)), [c[0].size for c in columns])
+    # stable, so ties keep group, then arrival, order
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    arrival_s = np.floor(ts).astype(np.int64)
+    gpus, runtime_s, tl, group_of = gpus[order], runtime_s[order], tl[order], group_of[order]
+    # one job's values at a time: lists of whole columns would be
+    # temporaries beside the jobs
+    jobs = [
+        Job(
+            job_id=i,
+            arrival_s=int(arrival_s[i]),
+            gpu=int(gpus[i]),
+            runtime_s=int(runtime_s[i]),
+            time_limit_s=int(tl[i]),
+            group=groups[group_of[i]],
         )
-    return jobs, np.array([r[0] for r in rows])
+        for i in range(ts.size)
+    ]
+    return jobs, ts
 
 
 def job_power_trace(

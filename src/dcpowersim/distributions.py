@@ -45,11 +45,15 @@ class CategoricalSampler:
 
     A draw ``u`` gets index ``searchsorted(cdf, u, side="right")`` on the
     normalized cumulative sum, bit for bit, but looks most draws up in one
-    step (Chen & Asau, AIIE Trans. 1974). ``first[k]`` counts the CDF values
-    at or below ``k / GUIDE_BUCKETS``, so a draw in bucket ``b`` has its
-    index in ``[first[b], first[b + 1]]``. With at most one CDF value in the
-    bucket that index is ``first[b]``, plus one when ``cdf[first[b]] <= u``;
-    draws in the rare wider buckets fall back to a binary search.
+    step (Chen & Asau, AIIE Trans. 1974). It compares in bucket units: the
+    sampler holds ``cdf * GUIDE_BUCKETS`` and scales each draw the same way,
+    both exactly, so every comparison has the unscaled outcome.
+    ``first[k]`` counts the CDF values at or below ``k / GUIDE_BUCKETS``,
+    so a draw in bucket ``b`` has its index in ``[first[b], first[b + 1]]``.
+    With at most one CDF value in the bucket that index is ``first[b]``,
+    plus one when ``cdf[first[b]] <= u``; draws in the rare wide buckets,
+    those with ``first[b + 1] - first[b] > 1``, fall back to a binary
+    search.
     """
 
     def __init__(self, pmf) -> None:
@@ -57,9 +61,11 @@ class CategoricalSampler:
         if cdf[-1] <= 0:
             raise ValueError("pmf has no mass")
         cdf /= cdf[-1]
-        self.cdf = cdf
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
         self.first = np.searchsorted(cdf, edges, side="right").astype(np.int32)
+        self.wide = np.diff(self.first) > 1
+        cdf *= GUIDE_BUCKETS
+        self.scaled_cdf = cdf
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` indices, one per uniform of ``rng.random(size)``. The
@@ -69,11 +75,13 @@ class CategoricalSampler:
         for start in range(0, size, _DRAWS_PER_PASS):
             chunk = out[start:start + _DRAWS_PER_PASS]
             u = rng.random(chunk.size)
-            bucket = (u * GUIDE_BUCKETS).astype(np.intp)
+            u *= GUIDE_BUCKETS
+            bucket = u.astype(np.intp)
             lo = self.first[bucket]
-            # cdf[-1] is 1 > u, so lo is a valid index, and cdf[lo] > u
-            # whenever the bucket holds no CDF value
-            np.add(lo, self.cdf[lo] <= u, out=chunk)
-            wide = np.flatnonzero(self.first[bucket + 1] - lo > 1)
-            chunk[wide] = np.searchsorted(self.cdf, u[wide], side="right")
+            # the scaled cdf ends at GUIDE_BUCKETS > u, so lo is a valid
+            # index, and scaled_cdf[lo] > u whenever the bucket holds no
+            # CDF value
+            np.add(lo, self.scaled_cdf[lo] <= u, out=chunk)
+            wide = np.flatnonzero(self.wide[bucket])
+            chunk[wide] = np.searchsorted(self.scaled_cdf, u[wide], side="right")
         return out

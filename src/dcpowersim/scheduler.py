@@ -13,12 +13,20 @@ TPDS 2001): the head is never delayed, but other queued segments may be.
 Capacity is observed causally from a step timeline; on a capacity drop the
 most recently started segments are preempted first and re-enter the queue
 with their full duration.
+
+A blocked pass scans the queue only while some segment can backfill:
+beside the key-ordered queue the engine keeps each width's queued
+durations in ascending order, and a segment can backfill exactly when a
+width that fits has a shortest duration ending by the head's reservation.
+So the scan starts the same segments as a scan of the whole queue, and
+passes that would start none never scan. Each running segment is a tuple
+(end, gpu, job id, segment, start), kept in end order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -243,10 +251,13 @@ class _Engine:
         self.trace = ScheduleTrace()
         # (policy key, gpu, duration_s, segment), in key order
         self.queue: list[tuple[tuple, int, int, _Segment]] = []
-        # (end, gpu, segment, start) of every running segment, in end order
-        # and, among equal ends, in start order: segments start in time
-        # order, and insort puts each after the equal ends already there
-        self.running: list[tuple[int, int, _Segment, int]] = []
+        # width -> the queued durations of that width, ascending; a width
+        # leaves when its last segment does
+        self.durations: dict[int, list[int]] = {}
+        # (end, gpu, job id, segment, start) of every running segment, in
+        # end order and, among equal ends, in start order: segments start
+        # in time order, and insort puts each after the equal ends there
+        self.running: list[tuple[int, int, int, _Segment, int]] = []
         self.usage = 0
         self.current_cap = int(capacity.values[0])
         # (time, value) of each capacity change after t = 0
@@ -268,18 +279,43 @@ class _Engine:
     def _enqueue(self, seg: _Segment) -> None:
         key = _policy_key(self.policy, seg)
         insort(self.queue, (key, seg.job.gpu, seg.duration_s, seg))
+        insort(self.durations.setdefault(seg.job.gpu, []), seg.duration_s)
+
+    def _dequeue(self, i: int) -> _Segment:
+        """Remove and return the ``i``-th queued segment."""
+        _, gpu, duration, seg = self.queue.pop(i)
+        self._forget(gpu, duration)
+        return seg
+
+    def _forget(self, gpu: int, duration: int) -> None:
+        """Drop one ``gpu``-wide segment of ``duration`` from ``durations``."""
+        durations = self.durations[gpu]
+        if len(durations) == 1:
+            del self.durations[gpu]
+        else:
+            del durations[bisect_left(durations, duration)]
+
+    def _can_backfill(self, free: int, t: int, reservation: float) -> bool:
+        """Whether a queued segment at most ``free`` wide, started at
+        ``t``, ends by ``reservation``."""
+        return any(
+            gpu <= free and t + durations[0] <= reservation
+            for gpu, durations in self.durations.items()
+        )
 
     def _start(self, seg: _Segment, t: int) -> None:
-        insort(self.running, (t + seg.duration_s, seg.job.gpu, seg, t), key=itemgetter(0))
-        self.usage += seg.job.gpu
-        self.trace.queue_delays.setdefault(seg.job.job_id, t - seg.job.arrival_s)
+        job = seg.job
+        run = (t + seg.duration_s, job.gpu, job.job_id, seg, t)
+        insort(self.running, run, key=itemgetter(0))
+        self.usage += job.gpu
+        self.trace.queue_delays.setdefault(job.job_id, t - job.arrival_s)
 
     def _finish_run(self, run: tuple, t: int, completed: bool) -> _Segment:
         """Record a run that left ``running`` at ``t``."""
-        _, gpu, seg, start = run
+        _, gpu, job_id, seg, start = run
         self.usage -= gpu
         self.trace.runs.append(
-            SegmentRun(seg.job.job_id, seg.seg_index, start, t, gpu, completed)
+            SegmentRun(job_id, seg.seg_index, start, t, gpu, completed)
         )
         return seg
 
@@ -290,7 +326,7 @@ class _Engine:
         if gpu > self.current_cap:
             return math.inf
         free = self.current_cap - self.usage
-        for end, g, _, _ in self.running:
+        for end, g, _, _, _ in self.running:
             free += g
             if free >= gpu:
                 return end
@@ -314,7 +350,7 @@ class _Engine:
         if self.usage <= value:
             return
         running = self.running
-        for run in sorted(running, key=lambda r: (r[3], r[2].job.job_id), reverse=True):
+        for run in sorted(running, key=itemgetter(4, 2), reverse=True):
             if self.usage <= value:
                 break
             running.remove(run)
@@ -325,31 +361,31 @@ class _Engine:
     def _pass(self, t: int) -> None:
         queue = self.queue
         while queue and queue[0][1] <= self.current_cap - self.usage:
-            self._start(queue.pop(0)[3], t)
+            self._start(self._dequeue(0), t)
         free = self.current_cap - self.usage
         if not queue or free == 0:
             return
-        # The head is blocked, so it is wider than ``free`` and the scan
-        # passes over it. Later segments that fit now and end by the head's
-        # reservation start now, in queue order. Every segment needs at
-        # least one GPU, so the scan stops when none is left.
-        reservation = None
+        # The head is blocked, so it is wider than ``free`` and no width
+        # that fits holds it. Later segments that fit now and end by the
+        # head's reservation start now, in queue order. The scan runs only
+        # while one is left: a segment it passed over is wider than
+        # ``free`` or ends too late, so a shortest duration that fits and
+        # ends in time belongs to a segment still ahead. Every segment
+        # needs at least one GPU, so none is left once ``free`` is 0.
+        reservation = self._reservation(queue[0][1])
+        if not self._can_backfill(free, t, reservation):
+            return
         picks = []
         for i, (_, gpu, duration, _) in enumerate(queue):
-            if gpu > free:
-                continue
-            if reservation is None:
-                reservation = self._reservation(queue[0][1])
-            if t + duration <= reservation:
+            if gpu <= free and t + duration <= reservation:
                 picks.append(i)
+                self._forget(gpu, duration)
                 free -= gpu
-                if free == 0:
+                if not self._can_backfill(free, t, reservation):
                     break
         head = queue[0][3]
-        started = [queue[i][3] for i in picks]
-        for i in reversed(picks):
-            del queue[i]
-        for seg in started:
+        started = [queue.pop(i)[3] for i in reversed(picks)]
+        for seg in reversed(started):
             self._start(seg, t)
             self.trace.backfills.append(
                 BackfillRecord(

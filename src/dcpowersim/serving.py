@@ -103,6 +103,12 @@ def service_windows(
     end tick, both clipped to the last entry. Windows ``_WINDOWS_PER_PASS``
     requests at a time, so no window array outgrows one pass. Returns the
     windows' total ticks."""
+    if len(arrivals) == 0:
+        return 0
+    tokens = np.asarray(tokens)
+    # each token count's ticks, looked up: the rule is elementwise
+    ticks_of = _window_ticks(np.arange(tokens.max() + 1), tpot_s, grid_tick_s)
+    ticks_of = ticks_of.astype(np.int64)
     last = tick_edges.size - 1
     work_ticks = 0
     for lo in range(0, len(arrivals), _WINDOWS_PER_PASS):
@@ -110,8 +116,7 @@ def service_windows(
         starts = np.asarray(arrivals[lo:hi], dtype=float) / grid_tick_s
         starts -= _GRID_EPS
         starts = np.ceil(starts, out=starts).astype(np.int64)
-        ticks = _window_ticks(np.asarray(tokens[lo:hi]), tpot_s, grid_tick_s)
-        ticks = ticks.astype(np.int64)
+        ticks = ticks_of[tokens[lo:hi]]
         work_ticks += int(ticks.sum())
         ends = np.add(starts, ticks, out=ticks)
         np.clip(starts, 0, last, out=starts)

@@ -21,6 +21,7 @@ import numpy as np
 from dcpowersim.batch_power import (
     PowerSynthesisConfig,
     PowerTemplate,
+    resolve_quantiles,
     select_template,
     synthesize_power,
 )
@@ -612,6 +613,29 @@ def serve_inference_concatenated(bundle, scenario, request_parts):
         active = np.cumsum(delta[:-1])
         conc[t_index] = active.reshape(n_minutes, per_minute).sum(axis=1) / per_minute
     return conc, float(offered.sum())
+
+
+def sample_jobs_per_job(model, rng: np.random.Generator, n: int):
+    """``batch_power.sample_jobs`` as the package's former scalar loop: per
+    job, one uniform each for its time limit, GPU count and runtime, each
+    located by its own binary search and interpolation. Returns the time
+    limits, GPU counts and runtimes as lists."""
+    tls, gpus, runtimes = [], [], []
+    for _ in range(n):
+        u_tl = rng.random()
+        tl_idx = int(np.searchsorted(np.cumsum(model.tl_pmf), u_tl, side="right"))
+        tl = model.tl_support[min(tl_idx, len(model.tl_support) - 1)]
+        support, pmf = model.gpu_tables[tl]
+        u_g = rng.random()
+        g_idx = int(np.searchsorted(np.cumsum(pmf), u_g, side="right"))
+        g = support[min(g_idx, len(support) - 1)]
+        curve = resolve_quantiles(model, tl, g)
+        u_r = rng.random()
+        log_rt = float(np.interp(u_r, model.quantile_grid, curve))
+        tls.append(tl)
+        gpus.append(int(g))
+        runtimes.append(min(math.exp(log_rt), float(tl)))
+    return tls, gpus, runtimes
 
 
 # Batch power added up one segment run at a time: the package's former

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcpowersim import batch_power
+from dcpowersim import batch_power, default_bundle
 from dcpowersim.batch_power import (
     JobClassModel,
     PowerSynthesisConfig,
@@ -14,14 +14,16 @@ from dcpowersim.batch_power import (
     TemplateStore,
     add_alpha_pmf,
     expected_gpu_runtime_hours,
-    sample_job,
+    sample_jobs,
     select_template,
     synthesize_power,
 )
+from dcpowersim.config import load_bundle
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.seeds import substream
 
-from oracles import residual_path, synthesize_job_power
+from oracles import residual_path, sample_jobs_per_job, synthesize_job_power
+from test_cosim import tiny_doc
 
 
 def _model(leaf_log_level, tl=7200, gpus=2):
@@ -38,17 +40,22 @@ def _model(leaf_log_level, tl=7200, gpus=2):
     )
 
 
+def _sample_one(model, rng):
+    """One job's (time limit, gpus, runtime) from ``sample_jobs``."""
+    tl, gpus, rt = sample_jobs(model, rng, 1)
+    return int(tl[0]), int(gpus[0]), float(rt[0])
+
+
 class TestRuntimeSampling:
     def test_degenerate_curve_fixes_runtime(self):
         model = _model(math.log(3600.0))
-        for _ in range(20):
-            tl, gpus, rt = sample_job(model, substream(1, "rt"))
+        for tl, gpus, rt in zip(*sample_jobs(model, substream(1, "rt"), 20)):
             assert (tl, gpus) == (7200, 2)
             assert rt == pytest.approx(3600.0)
 
     def test_time_limit_truncates(self):
         model = _model(math.log(10800.0))
-        _, _, rt = sample_job(model, substream(2, "rt"))
+        _, _, rt = _sample_one(model, substream(2, "rt"))
         assert rt == pytest.approx(7200.0)
 
     @pytest.mark.parametrize("level", ["time_limit", "group"])
@@ -61,7 +68,7 @@ class TestRuntimeSampling:
             tl_quantiles={7200: hit} if level == "time_limit" else {},
             group_quantiles=miss if level == "time_limit" else hit,
         )
-        _, gpus, rt = sample_job(model, substream(3, "rt"))
+        _, gpus, rt = _sample_one(model, substream(3, "rt"))
         assert gpus == 2
         assert rt == pytest.approx(1800.0)
 
@@ -72,6 +79,71 @@ class TestRuntimeSampling:
     def test_expected_work_matches_degenerate_model(self):
         model = _model(math.log(3600.0))
         assert expected_gpu_runtime_hours(model) == pytest.approx(2.0)
+
+
+def _backoff_models():
+    """``TestRuntimeSampling``'s models: a degenerate curve, one truncated
+    at the time limit, and leaf curves that miss every drawn width."""
+    miss, hit = np.full(3, math.log(60.0)), np.full(3, math.log(1800.0))
+    base = _model(math.log(3600.0))
+    return [
+        base,
+        _model(math.log(10800.0)),
+        replace(base, leaf_quantiles={(7200, 4): miss}, tl_quantiles={7200: hit}),
+        replace(base, leaf_quantiles={(7200, 4): miss}, group_quantiles=hit),
+    ]
+
+
+def _sampling_models():
+    """Every default-bundle job model, the tiny bundle's and the backoff
+    models, by name."""
+    models = {}
+    for name, bundle in (("default", default_bundle()), ("tiny", load_bundle(tiny_doc()))):
+        for group, model in bundle.job_models.items():
+            models[f"{name}:{group}"] = model
+    for i, model in enumerate(_backoff_models()):
+        models[f"backoff:{i}"] = model
+    return models
+
+
+class TestVectorDrawMatchesPerJob:
+    """``sample_jobs`` against the per-job loop in oracles.py: the same
+    uniforms in the same order, so equal time limits, GPU counts and
+    runtime bits."""
+
+    MODELS = _sampling_models()
+
+    @given(
+        st.sampled_from(sorted(MODELS)),
+        st.one_of(st.sampled_from([0, 1]), st.integers(2, 3000)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_groups_and_counts(self, name, n, seed):
+        model = self.MODELS[name]
+        tl, gpus, rt = sample_jobs(model, np.random.default_rng(seed), n)
+        want_tl, want_gpus, want_rt = sample_jobs_per_job(
+            model, np.random.default_rng(seed), n
+        )
+        assert tl.tolist() == want_tl
+        assert gpus.tolist() == want_gpus
+        assert rt.dtype == np.float64
+        assert rt.tobytes() == np.array(want_rt).tobytes()
+
+    def test_every_group_at_cluster_scale(self):
+        for name, model in self.MODELS.items():
+            got = sample_jobs(model, substream(5, "jobs", name), 5000)
+            want = sample_jobs_per_job(model, substream(5, "jobs", name), 5000)
+            assert [c.tolist() for c in got] == [list(c) for c in want], name
+
+    def test_unreachable_curve_raises_only_when_drawn(self):
+        # no curve for 2 GPUs: zero jobs draw nothing, one job raises
+        model = replace(
+            _model(math.log(3600.0)), leaf_quantiles={(7200, 4): np.zeros(3)}
+        )
+        assert all(c.size == 0 for c in sample_jobs(model, substream(6, "rt"), 0))
+        with pytest.raises(ConfigurationError, match="no runtime quantiles"):
+            sample_jobs(model, substream(6, "rt"), 1)
 
 
 def _template(key, n=5, mean=0.5, phi=0.5, support=200):

@@ -348,8 +348,10 @@ class TestScheduleReference:
             (True, {"total_gpus": 4, "horizon_days": 2, "ckpt_seconds": 100.0}),
             (False, {}),
             (False, {"policy": "SWF"}),
+            # every segment is a whole job, so every queued duration differs
+            (False, {"ckpt_seconds": math.inf}),
         ],
-        ids=["tiny_bundle", "default_bundle", "default_bundle_swf"],
+        ids=["tiny_bundle", "default_bundle", "default_bundle_swf", "default_bundle_no_ckpt"],
     )
     def test_run_batch_inputs(self, bundle, monkeypatch, tiny, fields):
         if tiny:
