@@ -189,17 +189,8 @@ def place_arrivals(
     Hours are assigned multinomially by the profile and each arrival gets a
     uniform offset inside its hour. Returns sorted timestamps in seconds.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0, dtype=float)
     p = np.asarray(hourly_profile, dtype=float)
-    if p.shape != (HOURS_PER_DAY,) or np.any(p < 0):
-        raise ValueError("hourly profile must be 24 nonnegative shares")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("hourly profile must sum to 1")
-    per_hour = rng.multinomial(count, p / total)
+    per_hour = rng.multinomial(count, p / p.sum())
     hours = np.repeat(np.arange(HOURS_PER_DAY), per_hour)
     ts = day_start_s + hours * SECONDS_PER_HOUR + rng.random(count) * SECONDS_PER_HOUR
     return np.sort(ts)
@@ -221,10 +212,6 @@ def generate_zone_arrivals(
     shifts the clock of the intraday pattern; shifted arrivals wrap within
     their day so per-day totals are untouched.
     """
-    if horizon_days < 0:
-        raise ValueError("horizon_days must be nonnegative")
-    if mean_scale < 0:
-        raise ValueError("mean_scale must be nonnegative")
     if mean_scale == 0.0:  # reads no day, so share 1 needs no day effect
         return np.empty(0, dtype=float)
     offset_s = offset_hours * SECONDS_PER_HOUR

@@ -225,14 +225,13 @@ class HybridResult:
 
     @property
     def share_realized(self) -> float:
-        w_inf, w_batch = self.w_inf_offered_h, self.w_batch_offered_h
-        return inference_share(w_inf, w_batch) if w_inf + w_batch > 0.0 else 0.0
+        return inference_share(self.w_inf_offered_h, self.w_batch_offered_h)
 
     @property
     def utilization_realized(self) -> float:
         s = self.scenario
         work = self.w_inf_offered_h + self.w_batch_offered_h
-        return utilization(work, s.total_gpus, s.horizon_days) if s.horizon_days > 0 else 0.0
+        return utilization(work, s.total_gpus, s.horizon_days)
 
     @property
     def unmet_work_frac(self) -> float:
@@ -251,6 +250,8 @@ def inference_share(w_inf_h: float, w_batch_h: float) -> float:
 
 def utilization(work_gpu_hours: float, total_gpus: int, horizon_days: int) -> float:
     """Offered GPU-hours relative to the full-capacity GPU-hours available."""
+    if horizon_days == 0:
+        raise ValueError("the horizon has no minutes")
     return work_gpu_hours / (total_gpus * horizon_days * 24.0)
 
 

@@ -16,11 +16,7 @@ def sample_nb2(mu, alpha: float, rng: np.random.Generator):
     ``mu`` may be a scalar or an array; entries equal to zero yield zero
     counts. Returns an integer scalar for scalar input, otherwise an array.
     """
-    if alpha < 0:
-        raise ValueError("dispersion must be nonnegative")
     arr = np.asarray(mu, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("mean must be nonnegative")
     if alpha == 0.0:
         out = rng.poisson(arr)
     else:
@@ -58,8 +54,6 @@ class CategoricalSampler:
 
     def __init__(self, pmf) -> None:
         cdf = np.cumsum(np.asarray(pmf, dtype=float))
-        if cdf[-1] <= 0:
-            raise ValueError("pmf has no mass")
         cdf /= cdf[-1]
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
         self.first = np.searchsorted(cdf, edges, side="right").astype(np.int32)

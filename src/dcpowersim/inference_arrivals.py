@@ -100,8 +100,6 @@ def split_across_templates(
 
 
 def equal_shares(n_templates: int) -> tuple[float, ...]:
-    if n_templates <= 0:
-        raise ValueError("need at least one template")
     return tuple(1.0 / n_templates for _ in range(n_templates))
 
 
@@ -142,10 +140,6 @@ def smooth_histogram(counts: np.ndarray, bandwidth: int) -> np.ndarray:
     histogram is a fixed point for any bandwidth.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 1 or len(counts) == 0:
-        raise ValueError("histogram must be a nonempty 1-d array")
-    if np.any(counts < 0):
-        raise ValueError("histogram counts must be nonnegative")
     total = counts.sum()
     if total <= 0:
         raise ValueError("histogram has no mass")
@@ -177,8 +171,6 @@ def fit_group_pmf(
     """
     counts = np.asarray(counts, dtype=float)
     pooled = np.asarray(pooled, dtype=float)
-    if counts.shape != pooled.shape:
-        raise ValueError("counts and pooled pmf must share a support")
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     n = counts.sum()
@@ -196,8 +188,6 @@ def apply_verbosity(dist: TokenDistribution, scale: float) -> TokenDistribution:
     completion of that CDF relation differenced on the integer grid. Scale 1
     returns the distribution unchanged, bit for bit.
     """
-    if scale <= 0:
-        raise ValueError("verbosity scale must be positive")
     if scale == 1.0:
         return dist
     k = dist.support_max

@@ -171,20 +171,10 @@ def allocate_budgets(
     while they fit. Budgets of templates too large for the leftover stay
     unchanged; if no instance fits at all, remaining GPUs go unused. When
     the total budget is smaller than every instance size, every budget is
-    zero and a warning is emitted.
+    zero and a warning is emitted. Offered work must sum above 0.
     """
     offered = np.asarray(offered_gpu_hours, dtype=float)
     sizes = np.asarray(gpus_per_instance, dtype=np.int64)
-    if total_gpus < 0:
-        raise ValueError("total budget must be nonnegative")
-    if np.any(offered < 0):
-        raise ValueError("offered hours must be nonnegative")
-    if np.any(sizes <= 0):
-        raise ValueError("instance sizes must be positive")
-    if offered.sum() <= 0:
-        if total_gpus > 0:
-            raise ValueError("no offered work to apportion the budget against")
-        return [0] * len(sizes)
     shares = total_gpus * offered / offered.sum()
     budgets = (shares // sizes).astype(np.int64) * sizes
     remainders = (shares - budgets) / sizes

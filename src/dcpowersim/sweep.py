@@ -71,8 +71,8 @@ def _scenario_cells(scenario: Scenario) -> dict[str, object]:
 
 def _metric(metric, series, *args) -> float | None:
     """``metric(series, *args)``, or None (an empty ``sweep.csv`` cell, null in
-    ``metrics.json``) where it raises ValueError: no minutes, a mean at or
-    below 0, or a series no longer than the ramp horizon."""
+    ``metrics.json``) where it raises ValueError: no minutes, no offered work,
+    a mean at or below 0, or a series no longer than the ramp horizon."""
     try:
         return metric(series, *args)
     except ValueError:
@@ -81,12 +81,14 @@ def _metric(metric, series, *args) -> float | None:
 
 def summarize(result: HybridResult) -> dict[str, object]:
     """One results-table row worth of metrics for a finished run; a metric it
-    cannot give (any, with no minutes; ``cov_batch`` at share 1) is None."""
+    cannot give (the series metrics and ``utilization_realized`` with no
+    minutes, ``share_realized`` with no offered work, ``cov_batch`` at share
+    1) is None."""
     total = result.p_total_kw
     row: dict[str, object] = {
         **_scenario_cells(result.scenario),
-        "share_realized": result.share_realized,
-        "utilization_realized": result.utilization_realized,
+        "share_realized": _metric(lambda r: r.share_realized, result),
+        "utilization_realized": _metric(lambda r: r.utilization_realized, result),
         # cov and ramp_rate are read here at call time: bench/tracer.py wraps them
         "cov": _metric(cov, total),
         "unmet_frac": result.unmet_work_frac,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import fields, replace
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dcpowersim import cosim
 from dcpowersim.config import load_bundle
 from dcpowersim.cosim import (
+    CAP_MODES,
     RequestPart,
     Scenario,
     Serving,
@@ -31,7 +33,13 @@ from dcpowersim.cosim import (
 )
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.outputs import LabelColumn, write_requests_csv
-from dcpowersim.scheduler import CapacityTimeline, ScheduleTrace, SegmentRun, schedule
+from dcpowersim.scheduler import (
+    POLICIES,
+    CapacityTimeline,
+    ScheduleTrace,
+    SegmentRun,
+    schedule,
+)
 from dcpowersim.seeds import derive_seed
 from dcpowersim.serving import (
     SPEED_CLASSES,
@@ -79,6 +87,10 @@ class TestWorkRatios:
         # 336 GPU-hours against 4 GPUs over 168 hours
         assert utilization(336.0, 4, 7) == pytest.approx(0.5)
 
+    def test_utilization_empty_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            utilization(0.0, 4, 0)
+
 
 class TestScenarioFromDict:
     def test_defaults_then_overrides(self):
@@ -105,6 +117,11 @@ class TestScenarioFromDict:
             {"total_gpus": 8.5},
             {"total_gpus": True},
             {"horizon_days": 1.5},
+            {"horizon_days": -1},
+            {"cap_fraction": 0},
+            {"cap_fraction": 1.5},
+            {"verbosity_scale": 0},
+            {"verbosity_scale": -1},
             {"seed": "x"},
             {"ckpt_seconds": 0.5},
             {"utilization_target": math.inf},
@@ -124,6 +141,41 @@ class TestScenarioFromDict:
         assert Scenario(ckpt_seconds=math.inf).ckpt_seconds == math.inf
         # an interval no float holds schedules like one that never comes
         assert Scenario(ckpt_seconds=10**400).ckpt_seconds == 10**400
+
+
+valid_scenarios = st.builds(
+    Scenario,
+    total_gpus=st.integers(1, 16),
+    horizon_days=st.integers(0, 1),
+    share_target=st.floats(0.0, 1.0),
+    utilization_target=st.floats(0.0, 2.0, exclude_min=True),
+    policy=st.sampled_from(POLICIES),
+    # at least a minute between checkpoints bounds the segments per job
+    ckpt_seconds=st.floats(60.0, allow_infinity=True),
+    cap_mode=st.sampled_from(CAP_MODES),
+    cap_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    verbosity_scale=st.floats(0.25, 4.0),
+    speed_class=st.sampled_from([None, *SPEED_CLASSES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(valid_scenarios)
+@settings(max_examples=40, deadline=None)
+def test_valid_scenario_runs_clean(bundle, scenario):
+    """Past the checks at the boundary, no stage re-checks its inputs: a
+    valid scenario finishes with a finite series inside the cluster, or
+    fails in one line because uncapped serving outgrows it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = run_hybrid(bundle, scenario)
+        except ConfigurationError as err:
+            assert scenario.cap_mode == "uncapped"
+            assert "\n" not in str(err)
+            return
+    assert np.all(np.isfinite(res.p_total_kw))
+    assert np.all(res.g_inf + res.busy_batch <= scenario.total_gpus)
 
 
 def joined_log(parts):

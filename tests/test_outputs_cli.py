@@ -289,7 +289,7 @@ class TestSimulateCommand:
         assert rc == 0
         metrics = self.metrics(out)
         empty = ["cov", "ramp1_med", "ramp5_med", "ramp15_med", "cov_batch", "cov_inf",
-                 "mean_p_total_kw"]
+                 "mean_p_total_kw", "share_realized", "utilization_realized"]
         assert {name: metrics[name] for name in empty} == dict.fromkeys(empty)
         assert metrics["unmet_frac"] == 0.0
 

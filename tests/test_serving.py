@@ -125,11 +125,6 @@ class TestBudgets:
         budgets = allocate_budgets(12, np.array([2.0, 1.0]), np.array([2, 2]))
         assert sum(budgets) == 12
 
-    def test_no_offered_work_zero_budgets(self):
-        assert allocate_budgets(0, np.array([0.0, 0.0]), np.array([1, 2])) == [0, 0]
-        with pytest.raises(ValueError):
-            allocate_budgets(4, np.array([0.0]), np.array([2]))
-
     def test_budget_below_every_instance_warns(self):
         with pytest.warns(UserWarning):
             budgets = allocate_budgets(3, np.array([1.0]), np.array([4]))
