@@ -175,7 +175,11 @@ def test_valid_scenario_runs_clean(bundle, scenario):
             assert "\n" not in str(err)
             return
     assert np.all(np.isfinite(res.p_total_kw))
-    assert np.all(res.g_inf + res.busy_batch <= scenario.total_gpus)
+    # busy_batch is a time-weighted mean of partial minutes, so a full
+    # minute may land an ulp above its GPUs; hold it to run_hybrid's own
+    # conservation bound
+    overrun = res.g_inf + res.busy_batch - scenario.total_gpus
+    assert np.max(overrun, initial=0.0) <= 1e-9
 
 
 def joined_log(parts):
