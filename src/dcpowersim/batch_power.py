@@ -290,9 +290,11 @@ def synthesize_power(
 
     Job i has ``templates[i]``, ``runtimes_s[i]``, ``gpu_counts[i]`` and
     the i-th generator of ``rngs``; its trace has ceil(runtime / 60)
-    entries. Returns all traces as one flat array, job after job, and each
-    trace's length. Integration over wall-clock windows weights a job's
-    final minute by its fractional occupancy.
+    entries. Every draw of job i is made before the next generator is
+    asked for, so ``rngs`` may yield one generator reseeded per job, as
+    ``seeds.substreams`` does. Returns all traces as one flat array, job
+    after job, and each trace's length. Integration over wall-clock
+    windows weights a job's final minute by its fractional occupancy.
 
     raw(t) = mean(t) + noise_factor * std(t) * eps(t), clipped to
     [p5(t), p95(t)] before scaling, then multiplied by the GPU count and

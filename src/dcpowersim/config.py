@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -83,10 +84,60 @@ class ModelBundle:
         return sorted(self.rate_models)
 
 
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) for one subtree
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_hash(doc: dict) -> str:
-    """SHA-256 of the canonical (sorted-key, compact) JSON encoding."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical (sorted-key, compact) JSON encoding,
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` as UTF-8.
+
+    The same text is built by walking the document, so that each distinct
+    list of floats is encoded once: a bundle's template nodes repeat their
+    curves.
+    """
+    parts: list[str] = []
+    _canonical_json(doc, parts, {})
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
+
+
+def _canonical_json(node, parts: list[str], float_lists: dict[bytes, str]) -> None:
+    """Append ``_ENCODE(node)`` to ``parts``. A list of plain floats is
+    encoded once per bit pattern (keyed by its bytes: ``0.0 == -0.0``), a
+    subtree that holds no container in one ``_ENCODE`` call. Only exact
+    dicts with ``str`` keys and exact lists and tuples are walked."""
+    kind = type(node)
+    if kind is dict and {str}.issuperset(map(type, node)):
+        children = node.values()
+    elif kind is list or kind is tuple:
+        children = node
+    else:
+        parts.append(_ENCODE(node))
+        return
+    types = set(map(type, children))
+    if kind is not dict and types == {float}:
+        key = array("d", node).tobytes()
+        text = float_lists.get(key)
+        if text is None:
+            text = float_lists[key] = _ENCODE(node)
+        parts.append(text)
+    elif not any(issubclass(t, (dict, list, tuple)) for t in types):
+        parts.append(_ENCODE(node))
+    elif kind is dict:
+        parts.append("{")
+        for i, key in enumerate(sorted(node)):
+            if i:
+                parts.append(",")
+            parts.append(_ENCODE(key) + ":")
+            _canonical_json(node[key], parts, float_lists)
+        parts.append("}")
+    else:
+        parts.append("[")
+        for i, item in enumerate(node):
+            if i:
+                parts.append(",")
+            _canonical_json(item, parts, float_lists)
+        parts.append("]")
 
 
 def load_json(path: str | Path | None) -> dict:

@@ -58,7 +58,7 @@ from .scheduler import (
     checkpoint_step,
     schedule,
 )
-from .seeds import derive_seed, substream
+from .seeds import derive_seed, substream, substreams
 from .serving import (
     SPEED_CLASSES,
     allocate_budgets,
@@ -503,7 +503,7 @@ def job_power_trace(
         np.array([job.runtime_s for job in jobs]),
         np.array([job.gpu for job in jobs]),
         bundle.power_cfg,
-        (substream(root_seed, "job-power", str(job.job_id)) for job in jobs),
+        substreams(root_seed, "job-power", [str(job.job_id) for job in jobs]),
     )
 
 

@@ -165,9 +165,11 @@ def _power_curves(length_min: int) -> tuple[list[float], ...]:
 
 
 def _power_node(
-    key: dict, length_min: int, support: int, phi: float = 0.85
+    key: dict, curves: tuple[list[float], ...], support: int, phi: float = 0.85
 ) -> dict:
-    mean, std, p5, p95 = _power_curves(length_min)
+    """A template node with its own copies of ``curves``, so editing one
+    node's lists leaves every other node as it is."""
+    mean, std, p5, p95 = (list(c) for c in curves)
     node = dict(key)
     node.update(
         {
@@ -184,13 +186,14 @@ def _power_node(
 
 def _power_templates_doc() -> dict:
     lengths = {"low": 120, "med": 480, "high": 1440}
+    curves = {length: _power_curves(length) for length in set(lengths.values())}
     nodes = []
     for group, classes in _BATCH_CLASSES.items():
-        length = lengths[group]
-        nodes.append(_power_node({"group": group}, length, 5000))
+        group_curves = curves[lengths[group]]
+        nodes.append(_power_node({"group": group}, group_curves, 5000))
         for tl, (_count, gpu_counts) in sorted(classes.items()):
             nodes.append(
-                _power_node({"group": group, "limit_s": tl}, length, 800)
+                _power_node({"group": group, "limit_s": tl}, group_curves, 800)
             )
             for i, g in enumerate(sorted(gpu_counts)):
                 # leave some leaves under the gate to exercise backoff
@@ -198,7 +201,7 @@ def _power_templates_doc() -> dict:
                 nodes.append(
                     _power_node(
                         {"group": group, "limit_s": tl, "gpus": g},
-                        length,
+                        group_curves,
                         support,
                     )
                 )
@@ -214,7 +217,7 @@ def _power_templates_doc() -> dict:
         nodes.append(
             _power_node(
                 {"group": "high", "limit_s": 86400, "gpus": 8, "runtime_bin": b},
-                lengths["high"],
+                curves[lengths["high"]],
                 support,
             )
         )
@@ -259,12 +262,14 @@ def _lognormal_histogram(
     mu = math.log(median)
     dist = NormalDist(mu, sigma)
     counts: dict[str, int] = {}
+    # bin k spans [k - 0.5, k + 0.5]; its upper edge is bin k + 1's lower one
+    lo = 0.0
     for k in range(1, support_max + 1):
-        lo = dist.cdf(math.log(k - 0.5)) if k > 1 else 0.0
         hi = dist.cdf(math.log(k + 0.5))
         c = round(total * (hi - lo))
         if c > 0:
             counts[str(k)] = c
+        lo = hi
     return counts
 
 

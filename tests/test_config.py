@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcpowersim.config import canonical_hash, load_bundle
 from dcpowersim.defaults import default_bundle_doc
@@ -11,7 +14,87 @@ from dcpowersim.errors import ConfigurationError
 from test_cosim import tiny_doc
 
 
+def reference_hash(doc) -> str:
+    """The definition ``canonical_hash`` keeps: SHA-256 of one json.dumps."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class _DictSubclass(dict):
+    pass
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# lists that are equal as floats but not as bits, or not as JSON
+LOOKALIKE_LISTS = [
+    [0.0, 1.5], [-0.0, 1.5], [math.nan, 2.0], [math.inf, 2.0], [-math.inf, 2.0],
+    [1.0, 1.0], [1.0, 1], [1.0, True], [1.0, np.float64(1.0)],
+]
+
+
+@st.composite
+def json_docs(draw):
+    """Nested dicts, lists and tuples with text keys and scalar leaves that
+    reuse a few float lists, as the same objects and as copies, with one
+    dict keyed by ints and one dict subclass among them."""
+    pool = draw(st.lists(st.lists(FLOATS, max_size=6), min_size=1, max_size=4))
+    pool += LOOKALIKE_LISTS
+    shared = st.sampled_from(pool)
+    leaves = (
+        st.none() | st.booleans() | st.integers() | FLOATS
+        | FLOATS.map(np.float64) | st.text(max_size=6)
+        | shared | shared.map(list) | shared.map(tuple)
+    )
+    keys = st.text(max_size=6)
+    tree = st.recursive(
+        leaves,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(keys, children, max_size=4)
+        ),
+        max_leaves=25,
+    )
+    doc = draw(st.dictionaries(keys, tree, max_size=5))
+    doc[draw(st.text(max_size=3))] = draw(st.dictionaries(st.integers(), tree, max_size=3))
+    doc[draw(st.text(max_size=3))] = _DictSubclass(draw(st.dictionaries(keys, tree, max_size=3)))
+    return doc
+
+
 class TestCanonicalHash:
+    @settings(deadline=None)
+    @given(json_docs())
+    def test_matches_one_json_dumps(self, doc):
+        assert canonical_hash(doc) == reference_hash(doc)
+
+    @pytest.mark.parametrize("make", [default_bundle_doc, tiny_doc])
+    def test_bundles_match_one_json_dumps(self, make):
+        doc = make()
+        assert canonical_hash(doc) == reference_hash(doc)
+
+    def test_default_document_hash_is_pinned(self):
+        assert canonical_hash(default_bundle_doc()) == (
+            "b1cb53d0441152e04de79a74debcab15e9f2995f91640034a34bf78c954d6fd6"
+        )
+
+    def test_default_document_shares_no_list(self):
+        def lists(node):
+            if isinstance(node, list):
+                yield node
+            if isinstance(node, (dict, list)):
+                for item in node.values() if isinstance(node, dict) else node:
+                    yield from lists(item)
+
+        first, second = default_bundle_doc(), default_bundle_doc()
+        assert first == second
+        ids = [id(x) for doc in (first, second) for x in lists(doc)]
+        assert len(ids) == len(set(ids))
+        nodes = first["power_templates"]["nodes"]
+        before = copy.deepcopy(nodes)
+        nodes[0]["minute_mean"][0] += 1.0
+        assert nodes[1:] == before[1:]
+        assert second["power_templates"]["nodes"] == before
+
     def test_key_order_irrelevant(self):
         a = {"x": 1, "y": {"a": 2, "b": 3}}
         b = {"y": {"b": 3, "a": 2}, "x": 1}

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from dcpowersim.seeds import derive_seed, substream
+from dcpowersim.seeds import _seeded_streams, derive_seed, substream, substreams
 
 
 def test_same_labels_same_seed():
@@ -37,3 +37,31 @@ def test_substreams_are_independent_generators():
     a_draws = a.random(4)
     assert not np.allclose(a_draws, b.random(4))
     assert np.allclose(a_draws, substream(5, "left").random(4))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def test_seeded_streams_are_default_rng_of_each_seed():
+    """State and first draws of numpy's own ``default_rng(seed)``, for
+    one- and two-word seeds at the edges and 1000 random ones."""
+    spread = np.random.default_rng(20261020).integers(
+        0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True
+    )
+    seeds = EDGE_SEEDS + spread.tolist()
+    checked = 0
+    for seed, rng in zip(seeds, _seeded_streams(np.array(seeds, dtype=np.uint64))):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+        assert rng.standard_normal(50).tobytes() == want.standard_normal(50).tobytes()
+        checked += 1
+    assert checked == len(seeds)
+
+
+def test_substreams_give_the_substream_of_each_label():
+    labels = ["0", "1", 17, "job-4243", "é", ""]
+    got = []
+    for rng in substreams(9, "job-power", labels):
+        got.append(rng.random(3).tobytes())
+    assert got == [substream(9, "job-power", label).random(3).tobytes() for label in labels]
+    assert list(substreams(9, "job-power", [])) == []
