@@ -524,24 +524,22 @@ def _batch_power_series(
     index k resumes the trajectory at k full checkpoint intervals, so a
     preempted and rerun segment replays its own stretch of the curve.
 
-    Runs are added up in the order of their job in ``jobs``, then in their
-    order in ``trace.runs``, and every minute receives its additions in that
-    order; floating-point sums depend on it.
+    Runs are added up by job id, which is the job's position in ``jobs``,
+    then in their order in ``trace.runs``; every minute receives its
+    additions in that order, and floating-point sums depend on it.
     """
     out = np.zeros(scenario.horizon_minutes)
-    position = {job.job_id: i for i, job in enumerate(jobs)}
-    run_pos = np.array([position[run.job_id] for run in trace.runs], dtype=np.int64)
-    order = np.argsort(run_pos, kind="stable")
-    with_runs = np.unique(run_pos)
+    runs = trace.run_columns()
+    runs = runs[np.argsort(runs["job_id"], kind="stable")]
+    with_runs = np.unique(runs["job_id"])
     power, lengths = job_power_trace(
         bundle, [jobs[i] for i in with_runs], scenario.root_seed
     )
-    runs = trace.run_columns()[order]
     return _add_run_power(
         power,
         np.cumsum(lengths) - lengths,
         lengths,
-        np.searchsorted(with_runs, run_pos[order]),
+        np.searchsorted(with_runs, runs["job_id"]),
         runs["seg_index"],
         runs["start_s"],
         runs["end_s"],
@@ -709,7 +707,7 @@ def run_hybrid(
     # the residual-capacity construction makes this hold by arithmetic;
     # fail loudly if scheduling ever breaks it
     overrun = float(np.max(g_inf + busy_batch - scenario.total_gpus, initial=0.0))
-    if overrun > 1e-9:
+    if overrun > 0:
         raise RuntimeError(
             f"capacity conservation violated by {overrun} GPUs in a minute"
         )

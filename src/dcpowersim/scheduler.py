@@ -185,11 +185,12 @@ class ScheduleTrace:
         return self._columns
 
     def busy_minutes(self, n_minutes: int) -> np.ndarray:
-        """Time-weighted mean of occupied GPUs for each simulation minute."""
+        """Time-weighted mean of occupied GPUs for each simulation minute:
+        whole GPU-seconds, exact in float64 below 2**53, divided by 60 once."""
         runs = self.run_columns()
-        return accumulate_intervals(
-            runs["start_s"], runs["end_s"], runs["gpu"], n_minutes
-        )
+        busy = accumulate_intervals(runs["start_s"], runs["end_s"], 60.0 * runs["gpu"], n_minutes)
+        busy /= 60  # in place, so no second minute series is allocated
+        return busy
 
 
 def accumulate_intervals(

@@ -24,7 +24,7 @@ from .errors import ConfigurationError
 
 SPEED_CLASSES = ("F", "M", "S")
 
-# guards ceil/floor against float representation error on exact multiples
+# guards the service-window ceilings against float error on exact multiples
 _GRID_EPS = 1e-9
 # requests windowed per pass, so the window arrays stay small however many
 # requests one call windows
@@ -215,9 +215,10 @@ def gpu_use(
     conc_capped: np.ndarray, max_batch: int, gpus_per_instance: int
 ) -> np.ndarray:
     """GPUs provisioned per minute: whole instances covering the capped
-    concurrency, gpus_per_instance * ceil(conc / max_batch)."""
+    concurrency, gpus_per_instance * ceil(conc / max_batch), exact for the
+    tick means and whole-instance caps that serving passes."""
     conc = np.asarray(conc_capped, dtype=float)
-    instances = np.ceil(conc / max_batch - _GRID_EPS)
+    instances = np.ceil(conc / max_batch)
     return (gpus_per_instance * instances).astype(np.int64)
 
 

@@ -514,6 +514,17 @@ def usage_step(runs) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times, dtype=np.int64), np.cumsum(deltas, dtype=np.int64)
 
 
+def busy_gpu_seconds(runs, n_minutes: int) -> list[int]:
+    """Occupied GPU-seconds of each of ``n_minutes`` minutes, in Python
+    ints: each segment run's overlap with each minute times its GPUs."""
+    out = [0] * n_minutes
+    for r in runs:
+        for m in range(max(r.start_s, 0) // 60, min(-(-r.end_s // 60), n_minutes)):
+            overlap = min(r.end_s, 60 * m + 60) - max(r.start_s, 60 * m)
+            out[m] += r.gpu * max(overlap, 0)
+    return out
+
+
 def service_window(
     arrival_s: float, tokens: int, tpot_s: float, grid_tick_s: int
 ) -> tuple[float, float]:

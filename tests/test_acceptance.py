@@ -300,7 +300,7 @@ def test_08_conservation_every_minute(bundle, shape_sweep, saturated_run, gate):
         )
         p_batch = batch_power_per_run(bundle, res.scenario, res.jobs, res.trace)
         worst_kw = max(worst_kw, float(np.max(np.abs(res.p_total_kw - (p_batch + p_inf)))))
-    ok = worst_gpu <= 1e-9 and worst_kw <= 1e-9
+    ok = worst_gpu <= 0 and worst_kw <= 1e-9
     gate(
         "08 conservation",
         ok,

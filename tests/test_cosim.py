@@ -54,6 +54,7 @@ from dcpowersim.serving import (
 from oracles import (
     add_run_power_per_run,
     batch_power_per_run,
+    busy_gpu_seconds,
     flatten_requests_whole,
     generate_group_requests,
     job_power_trace_per_job,
@@ -175,11 +176,23 @@ def test_valid_scenario_runs_clean(bundle, scenario):
             assert "\n" not in str(err)
             return
     assert np.all(np.isfinite(res.p_total_kw))
-    # busy_batch is a time-weighted mean of partial minutes, so a full
-    # minute may land an ulp above its GPUs; hold it to run_hybrid's own
-    # conservation bound
+    # both GPU counts are exact, so the cluster holds them with no allowance
     overrun = res.g_inf + res.busy_batch - scenario.total_gpus
-    assert np.max(overrun, initial=0.0) <= 1e-9
+    assert np.max(overrun, initial=0.0) <= 0
+
+
+def test_full_minutes_read_exactly_the_cluster(bundle):
+    """Batch work alone on 3 GPUs for a day, with 61 s checkpoints, keeps
+    them all busy in minutes that several partial runs share. busy_batch is
+    exact GPU-seconds over 60, so those minutes read 3.0, not an ulp more."""
+    scenario = Scenario(
+        total_gpus=3, horizon_days=1, share_target=0.0, utilization_target=1.0,
+        ckpt_seconds=61, seed=0,
+    )
+    res = run_hybrid(bundle, scenario)
+    gpu_seconds = busy_gpu_seconds(res.trace.runs, scenario.horizon_minutes)
+    assert res.busy_batch.tolist() == [k / 60 for k in gpu_seconds]
+    assert res.busy_batch.max() == 3.0
 
 
 def joined_log(parts):
@@ -247,6 +260,8 @@ class TestShareEndpoints:
         fb, fi = _work_scales(bundle, scen)
         assert fi == 0.0
         jobs, _ = generate_jobs(bundle, scen, fb)
+        # batch power reads a run's job id as its job's position in jobs
+        assert [j.job_id for j in jobs] == list(range(len(jobs)))
         capacity = CapacityTimeline.from_minute_series(
             np.full(scen.horizon_minutes + 1, scen.total_gpus, dtype=np.int64)
         )

@@ -22,6 +22,7 @@ from dcpowersim.scheduler import (
 
 from oracles import (
     TinyJob,
+    busy_gpu_seconds,
     capacity_at,
     first_starts,
     flat_capacity,
@@ -436,6 +437,22 @@ def assert_run_columns(trace: ScheduleTrace) -> None:
 
 def test_run_columns_of_empty_trace():
     assert_run_columns(ScheduleTrace())
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(0, 450), st.integers(0, 450), st.integers(1, 64)),
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_busy_minutes_are_exact_gpu_seconds_over_60(n_minutes, spans):
+    """Each minute is its exact GPU-seconds over 60, correctly rounded, for
+    runs off minute edges, past the horizon, empty, and 1 to 64 GPUs wide."""
+    runs = [SegmentRun(0, 0, start, start + length, gpu, True) for start, length, gpu in spans]
+    got = ScheduleTrace(runs=runs).busy_minutes(n_minutes)
+    assert got.tolist() == [k / 60 for k in busy_gpu_seconds(runs, n_minutes)]
 
 
 def test_no_interval_of_positive_length_leaves_out_as_is():

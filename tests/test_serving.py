@@ -174,6 +174,31 @@ class TestCapAndPower:
         assert gpu_use(np.array([0.0]), 4, 2)[0] == 0
         assert gpu_use(np.array([16.0]), 4, 2)[0] == 8
 
+    @given(
+        st.sampled_from([p for p in range(1, 61) if 60 % p == 0]),
+        st.integers(1, 512),
+        st.integers(1, 16),
+        st.integers(0, 2**24),
+        st.integers(-1, 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gpu_use_is_exact_with_no_allowance(
+        self, per_minute, max_batch, size, k, off
+    ):
+        """Serving hands gpu_use a tick sum over the ticks per minute, or
+        the cap of a whole number of instances: both give the instances an
+        integer ceiling gives, with no allowance for float error. Tick sums
+        at and one tick either side of k full instances are the closest
+        calls."""
+        ticks = max(per_minute * max_batch * k + off, 0)
+        conc = np.array([ticks]) / per_minute
+        instances = -(-ticks // (per_minute * max_batch))
+        assert gpu_use(conc, max_batch, size)[0] == size * instances
+        # a budget of whole instances that binds, or just fits
+        fits = ticks // (per_minute * max_batch)
+        capped = cap_concurrency(conc, max_batch, size * fits, size)
+        assert gpu_use(capped, max_batch, size)[0] == size * fits
+
     def test_inference_power_linear(self):
         assert inference_power(np.array([10.0]), 0.9)[0] == pytest.approx(9.0)
         assert inference_power(np.array([0.0]), 0.9)[0] == 0.0
