@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: ``generate`` (arrival/characteristics streams), ``simulate``
-(one hybrid scenario), ``sweep`` (a share/utilization/seed grid),
-``metrics`` (recompute summary metrics from a stored series file), and
-``diagnose`` (transmission diagnostics between two stored series).
+Subcommands: ``generate`` (the batch or the inference workload of one
+scenario, the one ``simulate`` runs), ``simulate`` (one hybrid scenario),
+``sweep`` (a share/utilization/seed grid), ``metrics`` (recompute summary
+metrics from a stored series file), and ``diagnose`` (transmission
+diagnostics between two stored series). ``generate`` and ``simulate`` read
+the same scenario and flags; ``simulate`` writes what the co-simulation
+decides, and ``generate inference`` the request log it drew.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when a sweep
 finished but some grid points failed.
@@ -59,7 +62,7 @@ def _bind_simulation_names() -> None:
         request_stream,
         run_hybrid,
         scenario_from_dict,
-        scenario_requests,
+        work_scales,
     )
     from .defaults import default_bundle_doc
     from .sweep import run_sweep, summarize
@@ -91,14 +94,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    """The scenario inputs the workload generators read."""
+    """The scenario document and its overrides. Scenario checks every
+    value, so a bad one is a configuration error."""
     parser.add_argument("--scenario", default=None, help="scenario JSON path")
     parser.add_argument("--verbosity-scale", type=float, default=None)
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Scenario overrides that only a co-simulation run reads. Scenario
-    checks every value, so a bad one is a configuration error."""
     parser.add_argument("--policy", default=None)
     parser.add_argument("--ckpt-seconds", type=float, default=None)
     # dest is the Scenario field each flag overrides; metavar keeps --help
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one hybrid scenario")
     _add_config_flags(p_sim)
     _add_scenario_flags(p_sim)
-    _add_run_flags(p_sim)
     p_sim.set_defaults(run=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario grid")
@@ -173,7 +171,7 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _setup(args, default_id: str):
+def _setup(args):
     """The bundle, the scenario and the output directory of a generate or
     simulate run."""
     _bind_simulation_names()
@@ -182,7 +180,9 @@ def _setup(args, default_id: str):
     # every flag whose dest names a Scenario field overrides the document
     fields = Scenario.__dataclass_fields__
     doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
-    doc.setdefault("scenario_id", default_id)
+    # the id seeds every random stream: the scenario file names it, or it
+    # is "run", whatever the bundle's scenario_defaults say
+    doc.setdefault("scenario_id", "run")
     return bundle, scenario_from_dict(doc, bundle.scenario_defaults), _out_dir(args)
 
 
@@ -196,9 +196,10 @@ def _write_files(out: Path, bundle, scenario, files: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    bundle, scenario, out = _setup(args, "generate")
+    bundle, scenario, out = _setup(args)
+    fb, fi = work_scales(bundle, scenario)
     if args.kind == "batch":
-        jobs, times = generate_jobs(bundle, scenario, 1.0)
+        jobs, times = generate_jobs(bundle, scenario, fb)
         files = {
             "arrivals.csv": lambda path: write_arrivals_csv(
                 path, times, [j.group for j in jobs]
@@ -210,7 +211,7 @@ def cmd_generate(args) -> int:
             ),
         }
     else:
-        parts = list(request_stream(bundle, scenario, 1.0))
+        parts = list(request_stream(bundle, scenario, fi))
         files = {
             "requests.csv": lambda path: write_requests_csv(
                 path, cosim.flatten_requests(parts)
@@ -221,18 +222,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle, scenario, out = _setup(args, "run")
-    parts = scenario_requests(bundle, scenario)
-    result = run_hybrid(bundle, scenario, parts)
+    bundle, scenario, out = _setup(args)
+    result = run_hybrid(bundle, scenario)
     template_ids = [t.template_id for t in bundle.llm_templates]
     _write_files(out, bundle, scenario, {
         "series.csv": lambda path: write_series_csv(path, result),
         "busy.csv": lambda path: write_busy_csv(path, result.busy_batch),
         "trace.csv": lambda path: write_trace_csv(path, result.trace),
         "jobs.csv": lambda path: write_jobs_csv(path, result.jobs),
-        "requests.csv": lambda path: write_requests_csv(
-            path, cosim.flatten_requests(parts)
-        ),
         "detail.csv": lambda path: write_detail_csv(path, result, template_ids),
         # the sweep row (a metric it lacks is null) and the rejected jobs
         "metrics.json": lambda path: write_json(path, {

@@ -10,11 +10,11 @@ Requests reach serving as a stream of parts, one per (group, template)
 pair, walked once. Serving windows each part into its template's row of
 per-tick edges and keeps no per-request array past it. A run draws its
 own requests one part at a time and drops each part once served, so it
-holds neither the whole request log nor a whole group. A caller that
-wants the requests builds the parts with ``scenario_requests`` and
-passes them to ``run_hybrid``; ``flatten_requests`` then yields the
-time-ordered log a block of whole minutes at a time, so writing
-``requests.csv`` never holds the merged log either.
+holds neither the whole request log nor a whole group. The request log
+of a scenario is ``request_stream`` at the inference scale
+``work_scales`` gives, the parts a run draws; ``flatten_requests``
+yields it in time order a block of whole minutes at a time, so writing
+``requests.csv`` never holds the merged log.
 
 Randomness is partitioned by named substreams, so the batch side of a run
 is bit-identical whether or not inference is generated at all.
@@ -291,7 +291,7 @@ def expected_inference_work_gpu_hours(bundle: ModelBundle, scenario: Scenario) -
     return total
 
 
-def _work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]:
+def work_scales(bundle: ModelBundle, scenario: Scenario) -> tuple[float, float]:
     """Mean-scale factors (batch, inference) that hit the share and
     utilization targets: each side's target GPU-hours over its expected
     GPU-hours at unit scale."""
@@ -367,14 +367,6 @@ def request_stream(
             yield from generate_requests(
                 scenario, group, template.template_id, sampler, mu, alpha
             )
-
-
-def scenario_requests(bundle: ModelBundle, scenario: Scenario) -> list[RequestPart]:
-    """The request parts ``run_hybrid`` generates for ``scenario`` when it
-    is given none: the whole log, at the rate scale that meets the
-    scenario's share and utilization targets."""
-    _, fi = _work_scales(bundle, scenario)
-    return list(request_stream(bundle, scenario, fi))
 
 
 # requests per block of the merged log. A block's arrays take about 60 bytes
@@ -683,22 +675,14 @@ def run_batch(
     return jobs, trace
 
 
-def run_hybrid(
-    bundle: ModelBundle,
-    scenario: Scenario,
-    request_parts: Iterable[RequestPart] | None = None,
-) -> HybridResult:
+def run_hybrid(bundle: ModelBundle, scenario: Scenario) -> HybridResult:
     """Run one scenario end to end and return the minute-level result.
 
-    Serving walks ``request_parts`` once. By default these are the
-    scenario's own requests, drawn one (group, template) part at a time and
-    dropped once served; pass ``scenario_requests(bundle, scenario)`` to
-    keep them.
+    Serving walks the scenario's own requests, drawn one (group, template)
+    part at a time and dropped once served.
     """
-    fb, fi = _work_scales(bundle, scenario)
-    if request_parts is None:
-        request_parts = request_stream(bundle, scenario, fi)
-    serving = serve_inference(bundle, scenario, request_parts)
+    fb, fi = work_scales(bundle, scenario)
+    serving = serve_inference(bundle, scenario, request_stream(bundle, scenario, fi))
     g_inf = serving.gpus.sum(axis=0)
     jobs, trace = run_batch(bundle, scenario, fb, g_inf)
     busy_batch = trace.busy_minutes(scenario.horizon_minutes)

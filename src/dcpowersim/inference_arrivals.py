@@ -1,11 +1,17 @@
 """Minute-level inference request arrivals and generated-token models.
 
-Request counts per 15-minute slot follow NB2 models with weekday/weekend
-rate tables; a single calibration factor widens the dispersion to absorb
-burstiness the rate model misses. Arrivals for a request group are split
-across serving templates so that the superposed stream keeps the group-level
-mean and variance. Generated-token counts come from per-group pmfs built by
-kernel smoothing plus a Dirichlet-style posterior blend against a pooled
+Request rates come from weekday/weekend log-rate tables with one entry per
+15-minute slot; a single calibration factor widens the NB2 dispersion alpha
+to absorb burstiness the rate model misses. Arrivals for a request group are
+split across serving templates so that the superposed stream keeps the
+group-level per-minute mean and variance: each template's part gets its
+share of the mean and dispersion alpha / share (``split_across_templates``).
+Counts are drawn per minute, not per slot: every minute of every part draws
+its own NB2 count, and so its own gamma rate multiplier. The group's
+calibrated alpha is thus the dispersion of one minute's count; a 15-minute
+slot, the sum of 15 independent minutes with one mean, has dispersion
+alpha / 15. Generated-token counts come from per-group pmfs built by kernel
+smoothing plus a Dirichlet-style posterior blend against a pooled
 distribution, with an optional verbosity rescaling of the token CDF.
 """
 

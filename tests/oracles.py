@@ -25,7 +25,7 @@ from dcpowersim.batch_power import (
     select_template,
     synthesize_power,
 )
-from dcpowersim.cosim import RequestPart
+from dcpowersim.cosim import RequestPart, request_stream, work_scales
 from dcpowersim.distributions import CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import (
     apply_verbosity,
@@ -574,6 +574,15 @@ def generate_group_requests(bundle, scenario, fi: float, group: str) -> list[Req
             tokens = sample_tokens(sampler, tokens_rng, times.size)
         out.append(RequestPart(times, tokens, group, template_id))
     return out
+
+
+def scenario_requests(bundle, scenario) -> list[RequestPart]:
+    """Every request part a run of ``scenario`` draws, kept in one list:
+    the stream at the inference scale that meets the scenario's share and
+    utilization targets. A run drops each part once served; tests keep
+    them to compare against."""
+    _, fi = work_scales(bundle, scenario)
+    return list(request_stream(bundle, scenario, fi))
 
 
 # The request log merged by one stable sort of every request: the package's

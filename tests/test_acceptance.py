@@ -334,7 +334,7 @@ def test_09_byte_identical_outputs(tmp_path, gate):
         assert main(["simulate", "--config", str(cfg), "--scenario", str(scen),
                      "--out", str(out), "--seed", "5"]) == 0
         sim_outs.append(out)
-    sim_files = ["series.csv", "trace.csv", "requests.csv", "manifest.json"]
+    sim_files = ["series.csv", "trace.csv", "jobs.csv", "manifest.json"]
     sim_ok = all(
         (sim_outs[0] / f).read_bytes() == (sim_outs[1] / f).read_bytes()
         for f in sim_files

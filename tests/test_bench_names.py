@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dcpowersim.cosim import scenario_requests
+from dcpowersim.cli import main
 from dcpowersim.sweep import expand_grid
+
+from oracles import scenario_requests
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,10 +42,11 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     """The scheduler counters read the trace's shape: every run either
     completed or was preempted, and this small run both preempts and
     backfills. The request counter reads the request parts' layout, so
-    it must count the rows of the run's request log. Power synthesis for
-    every job of the run is one timed call inside the run's span.
-    ``serving.s`` adds up every serving span's full duration, so no
-    serving span may open inside another."""
+    it must count the rows of the request log that ``generate inference``
+    writes for the same scenario. Power synthesis for every job of the run
+    is one timed call inside the run's span. ``serving.s`` adds up every
+    serving span's full duration, so no serving span may open inside
+    another."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"total_gpus": 12, "horizon_days": 1}))
     out_json = tmp_path / "trace.json"
@@ -58,7 +61,9 @@ def test_tracer_counts_a_simulate_run(tmp_path):
     assert counts["segment_runs"] == counts["completed_runs"] + counts["preemptions"]
     assert counts["backfills"] > 0
     assert counts["preemptions"] > 0
-    requests_csv = (tmp_path / "out" / "requests.csv").read_bytes()
+    assert main(["generate", "inference", "--config", "default", "--seed", "1",
+                 "--scenario", str(scenario), "--out", str(tmp_path / "log")]) == 0
+    requests_csv = (tmp_path / "log" / "requests.csv").read_bytes()
     assert counts["requests"] == requests_csv.count(b"\n") - 1
     synthesis = [span for span in spans if span[0] == "batch_power.job_power_trace"]
     assert len(synthesis) == 1

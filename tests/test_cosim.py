@@ -18,7 +18,6 @@ from dcpowersim.cosim import (
     Serving,
     _add_run_power,
     _batch_power_series,
-    _work_scales,
     flatten_requests,
     generate_jobs,
     generate_requests,
@@ -27,9 +26,9 @@ from dcpowersim.cosim import (
     request_stream,
     run_hybrid,
     scenario_from_dict,
-    scenario_requests,
     serve_inference,
     utilization,
+    work_scales,
 )
 from dcpowersim.errors import ConfigurationError
 from dcpowersim.outputs import LabelColumn, write_requests_csv
@@ -60,6 +59,7 @@ from oracles import (
     job_power_trace_per_job,
     label_texts,
     rows_requests_csv,
+    scenario_requests,
     serve_inference_concatenated,
 )
 
@@ -220,7 +220,7 @@ def share_scenario(share: float) -> Scenario:
 
 @pytest.fixture(scope="module")
 def share_requests(bundle):
-    """The request parts each share_runs run was given."""
+    """The request parts each share_runs run draws."""
     return {
         share: scenario_requests(bundle, share_scenario(share))
         for share in (0.0, 0.5, 1.0)
@@ -228,11 +228,8 @@ def share_requests(bundle):
 
 
 @pytest.fixture(scope="module")
-def share_runs(bundle, share_requests):
-    return {
-        share: run_hybrid(bundle, share_scenario(share), parts)
-        for share, parts in share_requests.items()
-    }
+def share_runs(bundle):
+    return {share: run_hybrid(bundle, share_scenario(share)) for share in (0.0, 0.5, 1.0)}
 
 
 class TestShareEndpoints:
@@ -257,7 +254,7 @@ class TestShareEndpoints:
         res = run_hybrid(bundle, scen)
 
         assert scen.root_seed == derive_seed(scen.seed, "run", scen.scenario_id)
-        fb, fi = _work_scales(bundle, scen)
+        fb, fi = work_scales(bundle, scen)
         assert fi == 0.0
         jobs, _ = generate_jobs(bundle, scen, fb)
         # batch power reads a run's job id as its job's position in jobs
@@ -293,6 +290,21 @@ class TestShareEndpoints:
         assert np.array_equal(res.p_total_kw, res.p_inf_kw)
 
 
+def parts_a_run_draws(bundle, scenario) -> list[RequestPart]:
+    """The request parts ``run_hybrid`` draws for ``scenario``, in the
+    order it draws them."""
+    drawn = []
+
+    def recorded(*args):
+        got = generate_requests(*args)
+        drawn.extend(got)
+        return got
+
+    with mock.patch.object(cosim, "generate_requests", recorded):
+        run_hybrid(bundle, scenario)
+    return drawn
+
+
 class TestRequestParts:
     """generate_requests draws one part per call, so request_stream yields
     one part per (group, template) pair at any scale, and flatten_requests
@@ -322,11 +334,17 @@ class TestRequestParts:
             assert got[0] is part
 
     def test_scenario_requests_are_the_stream_at_its_rate_scale(self, bundle):
-        _, fi = _work_scales(bundle, self.scen)
-        got = scenario_requests(bundle, self.scen)
+        """A run draws, part by part, the stream at the inference scale of
+        ``work_scales``: the parts ``generate inference`` writes and the
+        tests' ``scenario_requests`` keeps."""
+        drawn = parts_a_run_draws(bundle, self.scen)
+        _, fi = work_scales(bundle, self.scen)
         want = self.parts(bundle, fi)
-        assert [p.group for p in got] == [p.group for p in want]
-        for a, b in zip(got, want):
+        assert fi > 0.0 and sum(p.times.size for p in want) > 0
+        assert [(p.group, p.template_id) for p in drawn] == [
+            (p.group, p.template_id) for p in want
+        ]
+        for a, b in zip(drawn, want):
             assert a.times.tobytes() == b.times.tobytes()
             assert a.tokens.tobytes() == b.tokens.tobytes()
 
@@ -450,7 +468,7 @@ def test_stream_draws_the_parts_of_the_group_generator(bundle, which, fi, verbos
         bundle = load_bundle(tiny_doc())
     scen = Scenario(total_gpus=12, horizon_days=1, verbosity_scale=verbosity, seed=1)
     if fi is None:
-        _, fi = _work_scales(bundle, scen)
+        _, fi = work_scales(bundle, scen)
     want = [
         part
         for group in bundle.request_groups
@@ -643,19 +661,13 @@ class TestServingMatchesConcatenated:
 
 class TestOnePass:
     """Serving walks its parts once, so a one-shot generator of the parts
-    gives the bits of their list, and so does a run that streams its own
-    requests."""
+    gives the bits of their list, and a run that streams its own requests
+    serves what serving the kept parts gives."""
 
     def check(self, bundle, scen, parts, res):
-        assert_same_serving(
-            serve_inference(bundle, scen, (p for p in parts)),
-            serve_inference(bundle, scen, parts),
-        )
-        streamed = run_hybrid(bundle, scen, (p for p in parts))
-        for other in (streamed, run_hybrid(bundle, scen)):
-            assert_same_serving(other.serving, res.serving)
-            assert other.busy_batch.tobytes() == res.busy_batch.tobytes()
-            assert other.p_batch_kw.tobytes() == res.p_batch_kw.tobytes()
+        served = serve_inference(bundle, scen, parts)
+        assert_same_serving(serve_inference(bundle, scen, (p for p in parts)), served)
+        assert_same_serving(res.serving, served)
 
     def test_tiny_bundle(self, tiny_run):
         bundle, scen, parts, res = tiny_run
@@ -736,7 +748,7 @@ def test_streamed_serving_peak_memory_is_under_one_group(bundle):
     peak stays below 0.75 of the largest group's bytes (0.49 here; drawing
     a group per call read 1.49)."""
     scen = replace(MEMORY_SCENARIO, total_gpus=768)
-    _, fi = _work_scales(bundle, scen)
+    _, fi = work_scales(bundle, scen)
     largest = max(
         request_bytes(generate_group_requests(bundle, scen, fi, group))
         for group in bundle.request_groups
@@ -858,8 +870,7 @@ def tiny_run():
         ckpt_seconds=900.0,
         seed=5,
     )
-    parts = scenario_requests(bundle, scen)
-    return bundle, scen, parts, run_hybrid(bundle, scen, parts)
+    return bundle, scen, scenario_requests(bundle, scen), run_hybrid(bundle, scen)
 
 
 class TestTinyCluster:

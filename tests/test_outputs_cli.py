@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from dcpowersim import cli, outputs, sweep
 from dcpowersim.cli import main
 from dcpowersim.config import canonical_hash, load_bundle
-from dcpowersim.cosim import run_hybrid
+from dcpowersim.cosim import (
+    generate_jobs,
+    job_power_trace,
+    run_hybrid,
+    scenario_from_dict,
+)
 from dcpowersim.defaults import default_bundle_doc
 from dcpowersim.outputs import (
     JOB_POWER_COLUMNS,
@@ -21,12 +26,13 @@ from dcpowersim.outputs import (
     fmt,
     read_series_csv,
     write_job_power_csv,
+    write_jobs_csv,
     write_series_csv,
 )
 from dcpowersim.sweep import expand_grid, summarize
 
-from oracles import ROW_WRITERS
-from test_cosim import tiny_doc
+from oracles import ROW_WRITERS, flatten_requests_whole, rows_requests_csv
+from test_cosim import parts_a_run_draws, tiny_doc
 
 
 class TestCellFormat:
@@ -197,14 +203,18 @@ class TestGenerateCommand:
 
     def test_same_seed_byte_identical(self, tmp_path, cfg_path):
         scen = write_scenario(tmp_path, horizon_days=1, total_gpus=4)
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert main(["generate", "batch", "--config", cfg_path,
-                         "--scenario", scen, "--out", str(out), "--seed", "9"]) == 0
-            outs.append(out)
-        for name in ("arrivals.csv", "jobs.csv", "job_power.csv", "manifest.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for kind, names in (
+            ("batch", ("arrivals.csv", "jobs.csv", "job_power.csv", "manifest.json")),
+            ("inference", ("requests.csv", "manifest.json")),
+        ):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / kind / name
+                assert main(["generate", kind, "--config", cfg_path,
+                             "--scenario", scen, "--out", str(out), "--seed", "9"]) == 0
+                outs.append(out)
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_week_of_jobs_within_four_sigma(self, tmp_path, cfg_path):
         scen = write_scenario(tmp_path, horizon_days=7, total_gpus=4)
@@ -212,20 +222,30 @@ class TestGenerateCommand:
         assert main(["generate", "batch", "--config", cfg_path,
                      "--scenario", scen, "--out", str(out), "--seed", "1"]) == 0
         n_jobs = (out / "jobs.csv").read_text().count("\n") - 1
-        mean = 6.0 * 7  # Poisson counts: dispersion 0 in the tiny config
+        # the scenario's batch GPU-hours (share 0.5 and utilization 0.7 by
+        # default, on 4 GPUs for 7 days) over the 2 GPU-hours of every tiny
+        # job; Poisson counts: dispersion 0 in the tiny config
+        mean = 0.5 * 0.7 * 4 * 7 * 24 / 2.0
         sigma = mean**0.5
         assert abs(n_jobs - mean) <= 4 * sigma
 
     # job_power.csv pins every job's power trace, template choice, shocks
     # and AR(1) arithmetic; recorded before the traces of all jobs were
-    # synthesized in one pass
-    def test_job_power_digest_pinned(self, tmp_path):
-        scen = write_scenario(tmp_path, horizon_days=3)
-        out = tmp_path / "pinned"
-        assert main(["generate", "batch", "--config", "default",
-                     "--scenario", scen, "--out", str(out), "--seed", "1"]) == 0
-        assert (out / "jobs.csv").read_text().count("\n") == 401
-        assert file_sha256(out / "job_power.csv") == (
+    # synthesized in one pass, from the jobs of 3 default-bundle days at
+    # unit rate under the scenario id "generate", seed 1
+    def test_job_power_digest_pinned(self, tmp_path, bundle):
+        scen = scenario_from_dict(
+            {"scenario_id": "generate", "horizon_days": 3, "seed": 1},
+            bundle.scenario_defaults,
+        )
+        jobs, _ = generate_jobs(bundle, scen, 1.0)
+        write_jobs_csv(tmp_path / "jobs.csv", jobs)
+        write_job_power_csv(
+            tmp_path / "job_power.csv", [j.job_id for j in jobs],
+            *job_power_trace(bundle, jobs, scen.root_seed),
+        )
+        assert (tmp_path / "jobs.csv").read_text().count("\n") == 401
+        assert file_sha256(tmp_path / "job_power.csv") == (
             "8ad5d48834c426c9fcbd20e1f0d48da69dd4d1b9f9c8ba3e4235a1ad8a715dce"
         )
 
@@ -248,6 +268,42 @@ class TestGenerateCommand:
         assert main(["generate", "batch", "--config", cfg_path,
                      "--scenario", scen, "--seed", "1"]) == 0
         assert (out / "jobs.csv").exists()
+
+
+class TestGenerateDrawsTheRunsWorkload:
+    """``generate`` draws the workload ``simulate`` runs. For one bundle,
+    scenario file and seed, ``generate batch`` writes ``simulate``'s
+    jobs.csv, and ``generate inference`` writes the rows of the request
+    parts ``run_hybrid`` streams. Every scenario field that sizes the
+    workload is away from its default."""
+
+    SCENARIO = {"total_gpus": 12, "horizon_days": 1, "share_target": 0.25,
+                "utilization_target": 0.9, "verbosity_scale": 1.3, "speed_class": "F"}
+
+    @pytest.mark.parametrize("which", ["default", "tiny"])
+    def test_generate_writes_what_the_run_draws(self, tmp_path, cfg_path, bundle, which):
+        config = "default"
+        if which == "tiny":
+            bundle, config = load_bundle(tiny_doc()), cfg_path
+        scen = write_scenario(tmp_path, **self.SCENARIO)
+        outs = {}
+        for command in (["simulate"], ["generate", "batch"], ["generate", "inference"]):
+            outs[command[-1]] = out = tmp_path / command[-1]
+            assert main([*command, "--config", config, "--scenario", scen,
+                         "--seed", "1", "--out", str(out)]) == 0
+        jobs = (outs["batch"] / "jobs.csv").read_bytes()
+        assert jobs == (outs["simulate"] / "jobs.csv").read_bytes()
+        assert jobs.count(b"\n") > 1
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in outs.values()]
+        assert all(m["scenario"] == manifests[0]["scenario"] for m in manifests)
+
+        scenario = scenario_from_dict({**self.SCENARIO, "seed": 1}, bundle.scenario_defaults)
+        assert scenario.root_seed == manifests[0]["scenario"]["derived_seed"]
+        drawn = parts_a_run_draws(bundle, scenario)
+        assert sum(p.times.size for p in drawn) > 0
+        rows_requests_csv(tmp_path / "drawn.csv", [flatten_requests_whole(drawn)])
+        requests = (outs["inference"] / "requests.csv").read_bytes()
+        assert requests == (tmp_path / "drawn.csv").read_bytes()
 
 
 class TestSimulateCommand:
@@ -297,7 +353,7 @@ class TestSimulateCommand:
         _, out_a = self.run(tmp_path, cfg_path, "ra", share_target=0.5)
         _, out_b = self.run(tmp_path, cfg_path, "rb", share_target=0.5)
         for name in ("series.csv", "busy.csv", "trace.csv", "jobs.csv",
-                     "requests.csv", "detail.csv", "metrics.json", "manifest.json"):
+                     "detail.csv", "metrics.json", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_trace_rows_keyed_as_readme_says(self, tmp_path, cfg_path):
@@ -339,7 +395,8 @@ class TestSimulateCommand:
 
     # trace.csv pins every scheduler decision and requests.csv every token
     # draw; recorded before the backfill scan kept running segments in end
-    # order and before token draws went through a guide table
+    # order and before token draws went through a guide table, when
+    # simulate wrote the request log that generate inference now writes
     @pytest.mark.parametrize(
         "ckpt, name, digest",
         [
@@ -353,23 +410,26 @@ class TestSimulateCommand:
         ids=["trace_ckpt_100", "trace_ckpt_inf", "requests"],
     )
     def test_trace_and_requests_digest_pinned(self, tmp_path, cfg_path, ckpt, name, digest):
-        out = self.pinned_run(tmp_path, cfg_path, ckpt)
+        command = ["generate", "inference"] if name == "requests.csv" else ["simulate"]
+        out = self.pinned_run(tmp_path, cfg_path, ckpt, command)
         assert file_sha256(out / name) == digest
 
     @pytest.fixture(scope="class")
     def default_bundle_run(self, tmp_path_factory) -> Path:
-        """The outputs of a 12-GPU, one-day default-bundle run at seed 1."""
+        """The outputs of a 12-GPU, one-day default-bundle run at seed 1,
+        and the request log ``generate inference`` writes for it."""
         tmp_path = tmp_path_factory.mktemp("parts")
         scen = write_scenario(tmp_path, total_gpus=12, horizon_days=1)
         out = tmp_path / "parts"
-        assert main(["simulate", "--config", "default", "--scenario", scen,
-                     "--out", str(out), "--seed", "1"]) == 0
+        for command in (["simulate"], ["generate", "inference"]):
+            assert main([*command, "--config", "default", "--scenario", scen,
+                         "--out", str(out / command[-1]), "--seed", "1"]) == 0
         return out
 
     # the tiny bundle has one group and one template; this run's 13191
     # requests span all 35 (group, template) pairs of the default bundle
     def test_requests_digest_pinned_across_parts(self, default_bundle_run):
-        out = default_bundle_run
+        out = default_bundle_run / "inference"
         with open(out / "requests.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 13191
@@ -391,13 +451,13 @@ class TestSimulateCommand:
         ids=["series", "detail", "busy", "jobs"],
     )
     def test_default_bundle_digest_pinned(self, default_bundle_run, name, digest):
-        assert file_sha256(default_bundle_run / name) == digest
+        assert file_sha256(default_bundle_run / "simulate" / name) == digest
 
-    def pinned_run(self, tmp_path, cfg_path, ckpt) -> Path:
+    def pinned_run(self, tmp_path, cfg_path, ckpt, command=("simulate",)) -> Path:
         scen = write_scenario(tmp_path, total_gpus=4, horizon_days=1, share_target=0.5,
                               utilization_target=0.75, ckpt_seconds=ckpt)
         out = tmp_path / "pinned"
-        assert main(["simulate", "--config", cfg_path, "--scenario", scen,
+        assert main([*command, "--config", cfg_path, "--scenario", scen,
                      "--out", str(out), "--seed", "5"]) == 0
         return out
 
@@ -456,8 +516,7 @@ class TestSimulateCommand:
             assert rc == 0
             outs.append(out)
         huge, never = outs
-        for name in ("series.csv", "busy.csv", "trace.csv", "jobs.csv",
-                     "requests.csv", "detail.csv"):
+        for name in ("series.csv", "busy.csv", "trace.csv", "jobs.csv", "detail.csv"):
             assert (huge / name).read_bytes() == (never / name).read_bytes(), name
         metrics = [json.loads((out / "metrics.json").read_text()) for out in outs]
         assert [m.pop("ckpt_s") for m in metrics] == [1e19, "inf"]
@@ -676,34 +735,37 @@ class TestWritersMatchRowReference:
         assert trees[0] == trees[1]
         return trees[0]
 
-    def simulate(self, monkeypatch, tmp_path, doc, share) -> dict[str, bytes]:
+    def run(self, monkeypatch, tmp_path, command, doc, share) -> dict[str, bytes]:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         scen = write_scenario(
             tmp_path, total_gpus=4, horizon_days=1, utilization_target=0.75,
             share_target=share,
         )
-        argv = ["simulate", "--config", str(cfg), "--scenario", scen, "--seed", "5"]
-        return self.both(monkeypatch, tmp_path, argv)
+        argv = [*command, "--config", str(cfg), "--scenario", scen, "--seed", "5"]
+        return self.both(monkeypatch, tmp_path / command[-1], argv)
 
     def test_simulate(self, monkeypatch, tmp_path):
-        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 0.5)
+        tree = self.run(monkeypatch, tmp_path, ["simulate"], tiny_doc(), 0.5)
         assert all(tree[name].count(b"\n") > 4 for name in tree if name.endswith(".csv"))
         completed = {row.rsplit(b",", 1)[1] for row in tree["trace.csv"].splitlines()[1:]}
         assert completed == {b"0", b"1"}
 
     def test_share_zero_writes_no_requests(self, monkeypatch, tmp_path):
-        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 0.0)
+        tree = self.run(monkeypatch, tmp_path, ["generate", "inference"], tiny_doc(), 0.0)
         assert tree["requests.csv"] == b"timestamp_s,group,template,tokens\n"
 
     def test_share_one_writes_no_jobs(self, monkeypatch, tmp_path):
-        tree = self.simulate(monkeypatch, tmp_path, tiny_doc(), 1.0)
+        tree = self.run(monkeypatch, tmp_path, ["simulate"], tiny_doc(), 1.0)
         assert tree["jobs.csv"].count(b"\n") == 1
         assert tree["trace.csv"].count(b"\n") == 1
 
     def test_quoted_names(self, monkeypatch, tmp_path):
-        tree = self.simulate(monkeypatch, tmp_path, awkward_names_doc(), 0.5)
+        tree = self.run(monkeypatch, tmp_path, ["simulate"], awkward_names_doc(), 0.5)
         assert b'"ti,ny ""b"""' in tree["jobs.csv"]
+        tree = self.run(
+            monkeypatch, tmp_path, ["generate", "inference"], awkward_names_doc(), 0.5
+        )
         assert b'"re""q,\nx","T,""1"""' in tree["requests.csv"]
 
     @pytest.mark.parametrize("days", [0, 1])

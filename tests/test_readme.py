@@ -46,23 +46,28 @@ def listed_columns(file_name: str) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def simulate_out(tmp_path_factory):
+def written_out(tmp_path_factory):
+    """The output directories of simulate and generate inference, by
+    command, for one scenario."""
     tmp = tmp_path_factory.mktemp("readme")
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps(tiny_doc()))
     scen = tmp / "scen.json"
     scen.write_text(json.dumps({"total_gpus": 4, "horizon_days": 1}))
-    out = tmp / "out"
-    args = ["simulate", "--config", str(cfg), "--scenario", str(scen), "--out", str(out)]
-    assert main([*args, "--seed", "1"]) == 0
-    return out
+    outs = {}
+    for command in (["simulate"], ["generate", "inference"]):
+        outs[command[-1]] = out = tmp / command[-1]
+        args = [*command, "--config", str(cfg), "--scenario", str(scen), "--out", str(out)]
+        assert main([*args, "--seed", "1"]) == 0
+    return outs
 
 
 @pytest.mark.parametrize(
     "file_name",
     ["series.csv", "detail.csv", "busy.csv", "trace.csv", "jobs.csv", "requests.csv"],
 )
-def test_output_columns_match_written_headers(simulate_out, file_name):
-    with open(simulate_out / file_name, encoding="utf-8") as fh:
+def test_output_columns_match_written_headers(written_out, file_name):
+    command = "inference" if file_name == "requests.csv" else "simulate"
+    with open(written_out[command] / file_name, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
     assert listed_columns(file_name) == header
