@@ -29,6 +29,8 @@ from .metrics import MINUTES_PER_DAY
 
 SLOT_MINUTES = 15
 SLOTS_PER_DAY = MINUTES_PER_DAY // SLOT_MINUTES  # 96
+# uniforms drawn per pass when placing requests inside their minutes
+_PASS_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,21 @@ def minute_mean_series(
 
 
 def place_in_minutes(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform timestamps inside each minute, sorted ascending (seconds)."""
-    counts = np.asarray(counts)
-    total = int(counts.sum())
-    starts = np.repeat(np.arange(len(counts), dtype=float) * 60.0, counts)
-    u = rng.random(total)
-    u *= 60.0
-    u += starts
-    u.sort()
-    return u
+    """Uniform timestamps inside each minute, sorted ascending (seconds).
+
+    Each time is its minute's start plus 60 s times a uniform. The uniforms
+    are drawn ``_PASS_ROWS`` at a time into one buffer and added in place,
+    so no second request-length array exists; the passes draw the numbers
+    one draw of them all would, in the same order."""
+    times = np.repeat(np.arange(len(counts), dtype=float) * 60.0, counts)
+    u = np.empty(min(len(times), _PASS_ROWS))
+    for start in range(0, len(times), _PASS_ROWS):
+        part = times[start : start + _PASS_ROWS]
+        draw = rng.random(out=u[: len(part)])
+        draw *= 60.0
+        part += draw
+    times.sort()
+    return times
 
 
 def split_across_templates(

@@ -8,11 +8,16 @@ Every CSV cell is exactly what ``fmt`` and csv.writer's quoting make of it.
 A writer hands over its rows as blocks of columns: one block for most files,
 and a block per run of minutes for the request log and the serving detail,
 the two largest, so those never exist as whole-file columns. Each block is
-rendered ``_CHUNK_ROWS`` rows at a time in numpy: each numeric column becomes
-a ``uint8`` matrix with one row of byte slots per cell and a mask of the
-slots the cell uses, label columns come from a table of their quoted names,
-built once a file for each set of names, and one ``np.compress`` of the
-chunk's masked slots gives its bytes.
+rendered ``_CHUNK_ROWS`` rows at a time in numpy, into one workspace that
+the whole file reuses: a ``uint8`` matrix with a row of byte slots per file
+row, each cell's slots followed by one for its comma or the row's newline,
+and a ``bool`` mask of the slots in use. Each column's kernel writes its
+cells and their mask straight into its own span of the rows: numbers from
+lookup tables of digit groups, labels from a table of their quoted names,
+built once a file for each set of names. One ``np.compress`` of the masked
+slots then gives the chunk's bytes. The separators are set again only when
+the layout changes, as it does when a chunk's widest integer takes another
+group of digits.
 
 A float takes this route only when its digits are provably those of
 ``'%.9g' %``. With ``X = floor(log10|v|)`` and ``p = |v| * 10**(8 - X)`` in
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -100,8 +104,13 @@ class LabelColumn:
         self.names = names
 
 
-# rows rendered and written per chunk, so memory stays flat as files grow
-_CHUNK_ROWS = 8192
+# rows rendered and written per chunk. The workspace (two bytes a slot,
+# ~120 slots a row), a float column's temporaries and the index array
+# np.compress builds (eight bytes a written byte) then take about 1.3 MiB
+# together, whatever the file's length, so writing does not set a run's
+# peak memory; more rows would, and fewer would pay numpy's per-call cost
+# more often.
+_CHUNK_ROWS = 2048
 
 # 10**k for k = 0..12, each exactly a double
 _POW10 = np.array([float(10**k) for k in range(13)])
@@ -116,22 +125,25 @@ def _tables() -> SimpleNamespace:
     """Lookup tables of the numeric kernels, built on first use so that
     importing the package builds none. Indexed by a group of four decimal
     digits (0..9999): ``pointed`` (uint64), the digits each followed by a
-    point slot; ``digits`` (uint32), the four ASCII digits; ``kept``, how
-    many digits stay once trailing zeros go, and ``shown``, once leading
-    zeros go (none of 0). ``lead`` (uint64, by digit) holds the first eight
-    float slots, and row ``(sign * 13 + X + 4) * 10 + sig`` of
-    ``float_used`` the slots a float cell uses with decimal exponent X in
-    -4..8 and sig significant digits (none for 0)."""
+    point slot; ``digits`` (uint32), the four ASCII digits; ``low_sig`` and
+    ``mid_sig``, the significant digits of a nine-digit significand whose
+    last or middle four digits the group is (none for 0). ``lead`` (uint64,
+    by digit) holds the first eight float slots, ``tens`` (uint64) is 10**k
+    for k = 1..19, and row ``(sign * 13 + X + 4) * 10 + sig`` of
+    ``float_used`` (by ``_FLOAT_SLOTS`` slots) the slots a float cell uses
+    with decimal exponent X in -4..8 and sig significant digits (the same
+    for 0 as for 1)."""
     i = np.arange(10000)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
     digits = (digits + ord("0")).astype(np.uint8)
     pointed = np.full((10000, 8), ord("."), np.uint8)
     pointed[:, ::2] = digits
     lead = np.frombuffer(b"".join(_FLOAT_SLOTS[:6] + b"%d." % d for d in range(10)), np.uint64)
+    kept = 4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0)
 
     neg = np.arange(2)[:, None, None, None]
     x = np.arange(-4, 9)[:, None, None]
-    sig = np.arange(10)[:, None]
+    sig = np.maximum(np.arange(10), 1)[:, None]
     slot = np.arange(len(_FLOAT_SLOTS))
     k = (slot - 6) // 2  # digit k sits in slot 6 + 2k, its point in 7 + 2k
     float_used = (
@@ -144,11 +156,18 @@ def _tables() -> SimpleNamespace:
     return SimpleNamespace(
         pointed=pointed.view(np.uint64).ravel(),
         digits=digits.view(np.uint32).ravel(),
-        kept=4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0) - (i == 0),
-        shown=np.searchsorted([1, 10, 100, 1000], i, side="right"),
+        low_sig=np.where(i > 0, 5 + kept, 0),
+        mid_sig=np.where(i > 0, 1 + kept, 0),
         lead=lead,
-        float_used=float_used.reshape(-1, slot.size),
+        tens=np.array([10**k for k in range(1, 20)], np.uint64),
+        float_used=_slot_rows(float_used.reshape(-1, slot.size)),
     )
+
+
+def _slot_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row of a slot matrix (``cells`` or ``used``, a column's slice of
+    the workspace) as one item, so that a row is read or written at once."""
+    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
 
 
 def _quote(text: str) -> str:
@@ -166,9 +185,14 @@ def _put_text(cells: np.ndarray, used: np.ndarray, rows: np.ndarray, texts: list
     used[rows] = np.arange(width) < np.array([len(t) for t in texts])[:, None]
 
 
-def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each float as ``FLOAT_FMT`` renders it: one row of ``_FLOAT_SLOTS``
-    per cell and the mask of the slots it uses (see the module docstring)."""
+def _float_width(values: np.ndarray) -> int:
+    return len(_FLOAT_SLOTS)
+
+
+def _float_cells(values: np.ndarray, cells: np.ndarray, used: np.ndarray) -> None:
+    """Write each float as ``FLOAT_FMT`` renders it into its row of
+    ``cells``, one row of ``_FLOAT_SLOTS``, and the slots it uses into
+    ``used`` (see the module docstring)."""
     t = _tables()
     v = values.astype(np.float64, copy=False)
     mag = np.abs(v)
@@ -176,81 +200,146 @@ def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.floor(np.log10(mag))
     fixed = (x >= -4.0) & (x <= 8.0)
     x = np.where(fixed, x, 0.0).astype(np.intp)
-    p = np.where(fixed, mag, 0.0) * _POW10[8 - x]
+    p = np.where(fixed, mag, 0.0) * _POW10.take(8 - x)
     q = np.rint(p)
     fixed &= (p >= 1e8) & (q < 1e9) & (np.abs(p - np.floor(p) - 0.5) > 1e-6)
     q = np.where(fixed, q, 0.0).astype(np.int64)
 
     # three words of slots: the sign, "0.000", the first digit and its
     # point; then digits two to five; then six to nine, each with its point
-    first, rest = np.divmod(q, 10**8)
-    mid, low = np.divmod(rest, 10**4)
-    words = np.empty((len(v), 3), np.uint64)
+    upper = q // 10**4
+    first = upper // 10**4
+    mid = upper - first * 10**4
+    low = q - upper * 10**4
+    words = cells.view(np.uint64)
     words[:, 0] = t.lead.take(first)
     words[:, 1] = t.pointed.take(mid)
     words[:, 2] = t.pointed.take(low)
-    sig = np.where(low > 0, 5 + t.kept.take(low), np.where(mid > 0, 1 + t.kept.take(mid), first > 0))
-    used = np.take(t.float_used, (np.signbit(v) * 13 + x + 4) * 10 + sig, axis=0)
-    cells = words.view(np.uint8)
+    # 0 for a significand d00000000 (and for a zero), whose row is that of 1
+    sig = np.maximum(t.low_sig.take(low), t.mid_sig.take(mid))
+    _slot_rows(used)[:] = t.float_used.take((np.signbit(v) * 13 + x + 4) * 10 + sig)
 
     rest_rows = np.flatnonzero(~fixed & (mag != 0.0))
     if rest_rows.size:
         texts = [FLOAT_FMT % value for value in v[rest_rows].tolist()]
         _put_text(cells, used, rest_rows, texts)
-    return cells, used
 
 
-def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each integer (or bool, as 0 and 1) as ``fmt`` renders it: a sign slot
-    and three unused ones, then four digit slots per group of four digits of
-    the widest magnitude. Magnitudes are taken as uint64, which holds that of
+def _int_width(values: np.ndarray) -> int:
+    """The slots of an integer cell of ``values``: a sign slot and three
+    unused ones, then four digit slots per group of four digits of the
+    widest magnitude."""
+    top = max(int(values.max()), -int(values.min()))
+    return 8 + 4 * sum(top >= 10**k for k in (4, 8, 12, 16))
+
+
+@functools.cache
+def _int_used(width: int) -> np.ndarray:
+    """Row ``sign * (width - 4) + digits - 1`` holds the slots an integer
+    cell of ``width`` slots uses with that sign and number of digits."""
+    slot = np.arange(width)
+    shown = np.arange(1, width - 3)[:, None]
+    used = np.concatenate([slot >= width - shown, (slot >= width - shown) | (slot == 0)])
+    return _slot_rows(used)
+
+
+def _int_cells(values: np.ndarray, cells: np.ndarray, used: np.ndarray) -> None:
+    """Write each integer (or bool, as 0 and 1) as ``fmt`` renders it into
+    its row of ``cells``, laid out as ``_int_width`` says, and the slots it
+    uses into ``used``. Magnitudes are taken as uint64, which holds that of
     -2**63 exactly."""
     t = _tables()
     v = values.astype(np.int64, copy=False)
     mag = np.abs(v).view(np.uint64)
-    top = int(mag.max())
-    groups = 1 + sum(top >= 10**k for k in (4, 8, 12, 16))
-    words = np.zeros((len(v), 1 + groups), np.uint32)
-    n_digits = np.ones(len(v), np.intp)
-    for j in range(groups, 0, -1):
-        mag, group = np.divmod(mag, 10000)
-        words[:, j] = t.digits.take(group)
-        n_digits = np.where(group > 0, 4 * (groups - j) + t.shown.take(group), n_digits)
-    slot = np.arange(4 * words.shape[1])
-    end = 4 + 4 * groups
-    digit_used = (slot >= end - np.arange(end - 3)[:, None]) & (slot < end)
-    table = np.concatenate([digit_used, digit_used | (slot == 0)])
-    used = np.take(table, (v < 0) * (end - 3) + n_digits, axis=0)
-    cells = words.view(np.uint8)
+    width = cells.shape[1]
+    words = cells.view(np.uint32)
+    rest = mag
+    for j in range(width // 4 - 1, 1, -1):
+        upper = rest // 10000
+        words[:, j] = t.digits.take(rest - upper * 10000)
+        rest = upper
+    words[:, 1] = t.digits.take(rest)
     cells[:, 0] = ord("-")
-    return cells, used
+    shown = np.searchsorted(t.tens[: width - 5], mag, side="right")
+    _slot_rows(used)[:] = _int_used(width).take((v < 0) * (width - 4) + shown)
 
 
-def _label_kernel(names: tuple[str, ...]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _label_kernel(names: tuple[str, ...]) -> tuple[Callable, Callable]:
     """The kernel that renders codes into ``names`` as the names' bytes,
-    csv-quoted and UTF-8 encoded, from one table built here."""
+    csv-quoted and UTF-8 encoded, from one table built here. A cell takes
+    a power of two of slots, which numpy copies fastest."""
     quoted = [_quote(name).encode("utf-8") for name in names]
-    width = max([1, *map(len, quoted)])
+    width = 1 << (max([1, *map(len, quoted)]) - 1).bit_length()
     table = np.array(quoted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    used = np.arange(width) < np.array([len(q) for q in quoted], dtype=np.int64)[:, None]
-    return lambda codes: (np.take(table, codes, axis=0), np.take(used, codes, axis=0))
+    mask = np.arange(width) < np.array([len(q) for q in quoted], dtype=np.int64)[:, None]
+    table, mask = _slot_rows(table), _slot_rows(mask)
+
+    def fill(codes: np.ndarray, cells: np.ndarray, used: np.ndarray) -> None:
+        _slot_rows(cells)[:] = table.take(codes)
+        _slot_rows(used)[:] = mask.take(codes)
+
+    return lambda codes: width, fill
 
 
-_NUMERIC_KERNELS = {"b": _int_cells, "i": _int_cells, "f": _float_cells}
+# each kernel is a pair: the slots a cell of a chunk takes, and the
+# function that renders the chunk into its cells and their mask
+_NUMERIC_KERNELS = {
+    "b": (_int_width, _int_cells),
+    "i": (_int_width, _int_cells),
+    "f": (_float_width, _float_cells),
+}
 
 
-def _renderer(column: Sequence, label_kernel=_label_kernel) -> tuple[Callable, np.ndarray]:
-    """A kernel for ``column`` and the array whose chunks it renders: a
-    numeric array itself, a LabelColumn's codes, or for any other column
-    codes into the distinct ``fmt`` texts of its cells; ``label_kernel``
-    makes the kernel of a tuple of names."""
+def _renderer(
+    column: Sequence, label_kernel=_label_kernel
+) -> tuple[Callable, Callable, np.ndarray]:
+    """A kernel for ``column``, as its width and fill functions, and the
+    array whose chunks it renders: a numeric array itself, a LabelColumn's
+    codes, or for any other column codes into the distinct ``fmt`` texts of
+    its cells; ``label_kernel`` makes the kernel of a tuple of names."""
     if isinstance(column, LabelColumn):
-        return label_kernel(column.names), column.codes
+        return *label_kernel(column.names), column.codes
     if isinstance(column, np.ndarray) and column.dtype.kind in _NUMERIC_KERNELS:
-        return _NUMERIC_KERNELS[column.dtype.kind], column
+        return *_NUMERIC_KERNELS[column.dtype.kind], column
     index: dict[str, int] = {}
     codes = [index.setdefault(fmt(cell), len(index)) for cell in column]
-    return label_kernel(tuple(index)), np.array(codes, dtype=np.int64)
+    return *label_kernel(tuple(index)), np.array(codes, dtype=np.int64)
+
+
+class _Workspace:
+    """The byte slots of a chunk of rows and the mask of the slots its cells
+    use, kept for a whole file. A row holds each cell's slots in column
+    order, each followed by one separator slot: a comma, or the newline that
+    ends the row. The buffers grow only when a chunk needs more than any
+    chunk before it, and the separators are set only when the cell widths
+    change or the chunk outgrows the rows laid out."""
+
+    def __init__(self) -> None:
+        self.slots = np.empty(0, np.uint8)
+        self.mask = np.empty(0, bool)
+        self.widths: tuple[int, ...] = ()
+        self.spans: list[tuple[int, int]] = []
+        self.rows = self.used = self.slots.reshape(0, 0)
+
+    def lay_out(
+        self, widths: tuple[int, ...], n: int
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """The slots and the mask of ``n`` rows whose cells take ``widths``
+        slots, and the span of slots of each cell."""
+        if widths != self.widths or n > len(self.rows):
+            size = n * (sum(widths) + len(widths))
+            if self.slots.size < size:
+                self.slots = np.empty(size, np.uint8)
+                self.mask = np.empty(size, bool)
+            self.rows = self.slots[:size].reshape(n, -1)
+            self.used = self.mask[:size].reshape(n, -1)
+            ends = np.cumsum(np.add(widths, 1))
+            self.rows[:, ends - 1] = ord(",")
+            self.rows[:, -1] = ord("\n")
+            self.used[:, ends - 1] = True
+            self.widths = widths
+            self.spans = [(end - 1 - width, end - 1) for end, width in zip(ends.tolist(), widths)]
+        return self.rows[:n], self.used[:n], self.spans
 
 
 def _write_columns(
@@ -265,22 +354,20 @@ def _write_columns(
     """
     # one table for each set of names in this file, however many blocks use it
     label_kernel = functools.cache(_label_kernel)
+    workspace = _Workspace()
     with open(path, "wb") as fh:
         fh.write((",".join(map(_quote, header)) + "\n").encode("utf-8"))
         for columns in blocks:
             renderers = [_renderer(column, label_kernel) for column in columns]
-            n_rows = min((len(data) for _, data in renderers), default=0)
+            n_rows = min((len(data) for *_, data in renderers), default=0)
             for start in range(0, n_rows, _CHUNK_ROWS):
-                rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-                n = rows.stop - rows.start
-                pieces, masks = [], []
-                for kernel, data in renderers:
-                    cells, used = kernel(data[rows])
-                    pieces += (cells, np.full((n, 1), ord(","), np.uint8))
-                    masks += (used, np.ones((n, 1), bool))
-                pieces[-1][:] = ord("\n")
-                cells = np.concatenate(pieces, axis=1)
-                fh.write(np.compress(np.concatenate(masks, axis=1).ravel(), cells).tobytes())
+                stop = min(start + _CHUNK_ROWS, n_rows)
+                chunks = [data[start:stop] for *_, data in renderers]
+                widths = tuple(width(chunk) for (width, *_), chunk in zip(renderers, chunks))
+                rows, used, spans = workspace.lay_out(widths, stop - start)
+                for (_, fill, _), chunk, (lo, hi) in zip(renderers, chunks, spans):
+                    fill(chunk, rows[:, lo:hi], used[:, lo:hi])
+                fh.write(np.compress(used.ravel(), rows))
 
 
 def write_series_csv(path: Path | str, result: HybridResult) -> None:
@@ -397,10 +484,15 @@ def write_sweep_csv(path: Path | str, rows: Sequence[Sequence]) -> None:
 
 
 def file_sha256(path: Path | str) -> str:
+    # imported here: the commands that write no manifest load no OpenSSL
+    import hashlib
+
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 

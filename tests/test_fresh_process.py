@@ -40,6 +40,8 @@ SIMULATOR = {
               "serving")
 }
 PROCESS_POOL = "concurrent.futures.process"
+# the hash modules, which only commands that load a bundle or write a manifest need
+HASHING = {"hashlib", "_hashlib"}
 
 
 def fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -145,6 +147,7 @@ def test_series_commands_load_no_simulator(name, inputs, tmp_path):
     assert "dcpowersim.metrics" in modules
     assert modules & SIMULATOR == set()
     assert PROCESS_POOL not in modules
+    assert modules & HASHING == set()
 
 
 @pytest.mark.parametrize("name", ["simulate", "sweep"])
@@ -152,6 +155,7 @@ def test_serial_runs_load_no_process_pool(name, inputs, tmp_path):
     modules = loaded_modules(command(name, inputs, tmp_path / "out"), tmp_path)
     assert "dcpowersim.cosim" in modules
     assert PROCESS_POOL not in modules
+    assert HASHING <= modules
 
 
 class TestTopLevelSurface:

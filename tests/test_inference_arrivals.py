@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dcpowersim import distributions
+from dcpowersim import distributions, inference_arrivals
 from dcpowersim.batch_arrivals import SimCalendar
 from dcpowersim.distributions import GUIDE_BUCKETS, CategoricalSampler, sample_nb2
 from dcpowersim.inference_arrivals import (
@@ -81,6 +81,21 @@ class TestMinuteCounts:
         assert times.dtype == np.float64
         assert times.shape == (0,)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("pass_rows", [None, 1, 7])
+    def test_passes_place_what_one_draw_places(self, monkeypatch, pass_rows):
+        """Drawing the uniforms a pass at a time gives, bit for bit, the
+        times one draw of them all gives, and leaves the generator where
+        that draw leaves it."""
+        if pass_rows is not None:
+            monkeypatch.setattr(inference_arrivals, "_PASS_ROWS", pass_rows)
+        counts = substream(6, "minute-counts").integers(0, 5, 40)
+        rng, one_draw = substream(6, "minute-place"), substream(6, "minute-place")
+        times = place_in_minutes(counts, rng)
+        want = one_draw.random(int(counts.sum())) * 60.0 + np.repeat(np.arange(40) * 60.0, counts)
+        want.sort()
+        assert times.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == one_draw.bit_generator.state
 
     def test_unit_mean_unit_alpha(self):
         rng = substream(4, "minute-unit")

@@ -22,11 +22,13 @@ from dcpowersim.outputs import (
     JOB_POWER_COLUMNS,
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
+    LabelColumn,
     file_sha256,
     fmt,
     read_series_csv,
     write_job_power_csv,
     write_jobs_csv,
+    write_requests_csv,
     write_series_csv,
 )
 from dcpowersim.sweep import expand_grid, summarize
@@ -53,10 +55,15 @@ class TestCellFormat:
 
 
 def kernel_texts(column) -> list[str]:
-    """Each cell of ``column`` as the CSV writers' numeric kernels render it."""
-    kernel, data = outputs._renderer(column)
-    cells, used = kernel(data)
-    return [bytes(row[mask]).decode() for row, mask in zip(cells, used)]
+    """Each cell of ``column`` as the CSV writers' numeric kernels render it
+    into their slice of a workspace whose other slots, and whose own slots
+    before the kernel runs, hold stray bytes marked used."""
+    width, fill, data = outputs._renderer(column)
+    slots = np.full((len(data), 3 + width(data)), ord("#"), np.uint8)
+    used = np.ones(slots.shape, bool)
+    cells, cell_used = slots[:, 1:-2], used[:, 1:-2]
+    fill(data, cells, cell_used)
+    return [bytes(row[mask]).decode() for row, mask in zip(cells, cell_used)]
 
 
 def float_edges() -> list[float]:
@@ -744,6 +751,56 @@ class TestWritersMatchRowReference:
         )
         argv = [*command, "--config", str(cfg), "--scenario", scen, "--seed", "5"]
         return self.both(monkeypatch, tmp_path / command[-1], argv)
+
+    @staticmethod
+    def request_log(tmp_path, blocks) -> bytes:
+        """``blocks`` of (times, groups, templates, tokens) written as a
+        request log by the package writer and by the reference, which must
+        agree."""
+        write_requests_csv(tmp_path / "columnar.csv", blocks)
+        rows_requests_csv(tmp_path / "reference.csv", blocks)
+        got = (tmp_path / "columnar.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        return got
+
+    def test_int_column_widening_between_chunks(self, tmp_path):
+        """Each chunk sizes an int cell by its own widest magnitude, so in
+        one block the tokens cells widen a digit group at a time from chunk
+        to chunk, and in the next they narrow again."""
+        n = 3 * outputs._CHUNK_ROWS
+        i = np.arange(n)
+        tokens = np.where(i % 2, -1, 1) * 10 ** (i * 19 // n)
+        labels = LabelColumn(i % 2, ("g", "h"))
+        log = self.request_log(tmp_path, [
+            (i * 0.5, labels, labels, tokens),
+            (n + i * 0.5, labels, labels, tokens[::-1].copy()),
+        ])
+        assert log.count(b"\n") == 1 + 2 * n
+        assert b",%d\n" % tokens[-1] in log
+        assert b",0000" not in log  # no cell keeps a digit group's leading zeros
+
+    def test_blocks_with_different_label_sets(self, tmp_path):
+        """Blocks whose label columns hold different names, of different
+        widths, one with no rows and one that repeats the names of the
+        first."""
+        n = 2 * outputs._CHUNK_ROWS + 1
+        i = np.arange(n)
+
+        def block(start, groups, templates, rows=n):
+            return (
+                start + i[:rows] * 0.25,
+                LabelColumn(i[:rows] % len(groups), groups),
+                LabelColumn(i[:rows] % len(templates), templates),
+                i[:rows] + 1,
+            )
+
+        log = self.request_log(tmp_path, [
+            block(0.0, ("a", "b"), ("T1",)),
+            block(1e3, ('long, "quoted" group', "c" * 40), ("T1", "T22", "")),
+            block(2e3, (), (), rows=0),
+            block(3e3, ("a", "b"), ("T1",)),
+        ])
+        assert log.count(b'"long, ""quoted"" group"') == (n + 1) // 2
 
     def test_simulate(self, monkeypatch, tmp_path):
         tree = self.run(monkeypatch, tmp_path, ["simulate"], tiny_doc(), 0.5)
